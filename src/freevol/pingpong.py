@@ -40,7 +40,6 @@ from .words import (
     invert,
     invert_word,
     is_proper_power,
-    power,
     render_word,
     word_sort_key,
 )
@@ -83,36 +82,49 @@ def _edge_lengths(pair: MarkedPair) -> tuple[int, int]:
     c2 = pair.second.edge_word_ambient()
     ell12 = volume_mod.translation_length(pair.second, c1)
     ell21 = volume_mod.translation_length(pair.first, c2)
+    _require_hyperbolic(ell12, ell21)
     return ell12, ell21
 
 
-def threshold_exponent(consts: TwistConstants, ell12: int, ell21: int) -> int:
-    """Minimal N with N*ell - C >= 2(M+1) for both cross translation lengths."""
+def _require_hyperbolic(ell12: int, ell21: int) -> None:
     if ell12 <= 0 or ell21 <= 0:
         raise NotFillingEvidence(
             "an edge word is elliptic in the other splitting; the pair cannot fill"
         )
+
+
+def threshold_exponent(consts: TwistConstants, ell12: int, ell21: int) -> int:
+    """Minimal N with N*ell - C >= 2(M+1) for both cross translation lengths."""
+    _require_hyperbolic(ell12, ell21)
     need = consts.C + 2 * (consts.M + 1)
     n = max(-(-need // ell12), -(-need // ell21), 1)
     return n
 
 
 def compute_N(pair: MarkedPair, consts: Optional[TwistConstants] = None) -> int:
+    """Threshold exponent of the pair; an elliptic edge word raises before any bcc."""
+    ell12, ell21 = _edge_lengths(pair)
     if consts is None:
         consts = twist_constants(pair.ambient_basis.rank - 1, pair.first, pair.second)
-    ell12, ell21 = _edge_lengths(pair)
     return threshold_exponent(consts, ell12, ell21)
 
 
 def configure(pair: MarkedPair, slack: Fraction = DEFAULT_SLACK) -> PingPongConfig:
+    """Constants and threshold of the pair.
+
+    The edge words' cross translation lengths are tested first, so a pair
+    with an elliptic edge word raises NotFillingEvidence without computing
+    the bounded cancellation constants.
+    """
     require_valid(pair.first)
     require_valid(pair.second)
+    ell12, ell21 = _edge_lengths(pair)
     consts = twist_constants(pair.ambient_basis.rank - 1, pair.first, pair.second)
     return PingPongConfig(
         pair=pair,
         constants=consts,
         slack=slack,
-        threshold=compute_N(pair, consts),
+        threshold=threshold_exponent(consts, ell12, ell21),
     )
 
 
@@ -229,13 +241,10 @@ def parse_twist_word(text: str, threshold: Optional[int] = None) -> TwistWord:
 def realize(config: PingPongConfig, word: TwistWord) -> Automorphism:
     """Compose the twist powers named by the word, left factor outermost."""
     basis = config.pair.ambient_basis
-    twists = {
-        1: dehn_twist(config.pair.first),
-        2: dehn_twist(config.pair.second),
-    }
+    splittings = {1: config.pair.first, 2: config.pair.second}
     result = Automorphism(basis, tuple((i,) for i in range(1, basis.rank + 1)))
     for twist_id, exponent in word.factors:
-        result = compose(result, power(twists[twist_id], exponent))
+        result = compose(result, dehn_twist(splittings[twist_id], exponent))
     return result
 
 
@@ -339,12 +348,9 @@ def twist_factors(
     Applying the factors right to left equals applying the realized
     automorphism; same for the inverse list and the inverse automorphism.
     """
-    twists = {
-        1: dehn_twist(config.pair.first),
-        2: dehn_twist(config.pair.second),
-    }
-    forward = [power(twists[tid], exp) for tid, exp in word.factors]
-    backward = [power(twists[tid], -exp) for tid, exp in reversed(word.factors)]
+    splittings = {1: config.pair.first, 2: config.pair.second}
+    forward = [dehn_twist(splittings[tid], exp) for tid, exp in word.factors]
+    backward = [dehn_twist(splittings[tid], -exp) for tid, exp in reversed(word.factors)]
     return forward, backward
 
 

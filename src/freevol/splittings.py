@@ -28,7 +28,6 @@ from .words import (
     invert_word,
     is_proper_power,
     parse_word,
-    power,
     reduce_word,
     render_word,
     validate_automorphism,
@@ -155,31 +154,38 @@ def require_valid(splitting: CyclicSplitting) -> None:
         raise InvalidSplitting(problems)
 
 
-def relative_twist(splitting: CyclicSplitting) -> Automorphism:
-    """The twist in relative coordinates.
+def relative_twist(splitting: CyclicSplitting, exponent: int = 1) -> Automorphism:
+    """The ``exponent``-th power of the twist, in relative coordinates.
 
-    Amalgam: conjugate each B0 letter by the edge word; HNN: left-multiply
-    the stable letter by the edge word.  A-part letters are fixed.
+    Closed form, with ``c`` the edge word and ``n`` the exponent: amalgam,
+    conjugate each B0 letter by ``c^n``; HNN, left-multiply the stable
+    letter by ``c^n``.  A-part letters are fixed, and a negative ``n``
+    uses ``c^-1``.
     """
-    k = splitting.rank
     c = splitting.edge_word
+    c_n = c * exponent if exponent >= 0 else invert_word(c) * -exponent
     images: list[Word] = []
-    for index in range(1, k + 1):
+    for index in range(1, splitting.rank + 1):
         letter: Word = (index,)
         if splitting.kind == AMALGAM and index in splitting.b0_part:
-            images.append(conjugate(letter, c))
+            images.append(conjugate(letter, c_n))
         elif splitting.kind == HNN and index == splitting.stable_index:
-            images.append(concat(c, letter))
+            images.append(concat(c_n, letter))
         else:
             images.append(letter)
     return Automorphism(splitting.ambient_basis, tuple(images))
 
 
 def dehn_twist(splitting: CyclicSplitting, exponent: int = 1) -> Automorphism:
-    """The twist of the splitting, expressed in ambient coordinates."""
+    """The ``exponent``-th power of the twist, in ambient coordinates.
+
+    With ``sigma`` the relative-basis automorphism this is
+    ``sigma * relative_twist(splitting, n) * sigma^-1``: two compositions
+    for any ``n``, since the relative twist power is written directly.
+    """
     require_valid(splitting)
     sigma = splitting.relative_automorphism()
-    delta = power(relative_twist(splitting), exponent)
+    delta = relative_twist(splitting, exponent)
     return compose(sigma, compose(delta, relative_inverse(splitting)))
 
 

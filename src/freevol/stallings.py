@@ -40,21 +40,6 @@ class LabeledGraph:
             table[(target, -label)] = source
         return table
 
-    def degree(self, vertex: int) -> int:
-        total = 0
-        for source, target, _ in self.edges:
-            total += (source == vertex) + (target == vertex)
-        return total
-
-    def is_folded(self) -> bool:
-        seen: set[tuple[int, int]] = set()
-        for source, target, label in self.edges:
-            for key in ((source, label), (target, -label)):
-                if key in seen:
-                    return False
-                seen.add(key)
-        return True
-
 
 @dataclass
 class FoldTrace:
@@ -64,63 +49,69 @@ class FoldTrace:
     prunes: list[int] = field(default_factory=list)
 
 
+def spell_path(
+    edges: set[Edge], word: Word, source: int, target: Optional[int], fresh: int
+) -> list[int]:
+    """Add to ``edges`` a path from ``source`` to ``target`` reading ``word``.
+
+    The interior vertices get the ids ``fresh``, ``fresh + 1``, ...; a
+    ``target`` of None is one more fresh vertex.  Returns the vertices
+    along the path, ``source`` first.
+    """
+    end = fresh + len(word) - 1 if target is None else target
+    stops = [source, *range(fresh, fresh + len(word) - 1), end]
+    for tail, head, letter in zip(stops, stops[1:], word):
+        edges.add((tail, head, letter) if letter > 0 else (head, tail, -letter))
+    return stops
+
+
 def from_generators(basis: Basis, gens: Sequence[Word]) -> LabeledGraph:
     """Wedge of subdivided loops at basepoint 0, one loop per generator word."""
     if not gens or any(len(g) == 0 for g in gens):
         raise TrivialSubgroup("need nonempty generator words")
     vertices = {0}
     edges: set[Edge] = set()
-    next_vertex = 1
+    fresh = 1
     for gen in gens:
-        current = 0
-        for position, letter in enumerate(gen):
-            is_last = position == len(gen) - 1
-            target = 0 if is_last else next_vertex
-            if not is_last:
-                next_vertex += 1
-            vertices.add(target)
-            if letter > 0:
-                edges.add((current, target, letter))
-            else:
-                edges.add((target, current, -letter))
-            current = target
+        vertices.update(spell_path(edges, gen, 0, 0, fresh))
+        fresh += len(gen) - 1
     return LabeledGraph(frozenset(vertices), frozenset(edges), basepoint=0)
 
 
-def _prune(
-    vertices: set[int],
-    edges: set[Edge],
-    keep: Optional[int],
-    trace: FoldTrace,
-) -> None:
-    """Iteratively remove valence-<=1 vertices (except ``keep``)."""
-    while True:
-        degree: dict[int, int] = {v: 0 for v in vertices}
-        for source, target, _ in edges:
-            degree[source] += 1
-            degree[target] += 1
-        removable = sorted(
-            v for v, d in degree.items() if d <= 1 and v != keep and len(vertices) > 1
-        )
-        if not removable:
-            return
-        for vertex in removable:
-            if vertex not in vertices or len(vertices) == 1:
-                continue
-            incident = [e for e in edges if vertex in (e[0], e[1])]
-            if len(incident) > 1:
-                continue  # degree changed by an earlier removal in this sweep
-            vertices.discard(vertex)
-            for edge in incident:
-                edges.discard(edge)
+def _prune(links: dict[int, dict[int, int]], keep: Optional[int], trace: FoldTrace) -> None:
+    """Remove valence-<=1 vertices other than ``keep`` in rounds, never the last one.
+
+    ``links`` maps each vertex of a folded graph to its (signed label ->
+    neighbor) table, so a vertex's valence is the size of its table.  Each
+    round removes, in id order, the vertices that had valence at most one
+    when it began; a degree queue finds the next round's vertices among
+    the neighbors of the removed ones.  A tree without ``keep`` therefore
+    shrinks to its center, or to the larger end of its central edge.
+    """
+    layer = sorted(v for v, out in links.items() if len(out) <= 1 and v != keep)
+    while layer and len(links) > 1:
+        exposed: set[int] = set()
+        for vertex in layer:
+            if len(links) == 1:
+                break
+            for key, other in links.pop(vertex).items():
+                del links[other][-key]
+                if len(links[other]) <= 1 and other != keep:
+                    exposed.add(other)
             trace.prunes.append(vertex)
+        layer = sorted(v for v in exposed if v in links)
 
 
 def fold_and_core(graph: LabeledGraph, keep_basepoint: bool) -> tuple[LabeledGraph, FoldTrace]:
     """Fold to an immersion, then prune to a core graph.
 
-    Fold scheduling is deterministic: among all fold candidates, merge the
-    pair of vertices incident to the lowest (vertex id, label) conflict.
+    A union-find worklist fold (Touikan 2006): every class of vertices
+    keeps one (signed label -> neighbor) table, two tables merge smaller
+    into larger, and each clash of a label found while merging goes onto a
+    stack of pending merges.  Folding costs O(E log E) dictionary
+    operations for E input edges, and pruning is linear after one sort per
+    round.  Each folded vertex is named by the least input vertex id in its
+    class, so the result does not depend on the order of the merges.
     """
     parent: dict[int, int] = {v: v for v in graph.vertices}
 
@@ -130,39 +121,36 @@ def fold_and_core(graph: LabeledGraph, keep_basepoint: bool) -> tuple[LabeledGra
             v = parent[v]
         return v
 
-    edges = {(find(s), find(t), l) for s, t, l in graph.edges}
+    links: dict[int, dict[int, int]] = {v: {} for v in graph.vertices}
+    pending: list[tuple[int, int]] = []
+    for source, target, label in graph.edges:
+        for vertex, key, other in ((source, label, target), (target, -label, source)):
+            known = links[vertex].setdefault(key, other)
+            if known != other:
+                pending.append((known, other))
     trace = FoldTrace()
-    while True:
-        conflicts: dict[tuple[int, int, int], list[int]] = {}
-        for source, target, label in edges:
-            conflicts.setdefault((source, label, +1), []).append(target)
-            conflicts.setdefault((target, label, -1), []).append(source)
-        candidates = sorted(
-            (vertex, label, direction, sorted(set(others)))
-            for (vertex, label, direction), others in conflicts.items()
-            if len(set(others)) > 1
-        )
-        if not candidates:
-            # Also collapse duplicate edges (same source, target, label) --
-            # already handled because ``edges`` is a set.
-            break
-        _, _, _, others = candidates[0]
-        keep_vertex, merge_vertex = others[0], others[1]
-        parent[find(merge_vertex)] = find(keep_vertex)
+    while pending:
+        first, second = pending.pop()
+        keep_vertex, merge_vertex = sorted((find(first), find(second)))
+        if keep_vertex == merge_vertex:
+            continue
+        parent[merge_vertex] = keep_vertex
         trace.folds.append((keep_vertex, merge_vertex))
-        edges = {(find(s), find(t), l) for s, t, l in edges}
-    vertices = {find(v) for v in graph.vertices}
-    basepoint = find(graph.basepoint) if graph.basepoint is not None else None
-    edge_set = set(edges)
-    _prune(vertices, edge_set, basepoint if keep_basepoint else None, trace)
-    if not keep_basepoint:
-        basepoint = None
-    elif basepoint not in vertices:
-        basepoint = None
-    return (
-        LabeledGraph(frozenset(vertices), frozenset(edge_set), basepoint=basepoint),
-        trace,
-    )
+        kept, moved = links[keep_vertex], links.pop(merge_vertex)
+        if len(kept) < len(moved):
+            kept, moved = moved, kept
+            links[keep_vertex] = kept
+        for key, other in moved.items():
+            known = kept.setdefault(key, other)
+            if known != other:
+                pending.append((known, other))
+    for out in links.values():
+        for key, other in out.items():
+            out[key] = find(other)
+    basepoint = find(graph.basepoint) if graph.basepoint is not None and keep_basepoint else None
+    _prune(links, basepoint, trace)
+    edges = frozenset((v, w, key) for v, out in links.items() for key, w in out.items() if key > 0)
+    return LabeledGraph(frozenset(links), edges, basepoint=basepoint), trace
 
 
 def subgroup_graph(basis: Basis, gens: Sequence[Word], keep_basepoint: bool = True) -> LabeledGraph:
@@ -218,35 +206,32 @@ def connected_components(graph: LabeledGraph) -> list[LabeledGraph]:
     return components
 
 
-def pullback(graph1: LabeledGraph, graph2: LabeledGraph) -> list[LabeledGraph]:
-    """Cores of all components of the fiber product over the rose.
+def _fiber_product(
+    graph1: LabeledGraph, graph2: LabeledGraph
+) -> tuple[list[LabeledGraph], dict[tuple[int, int], int]]:
+    """Components of the fiber product over the rose, and each vertex pair's id.
 
     Vertex pairs are generated lazily from edge coincidences, so the full
     V1 x V2 product is never materialized.
     """
-    table2: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    table2: dict[int, list[tuple[int, int]]] = {}
     for source, target, label in graph2.edges:
-        table2.setdefault((label, +1), []).append((source, target))
+        table2.setdefault(label, []).append((source, target))
     pair_ids: dict[tuple[int, int], int] = {}
-
-    def pair_id(pair: tuple[int, int]) -> int:
-        if pair not in pair_ids:
-            pair_ids[pair] = len(pair_ids)
-        return pair_ids[pair]
-
     edges: set[Edge] = set()
     for source1, target1, label in graph1.edges:
-        for source2, target2 in table2.get((label, +1), []):
-            edges.add((pair_id((source1, source2)), pair_id((target1, target2)), label))
-    if not pair_ids:
-        return []
-    vertices = frozenset(pair_ids.values())
-    product = LabeledGraph(vertices, frozenset(edges))
-    cores: list[LabeledGraph] = []
-    for component in connected_components(product):
-        core, _ = fold_and_core(component, keep_basepoint=False)
-        cores.append(core)
-    return cores
+        for source2, target2 in table2.get(label, []):
+            source = pair_ids.setdefault((source1, source2), len(pair_ids))
+            target = pair_ids.setdefault((target1, target2), len(pair_ids))
+            edges.add((source, target, label))
+    product = LabeledGraph(frozenset(pair_ids.values()), frozenset(edges))
+    return connected_components(product), pair_ids
+
+
+def pullback(graph1: LabeledGraph, graph2: LabeledGraph) -> list[LabeledGraph]:
+    """Cores of all components of the fiber product over the rose."""
+    components, _ = _fiber_product(graph1, graph2)
+    return [fold_and_core(component, keep_basepoint=False)[0] for component in components]
 
 
 def is_malnormal(graph: LabeledGraph) -> bool:
@@ -256,25 +241,9 @@ def is_malnormal(graph: LabeledGraph) -> bool:
     whole components, and each such component is detected by containing a
     pair with equal coordinates.
     """
-    table: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for source, target, label in graph.edges:
-        table.setdefault((label, +1), []).append((source, target))
-    pair_ids: dict[tuple[int, int], int] = {}
-
-    def pair_id(pair: tuple[int, int]) -> int:
-        if pair not in pair_ids:
-            pair_ids[pair] = len(pair_ids)
-        return pair_ids[pair]
-
-    edges: set[Edge] = set()
-    for source1, target1, label in graph.edges:
-        for source2, target2 in table.get((label, +1), []):
-            edges.add((pair_id((source1, source2)), pair_id((target1, target2)), label))
-    if not pair_ids:
-        return True
-    diagonal = {pair_id((v, v)) for v in graph.vertices if (v, v) in pair_ids}
-    product = LabeledGraph(frozenset(pair_ids.values()), frozenset(edges))
-    for component in connected_components(product):
+    components, pair_ids = _fiber_product(graph, graph)
+    diagonal = {pair_ids[(v, v)] for v in graph.vertices if (v, v) in pair_ids}
+    for component in components:
         if component.vertices & diagonal:
             continue
         core, _ = fold_and_core(component, keep_basepoint=False)

@@ -26,6 +26,7 @@ from .stallings import (
     LabeledGraph,
     fold_and_core,
     rank,
+    spell_path,
     subgroup_graph,
 )
 from .volume import (
@@ -44,7 +45,6 @@ from .words import (
     compose,
     cyclically_reduce,
     invert_word,
-    power,
     reduce_word,
 )
 
@@ -284,20 +284,10 @@ def graph_composition(graph: LabeledGraph, nu: Automorphism) -> LabeledGraph:
     next_vertex = max(vertices, default=-1) + 1
     for source, target, label in graph.edges:
         path = apply(nu, (label,))
-        current = source
-        for position, letter in enumerate(path):
-            is_last = position == len(path) - 1
-            nxt = target if is_last else next_vertex
-            if not is_last:
-                vertices.add(next_vertex)
-                next_vertex += 1
-            if letter > 0:
-                edges.add((current, nxt, letter))
-            else:
-                edges.add((nxt, current, -letter))
-            current = nxt
         if not path:
             raise HypothesisViolated("change of marking sends a generator to the identity")
+        vertices.update(spell_path(edges, path, source, target, next_vertex))
+        next_vertex += len(path) - 1
     basepoint = graph.basepoint
     composed = LabeledGraph(frozenset(vertices), frozenset(edges), basepoint=basepoint)
     core, _ = fold_and_core(composed, keep_basepoint=basepoint is not None)
@@ -338,17 +328,10 @@ def graph_surgery(graph: LabeledGraph, splitting: CyclicSplitting, n: int) -> Su
     next_vertex = max(vertices, default=-1) + 1
     segments: list[tuple[int, int]] = []
     for vertex in sorted(crossing):
-        current = vertex
-        for position, letter in enumerate(segment_word):
-            nxt = next_vertex
-            next_vertex += 1
-            vertices.add(nxt)
-            if letter > 0:
-                edges.add((current, nxt, letter))
-            else:
-                edges.add((nxt, current, -letter))
-            current = nxt
-        far_end = current
+        stops = spell_path(edges, segment_word, vertex, None, next_vertex)
+        vertices.update(stops)
+        next_vertex += len(segment_word)
+        far_end = stops[-1]
         segments.append((vertex, far_end))
         if splitting.kind == AMALGAM:
             moving = [e for e in edges if classes.get(e) == B0_EDGE and vertex in (e[0], e[1])]
@@ -384,13 +367,8 @@ def twisted_core(graph: LabeledGraph, splitting: CyclicSplitting, n: int) -> Lab
 
 
 def _segment_graph(word: Word) -> LabeledGraph:
-    vertices = set(range(len(word) + 1))
     edges: set[Edge] = set()
-    for position, letter in enumerate(word):
-        if letter > 0:
-            edges.add((position, position + 1, letter))
-        else:
-            edges.add((position + 1, position, -letter))
+    vertices = spell_path(edges, word, 0, None, 1)
     return LabeledGraph(frozenset(vertices), frozenset(edges))
 
 
@@ -454,11 +432,10 @@ def check_volume_growth_bounds(
     length_c1 = translation_length(splitting2, c1_ambient)
     vol1 = free_volume(splitting1, gens)
     vol2 = free_volume(splitting2, gens)
-    twist = dehn_twist(splitting1)
     results = {}
     all_ok = True
     for sign in (+1, -1):
-        phi = power(twist, sign * n)
+        phi = dehn_twist(splitting1, sign * n)
         twisted = [apply(phi, g) for g in gens]
         observed = free_volume(splitting2, twisted)
         lower = vol1 * (abs(n) * length_c1 - bounds.C) - bounds.M * vol2

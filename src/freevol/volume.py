@@ -49,7 +49,6 @@ class VolumeReport:
     essential_vertices: frozenset[int]
     crossing_vertices: frozenset[int]
     free_volume: int
-    shared_edge_events: tuple[tuple[int, int], ...] = ()
 
     def to_json(self) -> dict:
         return {
@@ -270,15 +269,6 @@ def essential_and_crossing_vertices(
     return frozenset(essential), frozenset(crossing)
 
 
-def _shared_edge_events(chains: Sequence[Chain]) -> tuple[tuple[int, int], ...]:
-    events: list[tuple[int, int]] = []
-    for i in range(len(chains)):
-        for j in range(i + 1, len(chains)):
-            if chains[i].path_edges & chains[j].path_edges:
-                events.append((i, j))
-    return tuple(events)
-
-
 def analyze(splitting: CyclicSplitting, gens: Sequence[Word]) -> VolumeReport:
     graph = lambda_graph(splitting, gens)
     chains = find_chains(graph, splitting)
@@ -292,7 +282,6 @@ def analyze(splitting: CyclicSplitting, gens: Sequence[Word]) -> VolumeReport:
         essential_vertices=essential,
         crossing_vertices=crossing,
         free_volume=volume,
-        shared_edge_events=_shared_edge_events(chains),
     )
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import string
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .errors import BasisMismatch, EmptyWord, NotAnAutomorphism
@@ -382,8 +381,3 @@ def enumerate_cyclic_classes(rank: int, max_len: int) -> Iterator[CyclicWord]:
                 continue  # not cyclically reduced
             if canonical_rotation(word) == word:
                 yield CyclicWord(word)
-
-
-@lru_cache(maxsize=None)
-def _cached_identity(rank: int) -> Automorphism:
-    return Automorphism.identity(Basis.standard(rank))

@@ -5,9 +5,18 @@ splitting shapes: syllable reduction for an amalgam and pinch (Britton)
 reduction for an HNN extension.  It shares only word/coordinate plumbing
 with the library; the volume machinery itself (graphs, chains) is never
 touched here.
+
+The reference folder ``fold_and_core`` is the library's original folding
+loop, kept as it was: it rebuilds and sorts the whole conflict table after
+every fold and prunes in full sweeps, so it is quadratic, but its schedule
+is simple enough to trust.  The library's worklist fold must return an
+equal graph, vertex ids included.
 """
 
+from typing import Optional
+
 from freevol.splittings import AMALGAM, CyclicSplitting, to_relative
+from freevol.stallings import Edge, FoldTrace, LabeledGraph
 from freevol.words import Word, apply, cyclically_reduce, invert_word, reduce_word
 
 
@@ -189,3 +198,81 @@ def max_cancellation(nu, max_len: int) -> int:
                 m += 1
             best = max(best, m)
     return best
+
+
+def _prune(
+    vertices: set[int],
+    edges: set[Edge],
+    keep: Optional[int],
+    trace: FoldTrace,
+) -> None:
+    """Iteratively remove valence-<=1 vertices (except ``keep``)."""
+    while True:
+        degree: dict[int, int] = {v: 0 for v in vertices}
+        for source, target, _ in edges:
+            degree[source] += 1
+            degree[target] += 1
+        removable = sorted(
+            v for v, d in degree.items() if d <= 1 and v != keep and len(vertices) > 1
+        )
+        if not removable:
+            return
+        for vertex in removable:
+            if vertex not in vertices or len(vertices) == 1:
+                continue
+            incident = [e for e in edges if vertex in (e[0], e[1])]
+            if len(incident) > 1:
+                continue  # degree changed by an earlier removal in this sweep
+            vertices.discard(vertex)
+            for edge in incident:
+                edges.discard(edge)
+            trace.prunes.append(vertex)
+
+
+def fold_and_core(graph: LabeledGraph, keep_basepoint: bool) -> tuple[LabeledGraph, FoldTrace]:
+    """Fold to an immersion, then prune to a core graph.
+
+    Fold scheduling is deterministic: among all fold candidates, merge the
+    pair of vertices incident to the lowest (vertex id, label) conflict.
+    """
+    parent: dict[int, int] = {v: v for v in graph.vertices}
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    edges = {(find(s), find(t), l) for s, t, l in graph.edges}
+    trace = FoldTrace()
+    while True:
+        conflicts: dict[tuple[int, int, int], list[int]] = {}
+        for source, target, label in edges:
+            conflicts.setdefault((source, label, +1), []).append(target)
+            conflicts.setdefault((target, label, -1), []).append(source)
+        candidates = sorted(
+            (vertex, label, direction, sorted(set(others)))
+            for (vertex, label, direction), others in conflicts.items()
+            if len(set(others)) > 1
+        )
+        if not candidates:
+            # Also collapse duplicate edges (same source, target, label) --
+            # already handled because ``edges`` is a set.
+            break
+        _, _, _, others = candidates[0]
+        keep_vertex, merge_vertex = others[0], others[1]
+        parent[find(merge_vertex)] = find(keep_vertex)
+        trace.folds.append((keep_vertex, merge_vertex))
+        edges = {(find(s), find(t), l) for s, t, l in edges}
+    vertices = {find(v) for v in graph.vertices}
+    basepoint = find(graph.basepoint) if graph.basepoint is not None else None
+    edge_set = set(edges)
+    _prune(vertices, edge_set, basepoint if keep_basepoint else None, trace)
+    if not keep_basepoint:
+        basepoint = None
+    elif basepoint not in vertices:
+        basepoint = None
+    return (
+        LabeledGraph(frozenset(vertices), frozenset(edge_set), basepoint=basepoint),
+        trace,
+    )

@@ -121,6 +121,14 @@ def test_pingpong_hypotheses_not_met(capsys, tmp_path):
     assert json.loads(out)["verdict"] == "hypotheses_not_met"
 
 
+def test_pingpong_elliptic_edge_word_exit_code(capsys, tmp_path):
+    path = write_pair(tmp_path, fx.pair_with_single_step(), "elliptic.json")
+    code, out, err = run(capsys, ["pingpong", "--pair", path, "1:+N 2:+N", "--json"])
+    assert code == 1
+    assert out == ""
+    assert "edge word is elliptic" in err
+
+
 def test_pingpong_with_orbit_sample(capsys, tmp_path):
     path = write_pair(tmp_path, fx.certified_filling_pair(), "fills.json")
     code, out, _ = run(

@@ -9,6 +9,7 @@ from freevol.errors import (
     NotProperSubgroup,
     UsageError,
 )
+from freevol import twisting as tw
 from freevol.splittings import dehn_twist
 from freevol.twisting import TwistConstants
 from freevol.words import Automorphism, power
@@ -30,6 +31,17 @@ def test_threshold_anchors():
 def test_threshold_rejects_elliptic_edge_word():
     with pytest.raises(NotFillingEvidence):
         pp.threshold_exponent(TwistConstants(B=1, M=1, C=10), 0, 3)
+
+
+def test_configure_rejects_elliptic_edge_word_before_bcc(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("bcc computed for a pair whose edge word is elliptic")
+
+    monkeypatch.setattr(tw, "bcc", refuse)
+    with pytest.raises(NotFillingEvidence, match="edge word is elliptic"):
+        pp.configure(fx.pair_with_single_step())
+    with pytest.raises(NotFillingEvidence, match="edge word is elliptic"):
+        pp.compute_N(fx.pair_with_single_step())
 
 
 def test_configure_anchor(config):

@@ -70,6 +70,26 @@ def test_twist_powers_compose():
     assert sp.dehn_twist(splitting, 3) == power(sp.dehn_twist(splitting), 3)
 
 
+FIXTURE_SPLITTINGS = {
+    "amalgam_over_c": fx.amalgam_over_c(),
+    "amalgam_over_ab": fx.amalgam_over_ab(),
+    "hnn_over_commutator": fx.hnn_over_commutator(),
+    "sixth_power_second": fx.pair_with_sixth_power().second,
+    "single_step_second": fx.pair_with_single_step().second,
+    "certified_first": fx.certified_filling_pair().first,
+    "certified_second": fx.certified_filling_pair().second,
+    "mirror_second": fx.mirror_filling_pair().second,
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_SPLITTINGS))
+def test_twist_power_closed_form_matches_iterated_power(name):
+    splitting = FIXTURE_SPLITTINGS[name]
+    twist = sp.dehn_twist(splitting)
+    for n in range(-7, 13):
+        assert sp.dehn_twist(splitting, n) == power(twist, n), n
+
+
 def test_vertex_groups():
     assert [[R(w) for w in g] for g in sp.vertex_groups(fx.amalgam_over_c())] == [
         ["a", "c"],

@@ -1,6 +1,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from freevol import stallings as st_mod
 from freevol.words import Basis, CyclicWord, invert_word, parse_word, reduce_word
 
@@ -90,3 +91,63 @@ def test_to_dot_mentions_letters():
     dot = st_mod.to_dot(graph, B2)
     assert dot.startswith("digraph")
     assert '"a"' in dot or "label=a" in dot or "a" in dot
+
+
+@st.composite
+def generator_sets(draw):
+    """Generator words of rank 1-4, some unreduced (tree cores), some with c^64 hairs."""
+    rank = draw(st.integers(1, 4))
+    letter = st.sampled_from([x for x in range(-rank, rank + 1) if x])
+    word = st.lists(letter, min_size=1, max_size=8).map(tuple)
+    gens = draw(st.lists(word, min_size=1, max_size=4))
+    if draw(st.booleans()):
+        c = draw(st.lists(letter, min_size=1, max_size=3).map(tuple))
+        conjugator, tail = draw(word), draw(word)
+        hair = reduce_word(conjugator + c * 64 + tail + invert_word(c) * 64)
+        gens.append(hair or c)
+    return rank, gens
+
+
+def assert_folds_like_oracle(graph):
+    for keep_basepoint in (True, False):
+        folded, _ = st_mod.fold_and_core(graph, keep_basepoint)
+        expected, _ = oracles.fold_and_core(graph, keep_basepoint)
+        assert folded == expected
+
+
+@given(generator_sets())
+@settings(max_examples=100, deadline=None)
+def test_fold_equals_oracle_on_generator_sets(case):
+    rank, gens = case
+    assert_folds_like_oracle(st_mod.from_generators(Basis.standard(rank), gens))
+
+
+@st.composite
+def raw_graphs(draw):
+    """Arbitrary labeled graphs: loops, repeated labels, isolated vertices, trees."""
+    vertices = draw(st.lists(st.integers(0, 40), min_size=1, max_size=12, unique=True))
+    vertex = st.sampled_from(vertices)
+    edges = draw(st.lists(st.tuples(vertex, vertex, st.integers(1, 3)), max_size=16))
+    basepoint = draw(st.none() | vertex)
+    return st_mod.LabeledGraph(frozenset(vertices), frozenset(edges), basepoint=basepoint)
+
+
+@given(raw_graphs())
+@settings(max_examples=300, deadline=None)
+def test_fold_equals_oracle_on_raw_graphs(graph):
+    assert_folds_like_oracle(graph)
+
+
+def test_fold_keeps_tree_center():
+    # The path 0 - 1 - 2 - 3 shrinks to its central edge's larger end, 2.
+    path = st_mod.LabeledGraph(frozenset(range(4)), frozenset({(0, 1, 1), (1, 2, 2), (2, 3, 1)}))
+    folded, _ = st_mod.fold_and_core(path, keep_basepoint=False)
+    assert folded == st_mod.LabeledGraph(frozenset({2}), frozenset())
+    assert folded == oracles.fold_and_core(path, keep_basepoint=False)[0]
+
+
+def test_spell_path():
+    edges = set()
+    assert st_mod.spell_path(edges, parse_word("aBa", B2), 0, 0, 5) == [0, 5, 6, 0]
+    assert edges == {(0, 5, 1), (6, 5, 2), (6, 0, 1)}
+    assert st_mod.spell_path(set(), parse_word("ab", B2), 3, None, 7) == [3, 7, 8]
