@@ -28,6 +28,7 @@ from .errors import (
     TieDetected,
     UsageError,
 )
+from .filling import FillingCertificate, check_filling
 from .splittings import MarkedPair, dehn_twist, require_valid
 from .twisting import TwistConstants, constants as twist_constants
 from .words import (
@@ -62,12 +63,15 @@ class PingPongConfig:
     ``slack`` is the rational factor separating the two sides; it must
     stay within a factor of 2 of 1 in either direction.  ``threshold`` is
     the minimal twist exponent making both swap inequalities hold.
+    ``filling`` is the pair's filling certificate; the argument needs its
+    verdict to be ``fills``.
     """
 
     pair: MarkedPair
     constants: TwistConstants
     slack: Fraction
     threshold: int
+    filling: FillingCertificate
 
     def __post_init__(self) -> None:
         if self.slack <= 0 or max(self.slack, 1 / self.slack) > 2:
@@ -110,21 +114,23 @@ def compute_N(pair: MarkedPair, consts: Optional[TwistConstants] = None) -> int:
 
 
 def configure(pair: MarkedPair, slack: Fraction = DEFAULT_SLACK) -> PingPongConfig:
-    """Constants and threshold of the pair.
+    """Filling certificate, constants and threshold of the pair.
 
     The edge words' cross translation lengths are tested first, so a pair
-    with an elliptic edge word raises NotFillingEvidence without computing
-    the bounded cancellation constants.
+    with an elliptic edge word raises NotFillingEvidence without checking
+    filling or computing the bounded cancellation constants.
     """
     require_valid(pair.first)
     require_valid(pair.second)
     ell12, ell21 = _edge_lengths(pair)
+    filling = check_filling(pair)
     consts = twist_constants(pair.ambient_basis.rank - 1, pair.first, pair.second)
     return PingPongConfig(
         pair=pair,
         constants=consts,
         slack=slack,
         threshold=threshold_exponent(consts, ell12, ell21),
+        filling=filling,
     )
 
 
@@ -257,7 +263,8 @@ class IwipCertificate:
     ``nontrivial`` (exponent checks passed but the endpoint rule only
     yields nontriviality), ``conjugate_to_twist_power`` (single factor),
     or ``hypotheses_not_met``.  The checks dictionary names every
-    hypothesis tested and ``failed_check`` points at the first failure.
+    hypothesis tested, the pair's filling certificate under ``filling``
+    included, and ``failed_check`` points at the first failure.
     """
 
     word: TwistWord
@@ -289,9 +296,11 @@ class IwipCertificate:
 
 
 def certify(config: PingPongConfig, word: TwistWord) -> IwipCertificate:
-    """Check a twist word against the exponent and endpoint hypotheses.
+    """Check a twist word against the filling, exponent and endpoint hypotheses.
 
-    Every exponent must reach the threshold in absolute value.  A word
+    The pair must be certified to fill: a ``not_filling`` or ``unknown``
+    filling verdict leaves the hypotheses unmet, whatever the word.  Every
+    exponent must reach the threshold in absolute value.  A word
     using both twists is certified fully irreducible and hyperbolic when
     its first and last factors use different twists (so either both
     boundary slots are occupied by large exponents or both are empty);
@@ -299,8 +308,13 @@ def certify(config: PingPongConfig, word: TwistWord) -> IwipCertificate:
     """
     automorphism = realize(config, word)
     n = config.threshold
-    checks: dict = {"threshold": n}
+    checks: dict = {"threshold": n, "filling": config.filling.to_json()}
     failed: Optional[str] = None
+
+    if config.filling.verdict != "fills":
+        return IwipCertificate(
+            word, automorphism, VERDICT_NOT_MET, n, config.constants, checks, "filling"
+        )
 
     if not word.factors:
         checks["nonempty"] = False

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import HypothesisViolated, NotReduced
+from .errors import HypothesisViolated, NotAnAutomorphism, NotReduced
 from .splittings import (
     AMALGAM,
     CyclicSplitting,
@@ -53,137 +53,120 @@ from .words import (
 # Bounded cancellation
 
 
-class _WindowOverflow(Exception):
-    """Suffix window too small to certify a cancellation; retry larger."""
+def _saturated_hull_automaton(nu: Automorphism) -> tuple[int, list[int], list[dict]]:
+    """The Benois-saturated automaton of the image hulls of the first-letter cones.
 
-
-class CancellationBudgetExceeded(RuntimeError):
-    """The exact cancellation automaton grew past the resource budget.
-
-    The constant is still well defined; this computation strategy tracks
-    reachable image suffixes and some basis changes make that state space
-    blow up exponentially.
-    """
-
-
-_STATE_BUDGET = 300_000
-
-
-def _suffix_states(
-    nu: Automorphism, window: int, max_states: int = _STATE_BUDGET
-) -> dict[int, set[tuple[Word, bool]]]:
-    """Reachable (suffix, exact) states of images of reduced words.
-
-    Keyed by the last letter of the source word.  ``exact`` means the stored
-    word is the entire image, not just its last ``window`` letters.
+    Returns ``(roots, label, moves)``: states ``0 .. roots - 1`` start the
+    cones of the letters -k, ..., -1, 1, ..., k; ``label[p]`` is the letter
+    read on every edge into ``p``; ``moves[p][z]`` holds the states reached
+    from ``p`` by ε-moves and then one edge reading ``z``.
     """
     k = nu.basis.rank
-    letters = [x for x in range(-k, k + 1) if x != 0]
-    images = {x: apply(nu, (x,)) for x in letters}
-    states: dict[int, set[tuple[Word, bool]]] = {x: set() for x in letters}
-    queue: list[tuple[int, Word, bool]] = []
-    for x in letters:
-        image = images[x]
-        exact = len(image) <= window
-        suffix = image if exact else image[-window:]
-        if (suffix, exact) not in states[x]:
-            states[x].add((suffix, exact))
-            queue.append((x, suffix, exact))
-    total_states = sum(len(v) for v in states.values())
-    while queue:
-        x, suffix, exact = queue.pop()
-        for y in letters:
-            if y == -x:
-                continue
-            tail = images[y]
-            m = 0
-            while m < len(suffix) and m < len(tail) and suffix[len(suffix) - 1 - m] == -tail[m]:
-                m += 1
-            if m == len(suffix) and not exact:
-                raise _WindowOverflow
-            merged = suffix[: len(suffix) - m] + tail[m:]
-            new_exact = exact and len(merged) <= window
-            new_suffix = merged if len(merged) <= window else merged[-window:]
-            if not exact:
-                new_exact = False
-            if (new_suffix, new_exact) not in states[y]:
-                total_states += 1
-                if total_states > max_states:
-                    raise CancellationBudgetExceeded(
-                        f"more than {max_states} suffix states at window {window}"
-                    )
-                states[y].add((new_suffix, new_exact))
-                queue.append((y, new_suffix, new_exact))
-    return states
+    letters = [x for x in range(-k, k + 1) if x]
+    images = [nu.image_of(x) for x in letters]
+    if not all(images):
+        raise NotAnAutomorphism("a generator maps to the identity")
+    label = [0] * len(letters)
+    first = []
+    for image in images:
+        first.append(len(label))
+        label.extend(image)
+    n = len(label)
+    out: list[dict[int, list[int]]] = [{} for _ in range(n)]
+    into: list[list[int]] = [[] for _ in range(n)]
+    for i, x in enumerate(letters):
+        end = first[i] + len(images[i]) - 1
+        edges = [(i, first[i])] + [(p, p + 1) for p in range(first[i], end)]
+        for p, q in edges + [(end, first[j]) for j, y in enumerate(letters) if y != -x]:
+            out[p].setdefault(label[q], []).append(q)
+            into[q].append(p)
 
-
-class _TrieNode:
-    __slots__ = ("children", "ends_inexact")
-
-    def __init__(self) -> None:
-        self.children: dict[int, _TrieNode] = {}
-        self.ends_inexact = False
-
-
-def _max_cancellation(nu: Automorphism, window: int) -> int:
-    """Exact max one-sided cancellation between images of a reduced product.
-
-    Prefix states of images of words starting with y are the inverses of
-    suffix states of words ending with -y; matches are found by walking the
-    inverted-reversed suffix through a per-letter prefix trie.
-    """
-    suffixes = _suffix_states(nu, window)
-    tries: dict[int, _TrieNode] = {}
-    for y in suffixes:
-        root = _TrieNode()
-        for s, exact in suffixes[-y]:
-            prefix = invert_word(s)
-            node = root
-            for letter in prefix:
-                node = node.children.setdefault(letter, _TrieNode())
-            if not exact:
-                node.ends_inexact = True
-        tries[y] = root
-    best = 0
-    for x, sstates in suffixes.items():
-        for suffix, s_exact in sstates:
-            needle = invert_word(suffix)
-            for y, root in tries.items():
-                if y == -x:
+    # Add the ε-move p -> r whenever p -z-> q ~> q' -z^-1-> r, keeping the
+    # ε-closure ``reach`` and its converse ``back`` transitive.
+    reach = [{p} for p in range(n)]
+    back = [{p} for p in range(n)]
+    pending = [(p, p) for p in range(n)]
+    while pending:
+        q, q_end = pending.pop()
+        for r in out[q_end].get(-label[q], ()):
+            for p in into[q]:
+                if r in reach[p]:
                     continue
-                node = root
-                depth = 0
-                for letter in needle:
-                    nxt = node.children.get(letter)
-                    if nxt is None:
-                        break
-                    node = nxt
-                    depth += 1
-                    if node.ends_inexact:
-                        # Some prefix window is fully cancelled; the true
-                        # cancellation may extend past what we stored.
-                        raise _WindowOverflow
-                else:
-                    if not s_exact and node.children:
-                        raise _WindowOverflow
-                best = max(best, depth)
-    return best
+                for s in list(back[p]):
+                    for t in list(reach[r]):
+                        if t not in reach[s]:
+                            reach[s].add(t)
+                            back[t].add(s)
+                            pending.append((s, t))
+
+    moves: list[dict[int, set[int]]] = [{} for _ in range(n)]
+    for p in range(n):
+        for p_eps in reach[p]:
+            for z, targets in out[p_eps].items():
+                moves[p].setdefault(z, set()).update(targets)
+    return len(letters), label, moves
 
 
 def bcc(nu: Automorphism) -> int:
     """Exact bounded cancellation constant of the basis change ``nu``.
 
     The minimal C with |nu(w)| + |nu(w')| - |nu(w w')| <= 2C over reduced
-    concatenations, computed by closing the suffix-state graph.
+    concatenations w w'.  The cancellation there is the common prefix of
+    nu(w^-1) and nu(w'), so C is the largest lcp(nu(u), nu(v)) over reduced
+    u, v with different first letters.
+
+    The prefixes of nu(u) over all u starting with a form the hull of the
+    image of that cone in the Cayley tree: the union of the geodesics from
+    1, which holds every vertex the unreduced path nu(x_1) nu(x_2) ...
+    passes.  An automaton reads these paths: one state per letter of each
+    nu(x) and a root per letter; root a reads into nu(a), the end of nu(x)
+    into the start of nu(y) for every y != x^-1, and every state accepts.
+    Saturating it with ε-moves p -> r whenever p -z-> q ~> q' -z^-1-> r
+    makes the reduced words it reads exactly the free reductions of the
+    words it read before (Benois 1969): from root a, the hull of cone a.
+
+    So C is the longest reduced word read from two roots a != b at once, a
+    longest path in the product automaton.  Its nodes are pairs of states;
+    the last letter read, which keeps the word reduced, is the label both
+    share.  With n = sum |nu(x)| + 2k states this takes polynomial time in
+    n.  For an automorphism the hulls of distinct cones meet in a finite
+    subtree (bounded cancellation; Cooper 1987), so a reachable cycle
+    raises NotAnAutomorphism.
     """
-    longest = max((len(apply(nu, (i + 1,))) for i in range(nu.basis.rank)), default=1)
-    window = 2 * longest + 2
-    while window <= 1 << 16:
-        try:
-            return _max_cancellation(nu, window)
-        except _WindowOverflow:
-            window *= 2
-    raise RuntimeError("bounded cancellation window grew past 65536; giving up")
+    roots, label, moves = _saturated_hull_automaton(nu)
+
+    def successors(node: tuple[int, int]):
+        p, q = node
+        moves_q = moves[q]
+        for z, targets in moves[p].items():
+            if z != -label[p] and z in moves_q:
+                for r in targets:
+                    for s in moves_q[z]:
+                        yield (r, s) if r <= s else (s, r)
+
+    # Longest path by iterative depth-first search; None marks a node on
+    # the stack, so meeting one again closes a cycle.
+    depth: dict[tuple[int, int], Optional[int]] = {}
+    starts = [(p, q) for p in range(roots) for q in range(p + 1, roots)]
+    for start in starts:
+        depth[start] = None
+        stack = [[start, successors(start), 0]]
+        while stack:
+            frame = stack[-1]
+            for child in frame[1]:
+                if child not in depth:
+                    depth[child] = None
+                    stack.append([child, successors(child), 0])
+                    break
+                if depth[child] is None:
+                    raise NotAnAutomorphism("the image hulls of two cones share an infinite ray")
+                frame[2] = max(frame[2], depth[child] + 1)
+            else:
+                stack.pop()
+                depth[frame[0]] = frame[2]
+                if stack:
+                    stack[-1][2] = max(stack[-1][2], frame[2] + 1)
+    return max((depth[start] for start in starts), default=0)
 
 
 def basis_change(splitting1: CyclicSplitting, splitting2: CyclicSplitting) -> Automorphism:

@@ -1,5 +1,7 @@
 """Shared splittings, automorphisms, and pairs used across the test suite."""
 
+import random
+
 from freevol.splittings import (
     AMALGAM,
     HNN,
@@ -7,7 +9,7 @@ from freevol.splittings import (
     MarkedPair,
     transform,
 )
-from freevol.words import Automorphism, Basis, invert, parse_word, power
+from freevol.words import Automorphism, Basis, compose, invert, parse_word, power
 
 B2 = Basis.standard(2)
 B3 = Basis.standard(3)
@@ -98,3 +100,23 @@ def mirror_filling_pair() -> MarkedPair:
     first = hnn_over_ab((w3("a"), w3("b"), w3("c")))
     second = hnn_over_ab((w3("aC"), w3("bc"), w3("c")))
     return MarkedPair(first, second)
+
+
+def nielsen_products(seed: int = 5, count: int = 60) -> list[Automorphism]:
+    """Random products of 1-4 elementary Nielsen moves at rank 2 or 3.
+
+    Each move replaces one generator x_i by x_i x_j^(+-1) or x_j^(+-1) x_i.
+    """
+    rng = random.Random(seed)
+    samples = []
+    for _ in range(count):
+        basis = Basis.standard(rng.choice((2, 3)))
+        nu = Automorphism.identity(basis)
+        for _ in range(rng.randint(1, 4)):
+            i, j = rng.sample(range(1, basis.rank + 1), 2)
+            sign = rng.choice((1, -1))
+            images = [(g,) for g in range(1, basis.rank + 1)]
+            images[i - 1] = (i, sign * j) if rng.random() < 0.5 else (sign * j, i)
+            nu = compose(nu, Automorphism(basis, tuple(images)))
+        samples.append(nu)
+    return samples

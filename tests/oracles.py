@@ -11,13 +11,19 @@ loop, kept as it was: it rebuilds and sorts the whole conflict table after
 every fold and prunes in full sweeps, so it is quadratic, but its schedule
 is simple enough to trust.  The library's worklist fold must return an
 equal graph, vertex ids included.
+
+``suffix_window_bcc`` is the library's original bounded cancellation
+constant: it tracks the reachable suffixes of images in a window that
+doubles until no cancellation reaches past it, and gives up past a state
+budget.  Its state count grows exponentially, but wherever it finishes it
+must agree with the library's ``bcc``.
 """
 
 from typing import Optional
 
 from freevol.splittings import AMALGAM, CyclicSplitting, to_relative
 from freevol.stallings import Edge, FoldTrace, LabeledGraph
-from freevol.words import Word, apply, cyclically_reduce, invert_word, reduce_word
+from freevol.words import Automorphism, Word, apply, cyclically_reduce, invert_word, reduce_word
 
 
 def _edge_power(word: Word, edge: Word):
@@ -171,7 +177,9 @@ def max_cancellation(nu, max_len: int) -> int:
 
     Enumerates every pair of reduced words up to ``max_len`` whose
     concatenation is reduced and measures the cancellation between their
-    images under ``nu``.
+    images under ``nu``: the common prefix of ``nu(w)^-1`` and ``nu(v)``.
+    The images ``nu(v)`` are kept in one prefix trie per first letter of
+    ``v``, so each ``nu(w)^-1`` is matched against all allowed ``v`` at once.
     """
     k = nu.basis.rank
     words: list[Word] = [()]
@@ -186,15 +194,21 @@ def max_cancellation(nu, max_len: int) -> int:
         frontier = grown
     nonempty = [w for w in words if w]
     images = {w: apply(nu, w) for w in nonempty}
+    tries: dict[int, dict] = {}
+    for v in nonempty:
+        node = tries.setdefault(v[0], {})
+        for letter in images[v]:
+            node = node.setdefault(letter, {})
     best = 0
     for w in nonempty:
-        iw = images[w]
-        for v in nonempty:
-            if w[-1] == -v[0]:
+        needle = invert_word(images[w])
+        for first, root in tries.items():
+            if first == -w[-1]:
                 continue
-            iv = images[v]
+            node = root
             m = 0
-            while m < len(iw) and m < len(iv) and iw[len(iw) - 1 - m] == -iv[m]:
+            while m < len(needle) and needle[m] in node:
+                node = node[needle[m]]
                 m += 1
             best = max(best, m)
     return best
@@ -276,3 +290,142 @@ def fold_and_core(graph: LabeledGraph, keep_basepoint: bool) -> tuple[LabeledGra
         LabeledGraph(frozenset(vertices), frozenset(edge_set), basepoint=basepoint),
         trace,
     )
+
+
+# ---------------------------------------------------------------------------
+# Bounded cancellation by suffix windows
+
+
+class _WindowOverflow(Exception):
+    """Suffix window too small to certify a cancellation; retry larger."""
+
+
+class CancellationBudgetExceeded(RuntimeError):
+    """The exact cancellation automaton grew past the resource budget.
+
+    The constant is still well defined; this computation strategy tracks
+    reachable image suffixes and some basis changes make that state space
+    blow up exponentially.
+    """
+
+
+STATE_BUDGET = 300_000
+
+
+def _suffix_states(
+    nu: Automorphism, window: int, max_states: int = STATE_BUDGET
+) -> dict[int, set[tuple[Word, bool]]]:
+    """Reachable (suffix, exact) states of images of reduced words.
+
+    Keyed by the last letter of the source word.  ``exact`` means the stored
+    word is the entire image, not just its last ``window`` letters.
+    """
+    k = nu.basis.rank
+    letters = [x for x in range(-k, k + 1) if x != 0]
+    images = {x: apply(nu, (x,)) for x in letters}
+    states: dict[int, set[tuple[Word, bool]]] = {x: set() for x in letters}
+    queue: list[tuple[int, Word, bool]] = []
+    for x in letters:
+        image = images[x]
+        exact = len(image) <= window
+        suffix = image if exact else image[-window:]
+        if (suffix, exact) not in states[x]:
+            states[x].add((suffix, exact))
+            queue.append((x, suffix, exact))
+    total_states = sum(len(v) for v in states.values())
+    while queue:
+        x, suffix, exact = queue.pop()
+        for y in letters:
+            if y == -x:
+                continue
+            tail = images[y]
+            m = 0
+            while m < len(suffix) and m < len(tail) and suffix[len(suffix) - 1 - m] == -tail[m]:
+                m += 1
+            if m == len(suffix) and not exact:
+                raise _WindowOverflow
+            merged = suffix[: len(suffix) - m] + tail[m:]
+            new_exact = exact and len(merged) <= window
+            new_suffix = merged if len(merged) <= window else merged[-window:]
+            if not exact:
+                new_exact = False
+            if (new_suffix, new_exact) not in states[y]:
+                total_states += 1
+                if total_states > max_states:
+                    raise CancellationBudgetExceeded(
+                        f"more than {max_states} suffix states at window {window}"
+                    )
+                states[y].add((new_suffix, new_exact))
+                queue.append((y, new_suffix, new_exact))
+    return states
+
+
+class _TrieNode:
+    __slots__ = ("children", "ends_inexact")
+
+    def __init__(self) -> None:
+        self.children: dict[int, _TrieNode] = {}
+        self.ends_inexact = False
+
+
+def _max_cancellation(nu: Automorphism, window: int, max_states: int) -> int:
+    """Exact max one-sided cancellation between images of a reduced product.
+
+    Prefix states of images of words starting with y are the inverses of
+    suffix states of words ending with -y; matches are found by walking the
+    inverted-reversed suffix through a per-letter prefix trie.
+    """
+    suffixes = _suffix_states(nu, window, max_states)
+    tries: dict[int, _TrieNode] = {}
+    for y in suffixes:
+        root = _TrieNode()
+        for s, exact in suffixes[-y]:
+            prefix = invert_word(s)
+            node = root
+            for letter in prefix:
+                node = node.children.setdefault(letter, _TrieNode())
+            if not exact:
+                node.ends_inexact = True
+        tries[y] = root
+    best = 0
+    for x, sstates in suffixes.items():
+        for suffix, s_exact in sstates:
+            needle = invert_word(suffix)
+            for y, root in tries.items():
+                if y == -x:
+                    continue
+                node = root
+                depth = 0
+                for letter in needle:
+                    nxt = node.children.get(letter)
+                    if nxt is None:
+                        break
+                    node = nxt
+                    depth += 1
+                    if node.ends_inexact:
+                        # Some prefix window is fully cancelled; the true
+                        # cancellation may extend past what we stored.
+                        raise _WindowOverflow
+                else:
+                    if not s_exact and node.children:
+                        raise _WindowOverflow
+                best = max(best, depth)
+    return best
+
+
+def suffix_window_bcc(nu: Automorphism, max_states: int = STATE_BUDGET) -> int:
+    """The library's original bounded cancellation constant, by suffix windows.
+
+    The minimal C with |nu(w)| + |nu(w')| - |nu(w w')| <= 2C over reduced
+    concatenations, computed by closing the suffix-state graph.  Its state
+    count can grow exponentially; past ``max_states`` it raises
+    CancellationBudgetExceeded.
+    """
+    longest = max((len(apply(nu, (i + 1,))) for i in range(nu.basis.rank)), default=1)
+    window = 2 * longest + 2
+    while window <= 1 << 16:
+        try:
+            return _max_cancellation(nu, window, max_states)
+        except _WindowOverflow:
+            window *= 2
+    raise RuntimeError("bounded cancellation window grew past 65536; giving up")

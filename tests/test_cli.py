@@ -3,7 +3,8 @@ import json
 
 import fixtures as fx
 from freevol import cli
-from freevol.splittings import to_json
+from freevol.splittings import MarkedPair, to_json, transform
+from freevol.words import power
 
 
 def write_splitting(tmp_path, splitting, name):
@@ -158,3 +159,35 @@ def test_missing_file_is_usage_error(capsys, tmp_path):
     code, _, err = run(capsys, ["fill", "--pair", str(tmp_path / "nope.json")])
     assert code == 64
     assert "error" in err
+
+
+def test_pingpong_non_filling_pair_is_not_certified(capsys, tmp_path):
+    base = fx.hnn_over_commutator()
+    pair = MarkedPair(base, transform(base, fx.cycling_automorphism()))
+    path = write_pair(tmp_path, pair, "commutator.json")
+    code, out, _ = run(capsys, ["pingpong", "--pair", path, "1:+N 2:+N", "--json"])
+    assert code == 3
+    payload = json.loads(out)
+    assert payload["verdict"] == "hypotheses_not_met"
+    assert payload["failed_check"] == "filling"
+    assert payload["checks"]["filling"]["verdict"] == "not_filling"
+
+
+def test_pingpong_unknown_filling_is_not_certified(capsys, tmp_path):
+    path = write_pair(tmp_path, fx.pair_with_sixth_power(), "pair.json")
+    code, out, _ = run(capsys, ["pingpong", "--pair", path, "1:+N 2:+N", "--json"])
+    assert code == 3
+    payload = json.loads(out)
+    assert payload["failed_check"] == "filling"
+    assert payload["checks"]["filling"]["verdict"] == "unknown"
+
+
+def test_pingpong_commutator_pair_under_fourth_power(capsys, tmp_path):
+    base = fx.hnn_over_commutator()
+    pair = MarkedPair(base, transform(base, power(fx.cycling_automorphism(), 4)))
+    path = write_pair(tmp_path, pair, "commutator4.json")
+    code, out, _ = run(capsys, ["pingpong", "--pair", path, "1:+N 2:+N", "--json"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["verdict"] == "fully_irreducible_hyperbolic"
+    assert payload["checks"]["filling"]["verdict"] == "fills"

@@ -10,7 +10,7 @@ from freevol.errors import (
     UsageError,
 )
 from freevol import twisting as tw
-from freevol.splittings import dehn_twist
+from freevol.splittings import MarkedPair, dehn_twist, transform
 from freevol.twisting import TwistConstants
 from freevol.words import Automorphism, power
 
@@ -144,3 +144,30 @@ def test_slack_guardrails():
     pair = fx.certified_filling_pair()
     with pytest.raises(UsageError):
         pp.configure(pair, slack=Fraction(3, 1))
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+@pytest.mark.parametrize("p", [1, -1, 2, -2])
+@pytest.mark.parametrize("q", [1, -1, 2, -2])
+def test_configure_multiplied_hnn_pairs(side, p, q):
+    """(a c^p, b c^q, c) or (c^p a, c^q b, c) against the HNN splitting over ab."""
+    cp = (3 if p > 0 else -3,) * abs(p)
+    cq = (3 if q > 0 else -3,) * abs(q)
+    if side == "right":
+        relative_basis = ((1,) + cp, (2,) + cq, (3,))
+    else:
+        relative_basis = (cp + (1,), cq + (2,), (3,))
+    pair = MarkedPair(fx.hnn_over_ab((P("a"), P("b"), P("c"))), fx.hnn_over_ab(relative_basis))
+    # oracles.max_cancellation at length 4 gives the same B both ways.
+    assert pp.configure(pair).constants.B == max(abs(p), abs(q))
+
+
+def test_certify_requires_filling():
+    base = fx.hnn_over_commutator()
+    config = pp.configure(MarkedPair(base, transform(base, fx.cycling_automorphism())))
+    assert config.filling.verdict == "not_filling"
+    word = pp.parse_twist_word("1:+N 2:+N", config.threshold)
+    certificate = pp.certify(config, word)
+    assert certificate.verdict == pp.VERDICT_NOT_MET
+    assert certificate.failed_check == "filling"
+    assert certificate.checks["filling"] == config.filling.to_json()

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import fixtures as fx
 import oracles
@@ -8,13 +10,16 @@ from freevol import splittings as sp
 from freevol import stallings as st_mod
 from freevol import twisting as tw
 from freevol import volume as vol
+from freevol.errors import NotAnAutomorphism
 from freevol.words import (
     Automorphism,
     apply,
     invert,
     parse_word,
     power,
+    reduce_word,
     render_word,
+    validate_automorphism,
 )
 
 B2 = fx.B2
@@ -53,13 +58,64 @@ def test_bcc_matches_brute_force_rank3():
 
 def test_cancellation_budget_is_enforced():
     nu = Automorphism(B3, (P("acBC"), P("bC"), P("ccB")))
-    original = tw._STATE_BUDGET
-    tw._STATE_BUDGET = 5_000
-    try:
-        with pytest.raises(tw.CancellationBudgetExceeded):
-            tw.bcc(nu)
-    finally:
-        tw._STATE_BUDGET = original
+    with pytest.raises(oracles.CancellationBudgetExceeded):
+        oracles.suffix_window_bcc(nu, max_states=5_000)
+
+
+# The suffix-window oracle's state count grows exponentially.  At this
+# budget it finishes on 33 of the 60 samples (13 of them at rank 3) in
+# about 20 s; at its default budget, on 40 in about 100 s.
+ORACLE_BUDGET = 50_000
+NIELSEN_SAMPLES = fx.nielsen_products()
+
+
+def test_bcc_equals_suffix_window_oracle_where_it_finishes():
+    finished = 0
+    for nu in NIELSEN_SAMPLES:
+        try:
+            expected = oracles.suffix_window_bcc(nu, max_states=ORACLE_BUDGET)
+        except oracles.CancellationBudgetExceeded:
+            continue
+        finished += 1
+        assert tw.bcc(nu) == expected, nu.render()
+    assert finished >= 30
+
+
+def test_bcc_bounds_brute_force_on_nielsen_samples():
+    for nu in NIELSEN_SAMPLES:
+        assert tw.bcc(nu) >= oracles.max_cancellation(nu, 4), nu.render()
+
+
+short_words2 = st.lists(st.sampled_from((-2, -1, 1, 2)), min_size=1, max_size=3).map(reduce_word)
+
+
+@given(st.tuples(short_words2, short_words2))
+@settings(max_examples=60, deadline=None)
+def test_bcc_matches_brute_force_rank2_property(images):
+    nu = Automorphism(B2, images)
+    assume(all(images) and validate_automorphism(nu))
+    assert tw.bcc(nu) == oracles.max_cancellation(nu, 6)
+
+
+@pytest.mark.parametrize(
+    "forward, u, v",
+    [(True, "A", "cA"), (False, "BAB", "ACaBC")],
+)
+def test_bcc_attained_on_pair_with_sixth_power(forward, u, v):
+    pair = fx.pair_with_sixth_power()
+    nu = tw.basis_change(*((pair.first, pair.second) if forward else (pair.second, pair.first)))
+    u, v = P(u), P(v)
+    assert u[0] != v[0]
+    image_u, image_v = apply(nu, u), apply(nu, v)
+    common = 0
+    while common < min(len(image_u), len(image_v)) and image_u[common] == image_v[common]:
+        common += 1
+    assert common == tw.bcc(nu) == (12 if forward else 13)
+
+
+def test_bcc_rejects_a_collapsing_endomorphism():
+    with pytest.raises(NotAnAutomorphism):
+        tw.bcc(Automorphism(B2, (fx.w2("a"), fx.w2("a"))))
 
 
 def test_constants_anchor():
