@@ -17,7 +17,7 @@ from . import filling, pingpong, splittings, stallings
 from .errors import FreevolError, HypothesisViolated, UsageError
 from .splittings import CyclicSplitting, MarkedPair
 from .volume import analyze, to_dot as volume_to_dot
-from .words import Basis, parse_word
+from .words import Basis, parse_word, render_word
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -113,10 +113,16 @@ def cmd_pingpong(args: argparse.Namespace) -> int:
     word = pingpong.parse_twist_word(args.word, config.threshold)
     certificate = pingpong.certify(config, word)
     payload = certificate.to_json()
+    if args.images:
+        phi = pingpong.realize(config, word)
+        # Text output prints keys in insertion order: the images follow "word".
+        head = {key: payload.pop(key) for key in ("schema", "word")}
+        head["automorphism"] = [render_word(image, phi.basis) for image in phi.images]
+        payload = {**head, **payload}
     if args.trials:
         forward, backward = pingpong.twist_factors(config, word)
         payload["orbit_check"] = pingpong.empirical_no_periodic_orbit(
-            certificate.automorphism,
+            None,
             max_len=args.max_len,
             max_power=args.trials,
             factors=forward,
@@ -174,6 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="if positive, run the periodic-orbit sample up to this power",
     )
     pp.add_argument("--max-len", type=int, default=6, dest="max_len")
+    pp.add_argument("--images", action="store_true", help="also print the realized images")
     pp.set_defaults(handler=cmd_pingpong)
 
     return parser

@@ -6,8 +6,8 @@ cyclic subgroups split into two sides by comparing their two free volumes.
 High powers of the twists swap the sides while strictly increasing the
 summed volume, so sufficiently spaced alternating twist words act without
 periodic orbits: they are fully irreducible and hyperbolic.  This module
-computes the exponent threshold, checks a candidate twist word against the
-hypotheses, and realizes it as an explicit automorphism.
+computes the exponent threshold and checks a candidate twist word against the
+hypotheses without building it; ``realize`` spells it out only on request.
 
 The side comparison uses an exact rational slack factor close to 1 in
 place of an irrational one; an exact tie is reported as an error rather
@@ -264,11 +264,11 @@ class IwipCertificate:
     yields nontriviality), ``conjugate_to_twist_power`` (single factor),
     or ``hypotheses_not_met``.  The checks dictionary names every
     hypothesis tested, the pair's filling certificate under ``filling``
-    included, and ``failed_check`` points at the first failure.
+    included, and ``failed_check`` points at the first failure.  The
+    record holds no images: ``realize`` computes the automorphism.
     """
 
     word: TwistWord
-    automorphism: Automorphism
     verdict: str
     threshold: int
     constants: TwistConstants
@@ -276,13 +276,9 @@ class IwipCertificate:
     failed_check: Optional[str]
 
     def to_json(self) -> dict:
-        basis = self.automorphism.basis
         return {
             "schema": "freevol/1",
             "word": self.word.render(),
-            "automorphism": [
-                render_word(image, basis) for image in self.automorphism.images
-            ],
             "verdict": self.verdict,
             "threshold": self.threshold,
             "constants": {
@@ -304,54 +300,34 @@ def certify(config: PingPongConfig, word: TwistWord) -> IwipCertificate:
     using both twists is certified fully irreducible and hyperbolic when
     its first and last factors use different twists (so either both
     boundary slots are occupied by large exponents or both are empty);
-    when they use the same twist only nontriviality is certified.
+    when they use the same twist only nontriviality is certified.  The
+    word is never realized: the verdict depends on its factors alone.
     """
-    automorphism = realize(config, word)
     n = config.threshold
     checks: dict = {"threshold": n, "filling": config.filling.to_json()}
-    failed: Optional[str] = None
+
+    def result(verdict: str, failed: Optional[str] = None) -> IwipCertificate:
+        return IwipCertificate(word, verdict, n, config.constants, checks, failed)
 
     if config.filling.verdict != "fills":
-        return IwipCertificate(
-            word, automorphism, VERDICT_NOT_MET, n, config.constants, checks, "filling"
-        )
+        return result(VERDICT_NOT_MET, "filling")
 
+    checks["nonempty"] = bool(word.factors)
     if not word.factors:
-        checks["nonempty"] = False
-        return IwipCertificate(
-            word, automorphism, VERDICT_NOT_MET, n, config.constants, checks, "nonempty"
-        )
-    checks["nonempty"] = True
+        return result(VERDICT_NOT_MET, "nonempty")
 
     exponents_ok = all(abs(exp) >= n for _, exp in word.factors)
     checks["exponents_reach_threshold"] = exponents_ok
     if not exponents_ok:
-        failed = "exponents_reach_threshold"
-        return IwipCertificate(
-            word, automorphism, VERDICT_NOT_MET, n, config.constants, checks, failed
-        )
+        return result(VERDICT_NOT_MET, "exponents_reach_threshold")
 
+    checks["uses_both_twists"] = len(word.factors) > 1
     if len(word.factors) == 1:
-        checks["uses_both_twists"] = False
-        return IwipCertificate(
-            word,
-            automorphism,
-            VERDICT_TWIST_POWER,
-            n,
-            config.constants,
-            checks,
-            None,
-        )
-    checks["uses_both_twists"] = True
+        return result(VERDICT_TWIST_POWER)
 
-    first_id = word.factors[0][0]
-    last_id = word.factors[-1][0]
-    endpoints_ok = first_id != last_id
+    endpoints_ok = word.factors[0][0] != word.factors[-1][0]
     checks["endpoint_rule"] = endpoints_ok
-    verdict = VERDICT_IWIP if endpoints_ok else VERDICT_NONTRIVIAL
-    return IwipCertificate(
-        word, automorphism, verdict, n, config.constants, checks, None
-    )
+    return result(VERDICT_IWIP if endpoints_ok else VERDICT_NONTRIVIAL)
 
 
 def twist_factors(
@@ -423,7 +399,7 @@ def _cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def empirical_no_periodic_orbit(
-    phi: Automorphism,
+    phi: Optional[Automorphism],
     max_len: int,
     max_power: int,
     factors: Optional[Sequence[Automorphism]] = None,
@@ -447,13 +423,15 @@ def empirical_no_periodic_orbit(
     instead of on growing words.  ``factors`` optionally presents ``phi``
     as a right-to-left composition (for example individual twist powers),
     which keeps the exact word computations for surviving classes small
-    by reducing after every factor.
+    by reducing after every factor; then ``phi`` may be ``None``, so that
+    it need never be realized, and the basis is that of ``factors[0]``.
     """
     import random as _random
 
-    rank = phi.basis.rank
     if factors is None:
         factors = [phi]
+    basis = factors[0].basis if phi is None else phi.basis
+    rank = basis.rank
     if inverse_factors is None:
         inverse_factors = [invert(f) for f in reversed(factors)]
     forward = list(factors)
@@ -550,7 +528,7 @@ def empirical_no_periodic_orbit(
                 exact_cache[lo] = exact_image(cyc, lo)
             if exact_cache[hi] == exact_cache[lo]:
                 violation = {
-                    "word": render_word(cyc.letters, phi.basis),
+                    "word": render_word(cyc.letters, basis),
                     "power": p,
                 }
                 break

@@ -207,7 +207,7 @@ def test_criterion_9_certificate_consistency():
     assert certificate.verdict == pp.VERDICT_IWIP
     forward, backward = pp.twist_factors(config, word)
     report = pp.empirical_no_periodic_orbit(
-        certificate.automorphism,
+        pp.realize(config, word),
         max_len=8,
         max_power=4,
         factors=forward,

@@ -1,10 +1,12 @@
 import json
+import tracemalloc
 
+import pytest
 
 import fixtures as fx
-from freevol import cli
+from freevol import cli, pingpong
 from freevol.splittings import MarkedPair, to_json, transform
-from freevol.words import power
+from freevol.words import power, render_word
 
 
 def write_splitting(tmp_path, splitting, name):
@@ -148,7 +150,7 @@ def test_output_is_deterministic(capsys, tmp_path):
     path = write_pair(tmp_path, fx.certified_filling_pair(), "fills.json")
     argv = [
         "pingpong", "--pair", path, "1:+N 2:+N",
-        "--json", "--trials", "2", "--max-len", "4", "--seed", "7",
+        "--json", "--trials", "2", "--max-len", "4", "--seed", "7", "--images",
     ]
     _, first, _ = run(capsys, argv)
     _, second, _ = run(capsys, argv)
@@ -191,3 +193,54 @@ def test_pingpong_commutator_pair_under_fourth_power(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["verdict"] == "fully_irreducible_hyperbolic"
     assert payload["checks"]["filling"]["verdict"] == "fills"
+
+
+@pytest.mark.parametrize("extra", [[], ["--trials", "2", "--max-len", "4"]])
+def test_pingpong_never_realizes_by_default(capsys, tmp_path, no_realize, extra):
+    path = write_pair(tmp_path, fx.certified_filling_pair(), "fills.json")
+    code, out, _ = run(capsys, ["pingpong", "--pair", path, "1:+N 2:+N", "--json"] + extra)
+    assert code == 0
+    payload = json.loads(out)
+    assert "automorphism" not in payload
+    assert payload["verdict"] == "fully_irreducible_hyperbolic"
+    if extra:
+        assert payload["orbit_check"]["ok"] is True
+
+
+def test_six_factor_pingpong_has_flat_memory(capsys, tmp_path, no_realize):
+    path = write_pair(tmp_path, fx.certified_filling_pair(), "fills.json")
+    word = "1:+N 2:-N 1:+N 2:+N 1:-N 2:+N"
+    tracemalloc.start()
+    try:
+        code = cli.main(["pingpong", "--pair", path, word, "--json"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = capsys.readouterr().out
+    assert code == 0
+    assert json.loads(out)["verdict"] == "fully_irreducible_hyperbolic"
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("word", ["1:+N 2:+N", "1:+N 2:-N 1:+N", "1:+1 2:+N"])
+def test_pingpong_images_add_only_the_realized_images(capsys, tmp_path, word):
+    pair = fx.certified_filling_pair()
+    path = write_pair(tmp_path, pair, "fills.json")
+    config = pingpong.configure(pair)
+    realized = pingpong.realize(config, pingpong.parse_twist_word(word, config.threshold))
+    images = [render_word(image, realized.basis) for image in realized.images]
+
+    code, out, err = run(capsys, ["pingpong", "--pair", path, word, "--json"])
+    with_code, with_out, with_err = run(
+        capsys, ["pingpong", "--pair", path, word, "--json", "--images"]
+    )
+    assert (with_code, with_err) == (code, err)
+    assert json.loads(with_out) == {**json.loads(out), "automorphism": images}
+
+    code, out, err = run(capsys, ["pingpong", "--pair", path, word])
+    with_code, with_out, with_err = run(capsys, ["pingpong", "--pair", path, word, "--images"])
+    assert (with_code, with_err) == (code, err)
+    lines = out.splitlines()
+    assert lines[0].startswith("word: ")
+    lines.insert(1, f"automorphism: {images}")
+    assert with_out.splitlines() == lines

@@ -131,10 +131,9 @@ def test_orbit_check_reports_identity():
 
 def test_orbit_check_passes_certified_word_small(config):
     word = pp.parse_twist_word("1:+N 2:+N", config.threshold)
-    certificate = pp.certify(config, word)
     forward, backward = pp.twist_factors(config, word)
     report = pp.empirical_no_periodic_orbit(
-        certificate.automorphism, 5, 3, factors=forward, inverse_factors=backward
+        pp.realize(config, word), 5, 3, factors=forward, inverse_factors=backward
     )
     assert report["ok"]
     assert report["classes_checked"] > 0
@@ -171,3 +170,44 @@ def test_certify_requires_filling():
     assert certificate.verdict == pp.VERDICT_NOT_MET
     assert certificate.failed_check == "filling"
     assert certificate.checks["filling"] == config.filling.to_json()
+
+
+@pytest.mark.parametrize(
+    "text, verdict, failed",
+    [
+        ("1:+N 2:+N", pp.VERDICT_IWIP, None),
+        ("2:-N 1:+N 2:+N", pp.VERDICT_NONTRIVIAL, None),
+        ("1:+N 2:-N 1:+N 2:+N 1:-N 2:+N", pp.VERDICT_IWIP, None),
+        ("2:-N", pp.VERDICT_TWIST_POWER, None),
+        ("1:+N 2:+1", pp.VERDICT_NOT_MET, "exponents_reach_threshold"),
+    ],
+)
+def test_certify_never_realizes(config, no_realize, text, verdict, failed):
+    certificate = pp.certify(config, pp.parse_twist_word(text, config.threshold))
+    assert (certificate.verdict, certificate.failed_check) == (verdict, failed)
+    assert "automorphism" not in certificate.to_json()
+
+
+def test_certify_refused_filling_never_realizes(no_realize):
+    config = pp.configure(fx.pair_with_sixth_power())
+    certificate = pp.certify(config, pp.parse_twist_word("1:+111 2:+111"))
+    assert certificate.verdict == pp.VERDICT_NOT_MET
+    assert certificate.failed_check == "filling"
+    assert "automorphism" not in certificate.to_json()
+
+
+def test_orbit_check_takes_basis_from_factors(config):
+    word = pp.parse_twist_word("2:+N 1:-N", config.threshold)
+    forward, backward = pp.twist_factors(config, word)
+    reports = [
+        pp.empirical_no_periodic_orbit(
+            phi, 4, 2, factors=forward, inverse_factors=backward, seed=3
+        )
+        for phi in (None, pp.realize(config, word))
+    ]
+    assert reports[0] == reports[1]
+    # A bare twist has a fixed class, so the violation renders with the basis.
+    twist = dehn_twist(config.pair.first)
+    bare = pp.empirical_no_periodic_orbit(None, 2, 1, factors=[twist])
+    assert bare == pp.empirical_no_periodic_orbit(twist, 2, 1)
+    assert bare["violation"]["word"].isalpha()
