@@ -36,6 +36,8 @@ def load_splitting(path: str) -> CyclicSplitting:
 def load_pair(path: str) -> MarkedPair:
     with open(path, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
+    if not isinstance(payload, dict):
+        raise UsageError(f"pair file must hold a JSON object, not {type(payload).__name__}")
     for key in ("first", "second"):
         if key not in payload:
             raise UsageError(f"pair file is missing field {key!r}")
@@ -108,6 +110,10 @@ def cmd_fill(args: argparse.Namespace) -> int:
 
 
 def cmd_pingpong(args: argparse.Namespace) -> int:
+    if args.trials < 0:
+        raise UsageError(f"--trials must be at least 0, got {args.trials}")
+    if args.max_len < 1:
+        raise UsageError(f"--max-len must be at least 1, got {args.max_len}")
     pair = load_pair(args.pair)
     config = pingpong.configure(pair)
     word = pingpong.parse_twist_word(args.word, config.threshold)

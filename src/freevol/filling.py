@@ -7,6 +7,14 @@ check decides whether the two edge words can sit inside a common proper
 free factor, using Whitehead minimization followed by the cut-vertex
 criterion on the Whitehead graph of the minimized conjugacy classes.
 
+Whitehead minimization applies, at each step, the least strictly
+shortening Whitehead move ``(multiplier, sorted side)`` in the letter
+order a < A < b < B < ....  Moves are priced, not tried: on the graph G'
+with one edge ``{x, y^-1}`` per cyclically adjacent pair ``x . y``, the
+move ``(a, A)`` changes the total cyclic length by ``cap(A) - deg(a)``.
+Finding the move takes O(k) max-flows on the 2k letters per step, instead
+of applying all 2k * 2^(2k-2) moves.
+
 The combined verdict is conservative: a failed free-factor check only
 downgrades the answer to "unknown", because the pair may still separate
 every free factor and cyclic subgroup by volume even when the edge words
@@ -15,8 +23,8 @@ lie in a common proper free factor.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional, Sequence
 
 from . import stallings
@@ -27,6 +35,7 @@ from .words import (
     Basis,
     CyclicWord,
     Word,
+    apply_cyclic,
     letter_sort_key,
     render_word,
 )
@@ -104,53 +113,84 @@ def whitehead_graph(classes: Sequence[CyclicWord], rank: int) -> WhiteheadGraph:
     return WhiteheadGraph(rank=rank, edges=tuple(sorted(edges)))
 
 
-@lru_cache(maxsize=16)
-def _whitehead_moves(rank: int) -> tuple[tuple[int, tuple[int, ...], Automorphism], ...]:
-    """All letter-multiplier moves: multiplier ``a`` plus a side set ``A``.
+def _cut_graph(classes: Sequence[CyclicWord], rank: int) -> dict[int, Counter]:
+    """G': edge multiplicities on the letters, keyed in the order a < A < b < B < ...
 
-    The move sends ``x -> x a`` when ``x`` is in ``A`` (and ``x^-1`` is
-    not), ``x -> a^-1 x`` when only ``x^-1`` is in ``A``, and conjugates
-    by ``a`` when both are.  The multiplier itself is fixed.
+    Each cyclically adjacent pair ``x . y`` adds one edge ``{x, y^-1}``:
+    the mirror image of ``WhiteheadGraph``, which joins ``x^-1`` and ``y``.
     """
-    basis = Basis.standard(rank)
-    signed = sorted(
-        [i for i in range(1, rank + 1)] + [-i for i in range(1, rank + 1)],
-        key=letter_sort_key,
+    cap = {x: Counter() for i in range(1, rank + 1) for x in (i, -i)}
+    for cyc in classes:
+        letters = cyc.letters
+        for x, y in zip(letters, letters[1:] + letters[:1]):
+            cap[x][-y] += 1
+            cap[-y][x] += 1
+    return cap
+
+
+def _cut_below(cap: dict[int, Counter], sources: set[int], sinks: set[int], bound: int) -> bool:
+    """Whether some letter set holding ``sources`` and no ``sinks`` has fewer
+    than ``bound`` edges of G' leaving it: at most ``bound`` unit augmenting paths."""
+    residual = {u: Counter(row) for u, row in cap.items()}
+    for _ in range(bound):
+        parent = dict.fromkeys(sources)
+        stack = list(sources)
+        while stack:
+            u = stack.pop()
+            if u in sinks:
+                break
+            for v, room in residual[u].items():
+                if room and v not in parent:
+                    parent[v] = u
+                    stack.append(v)
+        else:
+            return True
+        while parent[u] is not None:
+            residual[parent[u]][u] -= 1
+            residual[u][parent[u]] += 1
+            u = parent[u]
+    return False
+
+
+def _least_improving_move(cap: dict[int, Counter]) -> Optional[tuple[int, list[int]]]:
+    """The least strictly shortening move ``(a, sorted A)``, if there is one.
+
+    Multipliers are tried in letter order.  For the first with a shortening
+    side, the least side is built letter by letter: a letter joins when some
+    shortening side still exists with it, and the walk stops once the side
+    so far shortens on its own past ``a``, as a proper prefix sorts first.
+    """
+    order = list(cap)
+    for i, a in enumerate(order):
+        degree = sum(cap[a].values())
+        side, out = {a}, {-a}
+        if not _cut_below(cap, side, out, degree):
+            continue
+        for j, v in enumerate(order):
+            if abs(v) == abs(a):
+                continue
+            if j > i and sum(n for u in side for w, n in cap[u].items() if w not in side) < degree:
+                break
+            if _cut_below(cap, side | {v}, out, degree):
+                side.add(v)
+            else:
+                out.add(v)
+        return a, sorted(side, key=letter_sort_key)
+    return None
+
+
+def _whitehead_automorphism(rank: int, a: int, side: Sequence[int]) -> Automorphism:
+    """The move ``x -> x a`` when ``x`` is in ``side``, ``x -> a^-1 x`` when
+    ``x^-1`` is, and both when both are; the multiplier ``a`` is fixed."""
+    images = tuple(
+        (g,) if g == abs(a) else (-a,) * (-g in side) + (g,) + (a,) * (g in side)
+        for g in range(1, rank + 1)
     )
-    moves: list[tuple[int, tuple[int, ...], Automorphism]] = []
-    for a in signed:
-        others = [x for x in signed if abs(x) != abs(a)]
-        for mask in range(1, 1 << len(others)):
-            side = {a} | {others[i] for i in range(len(others)) if mask >> i & 1}
-            images: list[Word] = []
-            for g in range(1, rank + 1):
-                if g == abs(a):
-                    images.append((g,))
-                    continue
-                head = g in side
-                tail = -g in side
-                if head and tail:
-                    images.append((-a, g, a))
-                elif head:
-                    images.append((g, a))
-                elif tail:
-                    images.append((-a, g))
-                else:
-                    images.append((g,))
-            moves.append(
-                (a, tuple(sorted(side, key=letter_sort_key)), Automorphism(basis, tuple(images)))
-            )
-    return tuple(moves)
+    return Automorphism(Basis.standard(rank), images)
 
 
 def _total_length(classes: Sequence[CyclicWord]) -> int:
     return sum(len(c.letters) for c in classes)
-
-
-def _apply_move(phi: Automorphism, classes: Sequence[CyclicWord]) -> tuple[CyclicWord, ...]:
-    from .words import apply_cyclic
-
-    return tuple(apply_cyclic(phi, c) for c in classes)
 
 
 def whitehead_minimize(
@@ -158,31 +198,33 @@ def whitehead_minimize(
 ) -> tuple[tuple[CyclicWord, ...], int, list[dict]]:
     """Greedy descent to a simultaneous local length minimum.
 
-    At each step every letter-multiplier move is tried on all classes at
-    once; among the strictly improving moves the lexicographically least
-    ``(multiplier, side set)`` is applied.  The returned move log replays
-    the descent.
+    A Whitehead move ``(a, A)`` has a multiplier letter ``a`` and a side
+    set ``A`` holding ``a`` but not ``a^-1`` (see ``_whitehead_automorphism``).
+    Each step applies the least ``(multiplier, sorted side)``, in the letter
+    order a < A < b < B < ..., among the moves that strictly shorten the
+    classes taken together.  The returned move log replays the descent.
+
+    On the graph G' with one edge ``{x, y^-1}`` per cyclically adjacent
+    pair ``x . y`` (the mirror image of ``WhiteheadGraph``), the move
+    changes the total cyclic length by ``cap(A) - deg(a)``, where
+    ``cap(A)`` counts the edges leaving ``A``.  So ``a`` has a shortening
+    side exactly when the minimum cut between ``a`` and ``a^-1`` is below
+    ``deg(a)``, and the least side is built letter by letter from such
+    cuts: O(k) max-flows on 2k vertices per step, where trying every move
+    costs 2k * 2^(2k-2) automorphism applications.
     """
     current = tuple(classes)
     total = _total_length(current)
     log: list[dict] = []
-    moves = _whitehead_moves(rank)
     while True:
-        best: Optional[tuple[int, tuple[int, ...], tuple[CyclicWord, ...], int]] = None
-        for a, side, phi in moves:
-            candidate = _apply_move(phi, current)
-            length = _total_length(candidate)
-            if length < total:
-                key = (letter_sort_key(a), tuple(letter_sort_key(x) for x in side))
-                if best is None or key < best_key:
-                    best = (a, side, candidate, length)
-                    best_key = key
-        if best is None:
+        move = _least_improving_move(_cut_graph(current, rank))
+        if move is None:
             return current, total, log
-        a, side, current, total = best
-        log.append(
-            {"multiplier": a, "side": list(side), "total_length": total}
-        )
+        a, side = move
+        phi = _whitehead_automorphism(rank, a, side)
+        current = tuple(apply_cyclic(phi, c) for c in current)
+        total = _total_length(current)
+        log.append({"multiplier": a, "side": side, "total_length": total})
 
 
 def cut_vertex_check(

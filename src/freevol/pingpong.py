@@ -428,6 +428,10 @@ def empirical_no_periodic_orbit(
     """
     import random as _random
 
+    if max_power < 1 or max_len < 1:
+        raise UsageError(
+            f"orbit sample needs max_power and max_len of at least 1, got {max_power} and {max_len}"
+        )
     if factors is None:
         factors = [phi]
     basis = factors[0].basis if phi is None else phi.basis

@@ -260,26 +260,41 @@ def to_json(splitting: CyclicSplitting) -> dict:
     return payload
 
 
+def _typed(value: object, kind: type, field: str):
+    """``value`` when it is a ``kind`` (never a bool), else a TypeError naming ``field``."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise TypeError(f"{field} must be {kind.__name__}, got {value!r}")
+    return value
+
+
+def _int_list(value: object, field: str) -> tuple[int, ...]:
+    return tuple(_typed(i, int, field) for i in _typed(value, list, field))
+
+
 def from_json(payload: dict) -> CyclicSplitting:
+    if not isinstance(payload, dict):
+        raise InvalidSplitting([f"splitting payload must be an object, not {type(payload).__name__}"])
     if payload.get("schema") not in (None, "freevol/1"):
         raise InvalidSplitting([f"unsupported schema {payload.get('schema')!r}"])
     try:
         kind = payload["kind"]
-        k = int(payload["ambient_rank"])
-        basis = Basis.standard(k)
-        relative_basis = tuple(parse_word(s, basis) for s in payload["relative_basis"])
-        a_part = tuple(int(i) for i in payload["a_part"])
-        edge_word = parse_word(payload["edge_word"], basis)
-    except (KeyError, ValueError) as exc:
+        basis = Basis.standard(_typed(payload["ambient_rank"], int, "ambient_rank"))
+        relative_basis = tuple(
+            parse_word(_typed(s, str, "relative_basis"), basis)
+            for s in _typed(payload["relative_basis"], list, "relative_basis")
+        )
+        a_part = _int_list(payload["a_part"], "a_part")
+        edge_word = parse_word(_typed(payload["edge_word"], str, "edge_word"), basis)
+        b0_part = _int_list(payload.get("b0_part", []), "b0_part")
+        stable = payload.get("stable_index")
+        stable_index = None if stable is None else _typed(stable, int, "stable_index")
+    except (KeyError, TypeError, ValueError) as exc:
         raise InvalidSplitting([f"malformed splitting payload: {exc}"]) from exc
     if kind == AMALGAM:
-        b0_part = tuple(int(i) for i in payload.get("b0_part", ()))
         splitting = CyclicSplitting(kind, basis, relative_basis, a_part, edge_word, b0_part=b0_part)
     elif kind == HNN:
-        stable = payload.get("stable_index")
         splitting = CyclicSplitting(
-            kind, basis, relative_basis, a_part, edge_word,
-            stable_index=None if stable is None else int(stable),
+            kind, basis, relative_basis, a_part, edge_word, stable_index=stable_index
         )
     else:
         raise InvalidSplitting([f"unknown kind {kind!r}"])

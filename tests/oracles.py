@@ -17,13 +17,31 @@ constant: it tracks the reachable suffixes of images in a window that
 doubles until no cancellation reaches past it, and gives up past a state
 budget.  Its state count grows exponentially, but wherever it finishes it
 must agree with the library's ``bcc``.
+
+``exhaustive_whitehead_minimize`` is the library's original Whitehead
+descent: each step applies all 2k * 2^(2k-2) moves of ``whitehead_moves``
+to the classes and keeps the least strictly improving one.  The library
+finds that same move by minimum cuts, so the two must return equal
+classes, totals and move logs.
 """
 
-from typing import Optional
+from functools import lru_cache
+from typing import Optional, Sequence
 
 from freevol.splittings import AMALGAM, CyclicSplitting, to_relative
 from freevol.stallings import Edge, FoldTrace, LabeledGraph
-from freevol.words import Automorphism, Word, apply, cyclically_reduce, invert_word, reduce_word
+from freevol.words import (
+    Automorphism,
+    Basis,
+    CyclicWord,
+    Word,
+    apply,
+    apply_cyclic,
+    cyclically_reduce,
+    invert_word,
+    letter_sort_key,
+    reduce_word,
+)
 
 
 def _edge_power(word: Word, edge: Word):
@@ -429,3 +447,75 @@ def suffix_window_bcc(nu: Automorphism, max_states: int = STATE_BUDGET) -> int:
         except _WindowOverflow:
             window *= 2
     raise RuntimeError("bounded cancellation window grew past 65536; giving up")
+
+
+# ---------------------------------------------------------------------------
+# Whitehead descent by trying every move
+
+
+@lru_cache(maxsize=16)
+def whitehead_moves(rank: int) -> tuple[tuple[int, tuple[int, ...], Automorphism], ...]:
+    """All letter-multiplier moves: multiplier ``a`` plus a side set ``A``.
+
+    The move sends ``x -> x a`` when ``x`` is in ``A`` (and ``x^-1`` is
+    not), ``x -> a^-1 x`` when only ``x^-1`` is in ``A``, and conjugates
+    by ``a`` when both are.  The multiplier itself is fixed.
+    """
+    basis = Basis.standard(rank)
+    signed = sorted(
+        [i for i in range(1, rank + 1)] + [-i for i in range(1, rank + 1)],
+        key=letter_sort_key,
+    )
+    moves: list[tuple[int, tuple[int, ...], Automorphism]] = []
+    for a in signed:
+        others = [x for x in signed if abs(x) != abs(a)]
+        for mask in range(1, 1 << len(others)):
+            side = {a} | {others[i] for i in range(len(others)) if mask >> i & 1}
+            images: list[Word] = []
+            for g in range(1, rank + 1):
+                if g == abs(a):
+                    images.append((g,))
+                    continue
+                head = g in side
+                tail = -g in side
+                if head and tail:
+                    images.append((-a, g, a))
+                elif head:
+                    images.append((g, a))
+                elif tail:
+                    images.append((-a, g))
+                else:
+                    images.append((g,))
+            moves.append(
+                (a, tuple(sorted(side, key=letter_sort_key)), Automorphism(basis, tuple(images)))
+            )
+    return tuple(moves)
+
+
+def exhaustive_whitehead_minimize(
+    classes: Sequence[CyclicWord], rank: int
+) -> tuple[tuple[CyclicWord, ...], int, list[dict]]:
+    """The library's original Whitehead descent, by trial of every move.
+
+    At each step every move of ``whitehead_moves`` is applied to all
+    classes at once; among the strictly improving moves the
+    lexicographically least ``(multiplier, side set)`` is applied.
+    """
+    current = tuple(classes)
+    total = sum(len(c.letters) for c in current)
+    log: list[dict] = []
+    moves = whitehead_moves(rank)
+    while True:
+        best = None
+        for a, side, phi in moves:
+            candidate = tuple(apply_cyclic(phi, c) for c in current)
+            length = sum(len(c.letters) for c in candidate)
+            if length < total:
+                key = (letter_sort_key(a), tuple(letter_sort_key(x) for x in side))
+                if best is None or key < best_key:
+                    best = (a, side, candidate, length)
+                    best_key = key
+        if best is None:
+            return current, total, log
+        a, side, current, total = best
+        log.append({"multiplier": a, "side": list(side), "total_length": total})

@@ -152,7 +152,10 @@ def test_output_is_deterministic(capsys, tmp_path):
         "pingpong", "--pair", path, "1:+N 2:+N",
         "--json", "--trials", "2", "--max-len", "4", "--seed", "7", "--images",
     ]
-    _, first, _ = run(capsys, argv)
+    code, first, _ = run(capsys, argv)
+    assert code == 0
+    payload = json.loads(first)
+    assert "automorphism" in payload and "orbit_check" in payload
     _, second, _ = run(capsys, argv)
     assert first == second
 
@@ -161,6 +164,44 @@ def test_missing_file_is_usage_error(capsys, tmp_path):
     code, _, err = run(capsys, ["fill", "--pair", str(tmp_path / "nope.json")])
     assert code == 64
     assert "error" in err
+
+
+GOOD_SPLITTING = to_json(fx.certified_filling_pair().first)
+
+
+@pytest.mark.parametrize(
+    "payload, expected",
+    [
+        (5, 64),
+        ([], 64),
+        ({"first": 1, "second": 2}, 1),
+        ({"first": dict(GOOD_SPLITTING, relative_basis=7), "second": GOOD_SPLITTING}, 1),
+        ({"first": dict(GOOD_SPLITTING, edge_word=5), "second": GOOD_SPLITTING}, 1),
+        ({"first": dict(GOOD_SPLITTING, stable_index=[3]), "second": GOOD_SPLITTING}, 1),
+        ({"first": dict(GOOD_SPLITTING, a_part="12"), "second": GOOD_SPLITTING}, 1),
+        ({"first": dict(GOOD_SPLITTING, ambient_rank=3.5), "second": GOOD_SPLITTING}, 1),
+    ],
+)
+def test_malformed_pair_file_is_an_error_not_a_traceback(capsys, tmp_path, payload, expected):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, ["fill", "--pair", str(path)])
+    assert code == expected
+    assert out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [(["--trials", "-1"], "--trials"), (["--max-len", "0"], "--max-len"),
+     (["--trials", "2", "--max-len", "0"], "--max-len")],
+)
+def test_pingpong_rejects_bad_orbit_sample_flags(capsys, tmp_path, flags, named):
+    path = write_pair(tmp_path, fx.certified_filling_pair(), "fills.json")
+    code, out, err = run(capsys, ["pingpong", "--pair", path, "1:+N 2:+N", "--json", *flags])
+    assert code == 64
+    assert out == ""
+    assert err.startswith("error:") and named in err
 
 
 def test_pingpong_non_filling_pair_is_not_certified(capsys, tmp_path):

@@ -1,8 +1,25 @@
 
+import time
+
+import networkx as nx
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 import fixtures as fx
+import oracles
 from freevol import filling as fl
 from freevol.splittings import MarkedPair
-from freevol.words import CyclicWord, parse_word, render_word
+from freevol.words import (
+    Automorphism,
+    Basis,
+    CyclicWord,
+    apply_cyclic,
+    compose,
+    parse_word,
+    reduce_word,
+    render_word,
+)
 
 B2 = fx.B2
 B3 = fx.B3
@@ -94,3 +111,114 @@ def test_check_f1_for_discharges_witness_subgroup():
     ok, evidence = fl.check_f1_for(pair, [P("c"), P("cababbc")])
     assert ok
     assert evidence == {"vol_1": 3, "vol_2": 2}
+
+
+# ---------------------------------------------------------------------------
+# Whitehead descent by minimum cuts
+
+
+@st.composite
+def class_lists(draw, ranks=(2, 3, 4), max_len=10):
+    """A rank and 1-3 nonempty cyclic classes over it, possibly leaving letters unused."""
+    rank = draw(st.sampled_from(ranks))
+    letters = st.sampled_from([x for i in range(1, rank + 1) for x in (i, -i)])
+    words = st.lists(letters, min_size=1, max_size=max_len).map(
+        lambda w: CyclicWord.of(reduce_word(w))
+    )
+    found = draw(st.lists(words.filter(lambda c: c.letters), min_size=1, max_size=3))
+    return rank, found
+
+
+def total(found):
+    return sum(len(c.letters) for c in found)
+
+
+def cut_capacity(cap, side):
+    return sum(n for u in side for v, n in cap[u].items() if v not in side)
+
+
+@given(class_lists())
+@settings(max_examples=40, deadline=None)
+def test_move_changes_length_by_cut_minus_degree(example):
+    rank, found = example
+    cap = fl._cut_graph(found, rank)
+    for a, side, phi in oracles.whitehead_moves(rank):
+        moved = [apply_cyclic(phi, c) for c in found]
+        change = cut_capacity(cap, set(side)) - sum(cap[a].values())
+        assert total(moved) - total(found) == change
+
+
+@given(class_lists())
+@settings(max_examples=100, deadline=None)
+def test_minimize_equals_exhaustive_descent(example):
+    rank, found = example
+    assert fl.whitehead_minimize(found, rank) == oracles.exhaustive_whitehead_minimize(found, rank)
+
+
+def whitehead_scrambled(rank, text, moves):
+    """The class of ``text`` moved by ``moves`` entries of the oracle's move table."""
+    table = oracles.whitehead_moves(rank)
+    found = CyclicWord.of(parse_word(text, Basis.standard(rank)))
+    for i in moves:
+        found = apply_cyclic(table[i % len(table)][2], found)
+    return found
+
+
+@pytest.mark.parametrize(
+    "rank, texts",
+    [
+        (5, ["a", "e"]),
+        (5, ["abcde", "aBcDe", "d"]),
+        (5, ["aabbc", "ccd"]),
+        (6, ["abcdef", "a"]),
+        (6, ["aBcD", "f"]),
+    ],
+)
+def test_minimize_equals_exhaustive_descent_at_high_rank(rank, texts):
+    found = classes(Basis.standard(rank), texts)
+    assert fl.whitehead_minimize(found, rank) == oracles.exhaustive_whitehead_minimize(found, rank)
+
+
+@pytest.mark.parametrize("rank, text, moves", [(3, "abc", [5, 40, 17, 66]), (4, "abdC", [300, 7, 200])])
+def test_multi_step_descent_equals_exhaustive_descent(rank, text, moves):
+    found = [whitehead_scrambled(rank, text, moves), CyclicWord.of((1,))]
+    result = fl.whitehead_minimize(found, rank)
+    assert len(result[2]) >= 2
+    assert result == oracles.exhaustive_whitehead_minimize(found, rank)
+
+
+def networkx_cut_graph(cap):
+    graph = nx.Graph()
+    graph.add_nodes_from(cap)
+    for u, row in cap.items():
+        for v, count in row.items():
+            graph.add_edge(u, v, capacity=count)
+    return graph
+
+
+@given(class_lists(ranks=(2, 3, 4, 5, 6), max_len=14))
+@settings(max_examples=40, deadline=None)
+def test_improving_side_exists_iff_min_cut_below_degree(example):
+    rank, found = example
+    cap = fl._cut_graph(found, rank)
+    graph = networkx_cut_graph(cap)
+    for a in cap:
+        degree = sum(cap[a].values())
+        below = nx.minimum_cut_value(graph, a, -a) < degree
+        assert fl._cut_below(cap, {a}, {-a}, degree) == below
+
+
+def test_rank_eight_minimize_is_fast():
+    basis = Basis.standard(8)
+    # x -> x a for every other generator, then x -> b^-1 x: a descent of many steps.
+    right_a = Automorphism(basis, ((1,),) + tuple((g, 1) for g in range(2, 9)))
+    left_b = Automorphism(basis, tuple((g,) if g == 2 else (-2, g) for g in range(1, 9)))
+    phi = compose(left_b, right_a)
+    found = [
+        apply_cyclic(phi, CyclicWord.of(parse_word(text, basis)))
+        for text in ("abcdefgh", "aBcDeFgH", "hhgfe")
+    ]
+    start = time.perf_counter()
+    _minimized, length, log = fl.whitehead_minimize(found, 8)
+    assert time.perf_counter() - start < 1.0
+    assert len(log) >= 2 and length <= 21

@@ -129,6 +129,12 @@ def test_orbit_check_reports_identity():
     assert report["violation"]["power"] == 1
 
 
+@pytest.mark.parametrize("max_len, max_power", [(0, 2), (3, 0), (-1, -1)])
+def test_orbit_check_rejects_empty_samples(max_len, max_power):
+    with pytest.raises(UsageError, match="at least 1"):
+        pp.empirical_no_periodic_orbit(Automorphism.identity(B3), max_len, max_power)
+
+
 def test_orbit_check_passes_certified_word_small(config):
     word = pp.parse_twist_word("1:+N 2:+N", config.threshold)
     forward, backward = pp.twist_factors(config, word)
