@@ -28,14 +28,21 @@ EXIT_USAGE = 64
 PAIR_SCHEMA = "freevol/1"
 
 
+def _read_json(path: str):
+    """Parse a JSON file; a file that cannot be opened or read is a usage error."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except OSError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def load_splitting(path: str) -> CyclicSplitting:
-    with open(path, "r", encoding="utf-8") as handle:
-        return splittings.from_json(json.load(handle))
+    return splittings.from_json(_read_json(path))
 
 
 def load_pair(path: str) -> MarkedPair:
-    with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
+    payload = _read_json(path)
     if not isinstance(payload, dict):
         raise UsageError(f"pair file must hold a JSON object, not {type(payload).__name__}")
     for key in ("first", "second"):
@@ -201,7 +208,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
         return args.handler(args)
-    except (UsageError, FileNotFoundError, json.JSONDecodeError, ValueError) as exc:
+    except (UsageError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except HypothesisViolated as exc:

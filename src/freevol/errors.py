@@ -37,10 +37,6 @@ class NotFillingEvidence(FreevolError):
     """A threshold computation needs positive translation lengths."""
 
 
-class NotReduced(FreevolError):
-    """A word is not in the reduced conjugacy normal form required here."""
-
-
 class HypothesisViolated(FreevolError):
     """A sampled input fails the hypotheses of the bound being checked."""
 

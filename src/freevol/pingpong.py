@@ -105,14 +105,6 @@ def threshold_exponent(consts: TwistConstants, ell12: int, ell21: int) -> int:
     return n
 
 
-def compute_N(pair: MarkedPair, consts: Optional[TwistConstants] = None) -> int:
-    """Threshold exponent of the pair; an elliptic edge word raises before any bcc."""
-    ell12, ell21 = _edge_lengths(pair)
-    if consts is None:
-        consts = twist_constants(pair.ambient_basis.rank - 1, pair.first, pair.second)
-    return threshold_exponent(consts, ell12, ell21)
-
-
 def configure(pair: MarkedPair, slack: Fraction = DEFAULT_SLACK) -> PingPongConfig:
     """Filling certificate, constants and threshold of the pair.
 
@@ -200,24 +192,6 @@ class TwistWord:
 
     def render(self) -> str:
         return " ".join(f"{tid}:{exp:+d}" for tid, exp in self.factors)
-
-
-def _merge(left: list[tuple[int, int]], right: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
-    stack = list(left)
-    for factor in right:
-        if stack and stack[-1][0] == factor[0]:
-            merged = stack[-1][1] + factor[1]
-            stack.pop()
-            if merged != 0:
-                stack.append((factor[0], merged))
-        else:
-            stack.append(factor)
-    return tuple(stack)
-
-
-def concat_twist_words(first: TwistWord, second: TwistWord) -> TwistWord:
-    """Concatenate two twist words, merging and cancelling at the seam."""
-    return TwistWord(_merge(list(first.factors), list(second.factors)))
 
 
 def parse_twist_word(text: str, threshold: Optional[int] = None) -> TwistWord:
@@ -425,6 +399,8 @@ def empirical_no_periodic_orbit(
     which keeps the exact word computations for surviving classes small
     by reducing after every factor; then ``phi`` may be ``None``, so that
     it need never be realized, and the basis is that of ``factors[0]``.
+    An empty ``factors``, or neither ``phi`` nor ``factors``, names no map
+    to check and raises UsageError.
     """
     import random as _random
 
@@ -433,7 +409,9 @@ def empirical_no_periodic_orbit(
             f"orbit sample needs max_power and max_len of at least 1, got {max_power} and {max_len}"
         )
     if factors is None:
-        factors = [phi]
+        factors = [] if phi is None else [phi]
+    if not factors:
+        raise UsageError("orbit sample needs phi or a nonempty list of its factors")
     basis = factors[0].basis if phi is None else phi.basis
     rank = basis.rank
     if inverse_factors is None:

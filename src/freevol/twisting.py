@@ -1,10 +1,9 @@
-"""Twisted volume growth: bounded cancellation, surgery, and growth bounds.
+"""Twisted volume growth: bounded cancellation, constants, and growth bounds.
 
 Implements the machinery comparing the free volume of a subgroup before and
 after powers of a Dehn twist: exact bounded cancellation constants between
-bases, composition of subgroup graphs with a change of marking, surgery
-inserting edge-word powers at crossing vertices, safe essential pieces on
-edge-word-power segments, and the resulting linear growth bounds.
+the relative bases of two splittings, the constants they give, and the
+resulting two-sided linear growth bounds.
 """
 
 from __future__ import annotations
@@ -12,41 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import HypothesisViolated, NotAnAutomorphism, NotReduced
-from .splittings import (
-    AMALGAM,
-    CyclicSplitting,
-    dehn_twist,
-    relative_inverse,
-    require_valid,
-    to_relative,
-)
-from .stallings import (
-    Edge,
-    LabeledGraph,
-    fold_and_core,
-    rank,
-    spell_path,
-    subgroup_graph,
-)
-from .volume import (
-    B0_EDGE,
-    T_EDGE,
-    classify_chains,
-    essential_and_crossing_vertices,
-    find_chains,
-    free_volume,
-    translation_length,
-)
-from .words import (
-    Automorphism,
-    Word,
-    apply,
-    compose,
-    cyclically_reduce,
-    invert_word,
-    reduce_word,
-)
+from .errors import HypothesisViolated, NotAnAutomorphism
+from .splittings import CyclicSplitting, dehn_twist, relative_inverse
+from .stallings import is_malnormal, rank, subgroup_graph
+from .volume import free_volume, translation_length
+from .words import Automorphism, Word, apply, compose
 
 
 # ---------------------------------------------------------------------------
@@ -214,179 +183,6 @@ def constants(
 
 
 # ---------------------------------------------------------------------------
-# Reduced form of the edge word
-
-
-def make_reduced(word: Word, splitting2: CyclicSplitting, max_power: int = 4) -> tuple[Word, Word]:
-    """Rotate (conjugate) a word so its powers grow exactly linearly.
-
-    Returns ``(reduced, conjugator)`` with ``word`` conjugate to ``reduced``
-    by ``conjugator`` (all in ambient coordinates) such that for the
-    returned word both the relative word length and the translation length
-    of powers are linear for exponents up to ``max_power``.  Elliptic words
-    are only cyclically reduced.  Raises NotReduced when no rotation works.
-    """
-    core, conjugator = cyclically_reduce(word)
-    if not core:
-        return core, conjugator
-    if translation_length(splitting2, core) == 0:
-        return core, conjugator
-    relative = to_relative(splitting2, core)
-    rel_core, rel_pre = cyclically_reduce(relative)
-    for offset in range(len(rel_core)):
-        rotated = rel_core[offset:] + rel_core[:offset]
-        base_len = translation_length_relative(splitting2, rotated)
-        if base_len == 0:
-            continue
-        if all(
-            translation_length_relative(splitting2, rotated * n) == n * base_len
-            for n in range(2, max_power + 1)
-        ):
-            ambient = apply(splitting2.relative_automorphism(), rotated)
-            # word = conjugator . core . conjugator^-1 and
-            # core = u . rotated_ambient . u^-1 for the rotation conjugator u.
-            u = apply(splitting2.relative_automorphism(), rel_pre + rel_core[:offset])
-            return ambient, reduce_word(conjugator + u)
-    raise NotReduced("no rotation of the word has linear power growth")
-
-
-def translation_length_relative(splitting: CyclicSplitting, relative_word: Word) -> int:
-    """Translation length of a word already written in relative coordinates."""
-    ambient = apply(splitting.relative_automorphism(), relative_word)
-    return translation_length(splitting, ambient)
-
-
-# ---------------------------------------------------------------------------
-# Graph composition
-
-
-def graph_composition(graph: LabeledGraph, nu: Automorphism) -> LabeledGraph:
-    """Replace each edge label by its image word, then fold to a core."""
-    vertices = set(graph.vertices)
-    edges: set[Edge] = set()
-    next_vertex = max(vertices, default=-1) + 1
-    for source, target, label in graph.edges:
-        path = apply(nu, (label,))
-        if not path:
-            raise HypothesisViolated("change of marking sends a generator to the identity")
-        vertices.update(spell_path(edges, path, source, target, next_vertex))
-        next_vertex += len(path) - 1
-    basepoint = graph.basepoint
-    composed = LabeledGraph(frozenset(vertices), frozenset(edges), basepoint=basepoint)
-    core, _ = fold_and_core(composed, keep_basepoint=basepoint is not None)
-    return core
-
-
-# ---------------------------------------------------------------------------
-# Graph surgery
-
-
-@dataclass(frozen=True)
-class SurgeredGraph:
-    """Result of inserting edge-word-power segments at crossing vertices."""
-
-    graph: LabeledGraph
-    segments: tuple[tuple[int, int], ...]  # (crossing vertex, segment endpoint)
-    power: int
-
-
-def graph_surgery(graph: LabeledGraph, splitting: CyclicSplitting, n: int) -> SurgeredGraph:
-    """Insert a segment spelling the n-th edge-word power at each crossing vertex.
-
-    In the amalgam case every B0-class incidence at the crossing vertex is
-    re-rooted to the far end of its segment; in the HNN case only the source
-    of the positive stable-letter edge moves.  Folding and pruning the
-    result yields the core graph of the n-th twist image of the subgroup.
-    """
-    require_valid(splitting)
-    if n == 0:
-        return SurgeredGraph(graph, (), 0)
-    chains = find_chains(graph, splitting)
-    chains, classes = classify_chains(graph, splitting, chains)
-    _, crossing = essential_and_crossing_vertices(graph, splitting, chains, classes)
-    c = splitting.edge_word
-    segment_word = c * n if n > 0 else invert_word(c) * (-n)
-    vertices = set(graph.vertices)
-    edges = set(graph.edges)
-    next_vertex = max(vertices, default=-1) + 1
-    segments: list[tuple[int, int]] = []
-    for vertex in sorted(crossing):
-        stops = spell_path(edges, segment_word, vertex, None, next_vertex)
-        vertices.update(stops)
-        next_vertex += len(segment_word)
-        far_end = stops[-1]
-        segments.append((vertex, far_end))
-        if splitting.kind == AMALGAM:
-            moving = [e for e in edges if classes.get(e) == B0_EDGE and vertex in (e[0], e[1])]
-        else:
-            moving = [
-                e
-                for e in edges
-                if classes.get(e) == T_EDGE and e[0] == vertex
-            ]
-        for edge in moving:
-            source, target, label = edge
-            edges.discard(edge)
-            new_source = far_end if source == vertex else source
-            new_target = far_end if target == vertex else target
-            if splitting.kind != AMALGAM:
-                new_target = target  # only the source of a positive edge moves
-            moved = (new_source, new_target, label)
-            edges.add(moved)
-            classes[moved] = classes.pop(edge)
-    surgered = LabeledGraph(frozenset(vertices), frozenset(edges))
-    return SurgeredGraph(surgered, tuple(segments), n)
-
-
-def twisted_core(graph: LabeledGraph, splitting: CyclicSplitting, n: int) -> LabeledGraph:
-    """Folded core of the surgered graph: the core of the twisted subgroup."""
-    surgered = graph_surgery(graph, splitting, n)
-    core, _ = fold_and_core(surgered.graph, keep_basepoint=False)
-    return core
-
-
-# ---------------------------------------------------------------------------
-# Safe essential pieces
-
-
-def _segment_graph(word: Word) -> LabeledGraph:
-    edges: set[Edge] = set()
-    vertices = spell_path(edges, word, 0, None, 1)
-    return LabeledGraph(frozenset(vertices), frozenset(edges))
-
-
-def safe_pieces(reduced_relative: Word, ell: int, splitting2: CyclicSplitting, B: int) -> int:
-    """Count of safe essential pieces on the segment of the ell-th power.
-
-    The segment spells the given reduced relative word repeated ``ell``
-    times; essential pieces (chains and essential vertices) are safe when
-    they avoid every vertex of the ``B`` extremal edges at each end.
-    """
-    if not reduced_relative:
-        raise NotReduced("empty word has no segment")
-    if len(reduced_relative * 2) != 2 * len(reduced_relative):
-        raise NotReduced("word is not cyclically reduced in relative letters")
-    word = reduced_relative * ell
-    graph = _segment_graph(word)
-    chains = find_chains(graph, splitting2)
-    chains, classes = classify_chains(graph, splitting2, chains)
-    essential, _ = essential_and_crossing_vertices(graph, splitting2, chains, classes)
-    unsafe_vertices: set[int] = set()
-    total_edges = len(word)
-    for index in range(min(B, total_edges)):
-        unsafe_vertices.update({index, index + 1})
-        unsafe_vertices.update({total_edges - index - 1, total_edges - index})
-    count = 0
-    for vertex in essential:
-        if vertex not in unsafe_vertices:
-            count += 1
-    for chain in chains:
-        if chain.essential and not (chain.path_vertices & unsafe_vertices):
-            count += 1
-    return count
-
-
-# ---------------------------------------------------------------------------
 # Volume growth bounds
 
 
@@ -403,8 +199,6 @@ def check_volume_growth_bounds(
     The subgroup must be cyclic or malnormal, of rank at most the bound the
     constants were computed for; otherwise HypothesisViolated is raised.
     """
-    from .stallings import is_malnormal
-
     ambient_core = subgroup_graph(splitting1.ambient_basis, list(gens), keep_basepoint=False)
     subgroup_rank = rank(ambient_core)
     if subgroup_rank > 1 and not is_malnormal(ambient_core):

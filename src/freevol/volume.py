@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 from .errors import TrivialSubgroup
 from .splittings import AMALGAM, HNN, CyclicSplitting, require_valid, to_relative
-from .stallings import Edge, LabeledGraph, rank, subgroup_graph
+from .stallings import Edge, LabeledGraph, subgroup_graph
 from .words import Basis, Word, cyclically_reduce
 
 A_EDGE = "A"

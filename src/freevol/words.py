@@ -203,9 +203,6 @@ class Automorphism:
     def identity(basis: Basis) -> "Automorphism":
         return Automorphism(basis, tuple((i + 1,) for i in range(basis.rank)))
 
-    def is_identity(self) -> bool:
-        return all(im == (i + 1,) for i, im in enumerate(self.images))
-
     def image_of(self, letter: int) -> Word:
         image = self.images[abs(letter) - 1]
         return image if letter > 0 else invert_word(image)

