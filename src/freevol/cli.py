@@ -1,7 +1,10 @@
 """Command-line surface: fold, volume, fill, and pingpong subcommands.
 
 Exit codes: 0 success / definitely true, 1 definitely false, 2 unknown,
-3 hypotheses violated, 64 usage error.  All JSON output carries a
+3 hypotheses violated, 64 usage error.  A reader that closes standard
+output early (``freevol ... | head``) changes neither: the rest of the
+output is dropped, nothing is printed on standard error, and the exit
+code is still the verdict's.  All JSON output carries a
 top-level ``"schema": "freevol/1"`` field, and identical invocations
 (including ``--seed``) produce byte-identical output.
 """
@@ -10,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -62,14 +66,24 @@ def pair_to_json(pair: MarkedPair) -> dict:
     }
 
 
+def _write(text: str) -> None:
+    """Print ``text`` to standard output and flush it.
+
+    If the reader has closed the pipe, standard output is pointed at
+    os.devnull, so that later writes and the flush at exit drop silently.
+    """
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _emit(payload: dict, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        _write(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        for key, value in payload.items():
-            if key == "schema":
-                continue
-            print(f"{key}: {value}")
+        _write("\n".join(f"{key}: {value}" for key, value in payload.items() if key != "schema"))
 
 
 def cmd_fold(args: argparse.Namespace) -> int:
@@ -79,7 +93,7 @@ def cmd_fold(args: argparse.Namespace) -> int:
         raise UsageError("generators must be nonempty reduced words")
     graph = stallings.subgroup_graph(basis, gens, keep_basepoint=True)
     if args.dot:
-        print(stallings.to_dot(graph, basis))
+        _write(stallings.to_dot(graph, basis))
         return EXIT_OK
     payload = {
         "schema": "freevol/1",
@@ -99,7 +113,7 @@ def cmd_volume(args: argparse.Namespace) -> int:
         raise UsageError("generators must be nonempty reduced words")
     report = analyze(splitting, gens)
     if args.dot:
-        print(volume_to_dot(report, basis))
+        _write(volume_to_dot(report, basis))
         return EXIT_OK
     _emit(report.to_json(), args.json)
     return EXIT_OK

@@ -18,11 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter, sub
 from typing import Optional, Sequence
 
 from . import stallings
 from . import volume as volume_mod
 from .errors import (
+    BasisMismatch,
     NotFillingEvidence,
     NotProperSubgroup,
     TieDetected,
@@ -33,16 +35,14 @@ from .splittings import MarkedPair, dehn_twist, require_valid
 from .twisting import TwistConstants, constants as twist_constants
 from .words import (
     Automorphism,
-    CyclicWord,
     Word,
     apply,
     compose,
+    cyclically_reduce,
     enumerate_cyclic_classes,
     invert,
-    invert_word,
     is_proper_power,
     render_word,
-    word_sort_key,
 )
 
 SIDE_FIRST = "side1"
@@ -318,12 +318,6 @@ def twist_factors(
     return forward, backward
 
 
-def _apply_factors(factors: Sequence[Automorphism], word: Word) -> Word:
-    for factor in reversed(factors):
-        word = apply(factor, word)
-    return word
-
-
 def _abelianization_matrix(images: Sequence[Word], rank: int) -> list[list[int]]:
     matrix = [[0] * rank for _ in range(rank)]
     for j, image in enumerate(images):
@@ -341,18 +335,35 @@ def _mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
 
 
 _PERM_DEGREE = 16
+_IDENTITY_PERM = tuple(range(_PERM_DEGREE))
+
+#: The trace filter works in SL(2, Z/p) for each of these primes at once,
+#: as SL(2, Z/m) with m their product (Chinese remainder theorem).
+_TRACE_PRIMES = (2**61 - 1, 2**61 - 31)
+_TRACE_MODULUS = _TRACE_PRIMES[0] * _TRACE_PRIMES[1]
+
+#: No word built by an exact comparison may exceed this many letters; a
+#: class whose comparison would is reported ``undecided``.
+EXACT_LETTER_BUDGET = 1_000_000
 
 
-def _perm_of_word(word: Word, gen_perms: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
-    perm = tuple(range(_PERM_DEGREE))
-    for letter in word:
-        base = gen_perms[abs(letter) - 1]
-        if letter < 0:
-            inv = [0] * _PERM_DEGREE
-            for i, v in enumerate(base):
-                inv[v] = i
-            base = tuple(inv)
-        perm = tuple(perm[base[i]] for i in range(_PERM_DEGREE))
+def _signed_table(values: Sequence, inverses: Sequence) -> list:
+    """A list indexed by signed letters: ``table[i]`` and ``table[-i]``."""
+    return [None, *values, *reversed(inverses)]
+
+
+def _perm_getters(perms: Sequence[tuple[int, ...]]) -> list:
+    """Per signed letter, the C-level map ``perm -> perm o rho(letter)``."""
+    inverses = [sorted(range(_PERM_DEGREE), key=perm.__getitem__) for perm in perms]
+    return _signed_table(
+        [itemgetter(*perm) for perm in perms], [itemgetter(*inv) for inv in inverses]
+    )
+
+
+def _perm_of_word(word: Word, getters: list) -> tuple[int, ...]:
+    perm = _IDENTITY_PERM
+    for getter in map(getters.__getitem__, word):
+        perm = getter(perm)
     return perm
 
 
@@ -372,6 +383,56 @@ def _cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sorted(lengths))
 
 
+def _matrix_of_word(word: Word, matrices: list) -> tuple[int, int, int, int]:
+    """The product of the letters' 2x2 matrices ``(a, b, c, d)`` mod the trace modulus."""
+    m = _TRACE_MODULUS
+    a, b, c, d = 1, 0, 0, 1
+    for e, f, g, h in map(matrices.__getitem__, word):
+        a, b, c, d = (
+            (a * e + b * g) % m, (a * f + b * h) % m, (c * e + d * g) % m, (c * f + d * h) % m
+        )
+    return a, b, c, d
+
+
+def _matrix_table(matrices: Sequence[tuple[int, int, int, int]]) -> list:
+    m = _TRACE_MODULUS
+    return _signed_table(matrices, [(d, -b % m, -c % m, a) for a, b, c, d in matrices])
+
+
+def _through(values: list, factors: Sequence[Automorphism], table, evaluate) -> list:
+    """Generator values of ``rho . f_1 . ... . f_m``, given those of ``rho``.
+
+    ``table`` turns generator values into a signed-letter table and
+    ``evaluate(word, table)`` evaluates a word on it.  Each factor's
+    generator images are evaluated under the map so far, so no image of
+    the composition is ever built.
+    """
+    for factor in factors:
+        current = table(values)
+        values = [evaluate(image, current) for image in factor.images]
+    return values
+
+
+def _within_budget(factors: Sequence[Automorphism], word: Word) -> Optional[Word]:
+    """The cyclic reduction of ``factors`` applied to ``word``, or None past the budget.
+
+    Each factor's output is bounded before it is built by the summed
+    lengths of the letters' images, so no word over the budget is built.
+    """
+    for factor in reversed(factors):
+        if sum(len(factor.images[abs(x) - 1]) for x in word) > EXACT_LETTER_BUDGET:
+            return None
+        word, _ = cyclically_reduce(apply(factor, word))
+    return word
+
+
+def _is_rotation(u: Word, v: Word) -> bool:
+    """Whether two cyclically reduced words spell the same conjugacy class."""
+    if len(u) != len(v):
+        return False
+    return bytes(x + 64 for x in v) in bytes(x + 64 for x in u) * 2  # letters -26..26
+
+
 def empirical_no_periodic_orbit(
     phi: Optional[Automorphism],
     max_len: int,
@@ -389,18 +450,35 @@ def empirical_no_periodic_orbit(
     growth is split between both sides.  Evidence only: a clean report is
     sampling, not a proof.
 
-    A matching pair must agree on every conjugacy invariant, so most
-    classes are discarded by two cheap necessary conditions before any
-    long word is built: equality of abelianization images, and equality
-    of conjugacy classes (cycle types) in randomly sampled symmetric-group
-    quotients, where the action of ``phi`` is tracked on generator images
-    instead of on growing words.  ``factors`` optionally presents ``phi``
-    as a right-to-left composition (for example individual twist powers),
-    which keeps the exact word computations for surviving classes small
-    by reducing after every factor; then ``phi`` may be ``None``, so that
-    it need never be realized, and the basis is that of ``factors[0]``.
-    An empty ``factors``, or neither ``phi`` nor ``factors``, names no map
-    to check and raises UsageError.
+    A class is periodic exactly when its root is, and exactly when its
+    inverse is, so proper powers and the larger of a class and its inverse
+    are counted as pruned and not checked.  A matching pair must agree on
+    every conjugacy invariant, so three cheap necessary conditions discard
+    the other classes before any long word is built: equal abelianization
+    images; equal cycle types in ``quotient_samples`` random quotients to
+    the symmetric group on 16 points; and equal traces in SL(2, Z/p) for
+    two primes p near 2^61.  Each map ``rho . phi^j`` is tracked through
+    the generator images of phi's factors, never on growing words.  The
+    trace is a conjugacy invariant and F_k embeds in SL(2, Z) (Sanov 1947),
+    so random generator matrices tell apart almost every pair that is not
+    conjugate; the trace maps are set up only once some class gets that
+    far.  A pair
+    that passes every filter is compared exactly, building no word longer
+    than ``EXACT_LETTER_BUDGET`` letters; a class whose comparison would
+    exceed it is listed under ``undecided`` with the power reached, its
+    higher powers go unchecked, and ``ok`` is false.
+
+    ``factors`` optionally presents ``phi`` as a right-to-left composition
+    (for example individual twist powers), which keeps the exact word
+    computations for surviving classes small by reducing after every
+    factor; then ``phi`` may be ``None``, so that it need never be
+    realized.  An empty ``factors``, or neither ``phi`` nor ``factors``,
+    names no map to check and raises UsageError; maps over different bases
+    raise BasisMismatch.  ``inverse_factors`` presents ``phi^-1`` likewise.
+    It must pass two necessary checks, or UsageError is raised: the
+    abelianizations of ``phi`` and of it multiply to the identity, and
+    ``rho . phi . phi^-1 = rho`` on the generators in the first quotient
+    sample.  They refute a wrong inverse; they do not prove a right one.
     """
     import random as _random
 
@@ -412,7 +490,10 @@ def empirical_no_periodic_orbit(
         factors = [] if phi is None else [phi]
     if not factors:
         raise UsageError("orbit sample needs phi or a nonempty list of its factors")
-    basis = factors[0].basis if phi is None else phi.basis
+    given = [*factors, *(inverse_factors or ()), *([phi] if phi is not None else [])]
+    if len({f.basis for f in given}) > 1:
+        raise BasisMismatch("phi, its factors and its inverse factors use different bases")
+    basis = factors[0].basis
     rank = basis.rank
     if inverse_factors is None:
         inverse_factors = [invert(f) for f in reversed(factors)]
@@ -424,95 +505,139 @@ def empirical_no_periodic_orbit(
         pairs.append((p, -(-p // 2), -(p // 2)))
     hi_max = max(hi for _, hi, _ in pairs)
     lo_min = min(lo for _, _, lo in pairs)
-
-    # Generator images of phi and its inverse, each as one reduced word.
-    letters = list(range(1, rank + 1))
-    step_up = [_apply_factors(forward, (x,)) for x in letters]
-    step_down = [_apply_factors(backward, (x,)) for x in letters]
+    powers = range(lo_min, hi_max + 1)
 
     # Abelianization matrices of phi^j for every needed j.
-    mat_up = _abelianization_matrix(step_up, rank)
-    mat_down = _abelianization_matrix(step_down, rank)
+    letters = list(range(1, rank + 1))
     identity = [[1 if i == j else 0 for j in range(rank)] for i in range(rank)]
+    mat_up, mat_down = identity, identity
+    for factor in forward:
+        mat_up = _mat_mul(mat_up, _abelianization_matrix(factor.images, rank))
+    for factor in backward:
+        mat_down = _mat_mul(mat_down, _abelianization_matrix(factor.images, rank))
+    if _mat_mul(mat_up, mat_down) != identity:
+        raise UsageError("inverse factors do not invert phi on the abelianization")
     ab: dict[int, list[list[int]]] = {0: identity}
     for j in range(1, hi_max + 1):
         ab[j] = _mat_mul(mat_up, ab[j - 1])
     for j in range(-1, lo_min - 1, -1):
         ab[j] = _mat_mul(mat_down, ab[j + 1])
-    diff = {p: [
-        [ab[hi][i][j] - ab[lo][i][j] for j in range(rank)] for i in range(rank)
-    ] for p, hi, lo in pairs}
 
-    # Homomorphisms rho_j = rho . phi^j into a symmetric group: rho_{j+1}
-    # evaluates the generator images of phi under rho_j, so no long words
-    # are ever needed.
+    def track(base: Sequence, table, evaluate) -> dict:
+        """Generator values of rho . phi^j, j in ``powers``, from those of rho."""
+        values = {0: list(base)}
+        for j in range(1, hi_max + 1):
+            values[j] = _through(values[j - 1], forward, table, evaluate)
+        for j in range(-1, lo_min - 1, -1):
+            values[j] = _through(values[j + 1], backward, table, evaluate)
+        return values
+
     rng = _random.Random(seed)
-    quotients = []  # per sample: {j: gen perms}
-    for _ in range(quotient_samples):
+    quotients = []  # per sample: {j: perm getters of rho . phi^j}
+    for sample in range(quotient_samples):
         base = []
         for _ in range(rank):
             perm = list(range(_PERM_DEGREE))
             rng.shuffle(perm)
             base.append(tuple(perm))
-        maps = {0: base}
-        for j in range(1, hi_max + 1):
-            maps[j] = [_perm_of_word(image, maps[j - 1]) for image in step_up]
-        for j in range(-1, lo_min - 1, -1):
-            maps[j] = [_perm_of_word(image, maps[j + 1]) for image in step_down]
-        quotients.append(maps)
+        values = track(base, _perm_getters, _perm_of_word)
+        if sample == 0 and _through(values[1], backward, _perm_getters, _perm_of_word) != base:
+            raise UsageError("inverse factors do not invert phi in a permutation quotient")
+        quotients.append({j: _perm_getters(v) for j, v in values.items()})
 
-    def exact_image(cyc: CyclicWord, j: int) -> CyclicWord:
-        word: Word = cyc.letters
-        chain = forward if j > 0 else backward
-        for _ in range(abs(j)):
-            word = _apply_factors(chain, word)
-        return CyclicWord.of(word)
+    traces: list = []  # {j: matrix table of rho . phi^j}, built on first use
+
+    def trace_maps() -> dict:
+        if not traces:
+            # Generic matrices [[1, s], [0, 1]] [[1, 0], [t, 1]] [[1, u], [0, 1]].
+            base = []
+            for _ in range(rank):
+                s, t, u = (rng.randrange(_TRACE_MODULUS) for _ in range(3))
+                entries = (1 + s * t, (1 + s * t) * u + s, t, t * u + 1)
+                base.append(tuple(x % _TRACE_MODULUS for x in entries))
+            values = track(base, _matrix_table, _matrix_of_word)
+            traces.append({j: _matrix_table(v) for j, v in values.items()})
+        return traces[0]
+
+    # Per abelianization vector, the (p, hi, lo) whose images of it agree.
+    ab_passes: dict[tuple[int, ...], list] = {}
+    inverse_letters = [-x for x in letters]
+    # Rank of each signed letter, and of its inverse, in a < A < b < B < ...
+    rank_of = _signed_table(range(0, 2 * rank, 2), range(1, 2 * rank, 2))
+    inverse_rank_of = _signed_table(range(1, 2 * rank, 2), range(0, 2 * rank, 2))
 
     checked = 0
     pruned = 0
     filtered_exact = 0
     violation: Optional[dict] = None
+    undecided: list[dict] = []
     for cyc in enumerate_cyclic_classes(rank, max_len):
         checked += 1
-        # A class is periodic exactly when its root is, and exactly when its
-        # inverse is; checking one representative of each family suffices.
-        power_flag, _, _ = is_proper_power(cyc)
-        if power_flag:
+        word = cyc.letters
+        # Classes come as least rotations; prune a proper power, and a class
+        # whose inverse has a smaller rotation (one starting at its least
+        # letter, which must not be below the class's first letter).
+        if is_proper_power(cyc)[0]:
             pruned += 1
             continue
-        inverse_class = CyclicWord.of(invert_word(cyc.letters))
-        if inverse_class.letters != cyc.letters and word_sort_key(
-            inverse_class.letters
-        ) < word_sort_key(cyc.letters):
+        inverse = tuple(map(inverse_rank_of.__getitem__, reversed(word)))
+        least, first = min(inverse), rank_of[word[0]]
+        if least < first:
             pruned += 1
             continue
-        vector = [0] * rank
-        for letter in cyc.letters:
-            vector[abs(letter) - 1] += 1 if letter > 0 else -1
-        exact_cache: dict[int, CyclicWord] = {}
-        for p, hi, lo in pairs:
-            d = diff[p]
+        if least == first:
+            n = len(word)
+            ranks = tuple(map(rank_of.__getitem__, word))
+            doubled = inverse * 2
+            if any(doubled[i : i + n] < ranks for i in range(n) if inverse[i] == least):
+                pruned += 1
+                continue
+        vector = tuple(map(sub, map(word.count, letters), map(word.count, inverse_letters)))
+        passes = ab_passes.get(vector)
+        if passes is None:
+            image = {
+                j: [sum(row[i] * vector[i] for i in range(rank)) for row in ab[j]]
+                for j in powers
+            }
+            passes = ab_passes[vector] = [
+                (p, hi, lo) for p, hi, lo in pairs if image[hi] == image[lo]
+            ]
+        if not passes:
+            continue
+        cycle_types: dict = {}
+
+        def cycle_type(sample: int, j: int) -> tuple[int, ...]:
+            if (sample, j) not in cycle_types:
+                cycle_types[sample, j] = _cycle_type(_perm_of_word(word, quotients[sample][j]))
+            return cycle_types[sample, j]
+
+        exact: dict[int, Optional[Word]] = {0: word}
+
+        def exact_image(j: int) -> Optional[Word]:
+            if j not in exact:
+                step = 1 if j > 0 else -1
+                previous = exact_image(j - step)
+                chain = forward if j > 0 else backward
+                exact[j] = None if previous is None else _within_budget(chain, previous)
+            return exact[j]
+
+        for p, hi, lo in passes:
             if any(
-                sum(d[i][j] * vector[j] for j in range(rank)) != 0
-                for i in range(rank)
+                cycle_type(sample, hi) != cycle_type(sample, lo)
+                for sample in range(quotient_samples)
             ):
                 continue
-            if any(
-                _cycle_type(_perm_of_word(cyc.letters, maps[hi]))
-                != _cycle_type(_perm_of_word(cyc.letters, maps[lo]))
-                for maps in quotients
-            ):
-                continue
+            maps = trace_maps()
+            upper, lower = _matrix_of_word(word, maps[hi]), _matrix_of_word(word, maps[lo])
+            if (upper[0] + upper[3] - lower[0] - lower[3]) % _TRACE_MODULUS:
+                continue  # traces differ
             filtered_exact += 1
-            if hi not in exact_cache:
-                exact_cache[hi] = exact_image(cyc, hi)
-            if lo not in exact_cache:
-                exact_cache[lo] = exact_image(cyc, lo)
-            if exact_cache[hi] == exact_cache[lo]:
-                violation = {
-                    "word": render_word(cyc.letters, basis),
-                    "power": p,
-                }
+            upper, lower = exact_image(hi), exact_image(lo)
+            if upper is None or lower is None:
+                undecided.append({"word": render_word(word, basis), "power": p})
+                break
+            if _is_rotation(upper, lower):
+                violation = {"word": render_word(word, basis), "power": p}
                 break
         if violation is not None:
             break
@@ -524,5 +649,6 @@ def empirical_no_periodic_orbit(
         "classes_pruned": pruned,
         "exact_comparisons": filtered_exact,
         "violation": violation,
-        "ok": violation is None,
+        "undecided": undecided,
+        "ok": violation is None and not undecided,
     }

@@ -12,6 +12,7 @@ from __future__ import annotations
 import string
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .errors import BasisMismatch, EmptyWord, NotAnAutomorphism
@@ -21,10 +22,6 @@ Word = tuple[int, ...]
 #: Total order on letters used for canonical rotations: a < A < b < B < ...
 def letter_sort_key(letter: int) -> tuple[int, int]:
     return (abs(letter), 0 if letter > 0 else 1)
-
-
-def word_sort_key(word: Sequence[int]) -> tuple[tuple[int, int], ...]:
-    return tuple(letter_sort_key(x) for x in word)
 
 
 @dataclass(frozen=True)
@@ -170,6 +167,11 @@ class CyclicWord:
         return render_word(self.letters, basis)
 
 
+@lru_cache(maxsize=None)
+def _divisors(n: int) -> tuple[int, ...]:
+    return tuple(d for d in range(1, n + 1) if n % d == 0)
+
+
 def is_proper_power(cyclic: CyclicWord) -> tuple[bool, Word, int]:
     """Smallest period decomposition of a nonempty cyclic word.
 
@@ -179,9 +181,7 @@ def is_proper_power(cyclic: CyclicWord) -> tuple[bool, Word, int]:
     n = len(w)
     if n == 0:
         raise EmptyWord("proper-power test needs a nonempty cyclic word")
-    for period in range(1, n + 1):
-        if n % period:
-            continue
+    for period in _divisors(n):
         if w == w[:period] * (n // period):
             return (period < n, w[:period], n // period)
     raise AssertionError("unreachable: the full period always matches")
@@ -351,30 +351,46 @@ def validate_automorphism(phi: Automorphism) -> bool:
     )
 
 
-def enumerate_reduced_words(rank: int, length: int) -> Iterator[Word]:
-    """All freely reduced words of exactly the given length."""
-    letters = [i for i in range(1, rank + 1)] + [-i for i in range(1, rank + 1)]
-    letters.sort(key=letter_sort_key)
+def _cyclic_necklaces(rank: int, length: int) -> Iterator[Word]:
+    """Cyclically reduced necklaces of the given length, in lexicographic order.
 
-    def extend(prefix: list[int], remaining: int) -> Iterator[Word]:
-        if remaining == 0:
-            yield tuple(prefix)
+    The Fredricksen-Kessler-Maiorana tree (Ruskey, Savage and Wang 1992)
+    over the letter ranks of a < A < b < B < ...: each prenecklace
+    ``a[1..t]`` whose longest Lyndon prefix has length ``p`` extends by
+    ``a[t-p]`` (keeping ``p``) or by any larger rank (making ``p = t``),
+    and a full-length prenecklace is a necklace exactly when ``p`` divides
+    the length.  Every prefix of a freely reduced word is freely reduced,
+    so pruning a prefix that ends in ``x x^-1`` (ranks ``r, r ^ 1``) loses
+    no necklace; the wrap-around pair is checked at the leaves.
+    """
+    letter_of = [i // 2 + 1 if i % 2 == 0 else -(i // 2 + 1) for i in range(2 * rank)]
+    a = [0] * (length + 1)  # 1-based; a[0] is the FKM sentinel
+
+    def extend(t: int, p: int, prefix: Word) -> Iterator[Word]:
+        # Fills a[t] .. a[length] after the prefix a[1 .. t-1], spelled ``prefix``.
+        repeat = a[t - p]
+        banned = a[t - 1] ^ 1 if t > 1 else -1
+        if t == length:
+            wrap = a[1] ^ 1 if t > 1 else -1
+            for c in range(repeat, 2 * rank):
+                if c != banned and c != wrap and (c != repeat or length % p == 0):
+                    yield prefix + (letter_of[c],)
             return
-        for letter in letters:
-            if prefix and prefix[-1] == -letter:
-                continue
-            prefix.append(letter)
-            yield from extend(prefix, remaining - 1)
-            prefix.pop()
+        for c in range(repeat, 2 * rank):
+            if c != banned:
+                a[t] = c
+                yield from extend(t + 1, p if c == repeat else t, prefix + (letter_of[c],))
 
-    yield from extend([], length)
+    yield from extend(1, 1, ())
 
 
 def enumerate_cyclic_classes(rank: int, max_len: int) -> Iterator[CyclicWord]:
-    """All nontrivial conjugacy classes with cyclic length <= max_len, one per class."""
+    """All nontrivial conjugacy classes with cyclic length <= max_len, one per class.
+
+    Classes come by length, and within one length in the order of their
+    canonical rotations under a < A < b < B < ...; each is generated
+    directly as a cyclically reduced necklace, so no rotation is tested.
+    """
     for length in range(1, max_len + 1):
-        for word in enumerate_reduced_words(rank, length):
-            if word[0] == -word[-1] and length >= 2:
-                continue  # not cyclically reduced
-            if canonical_rotation(word) == word:
-                yield CyclicWord(word)
+        for letters in _cyclic_necklaces(rank, length):
+            yield CyclicWord(letters)

@@ -32,13 +32,28 @@ descent: each step applies all 2k * 2^(2k-2) moves of ``whitehead_moves``
 to the classes and keeps the least strictly improving one.  The library
 finds that same move by minimum cuts, so the two must return equal
 classes, totals and move logs.
+
+``enumerate_cyclic_classes`` is the library's original class enumeration:
+it builds every reduced word of each length and keeps those equal to their
+least rotation (Booth's algorithm).  The library generates the same classes
+as cyclically reduced necklaces, so both must yield equal lists.
+
+``empirical_no_periodic_orbit`` is the library's original orbit sampler:
+it evaluates every class in the symmetric-group quotients letter by letter
+and compares every class those quotients cannot tell apart by building
+both images in full, without a budget.  The library adds an SL(2) trace
+filter and a letter budget, so its report must agree on the classes
+checked and pruned, on the violation and on ``ok``, with no more exact
+comparisons.
 """
 
+import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
-from freevol.errors import HypothesisViolated
+from freevol.errors import HypothesisViolated, UsageError
+from freevol.pingpong import _PERM_DEGREE, _abelianization_matrix, _cycle_type, _mat_mul
 from freevol.splittings import AMALGAM, CyclicSplitting, require_valid, to_relative
 from freevol.stallings import Edge, FoldTrace, LabeledGraph, spell_path
 from freevol.volume import (
@@ -55,10 +70,14 @@ from freevol.words import (
     Word,
     apply,
     apply_cyclic,
+    canonical_rotation,
     cyclically_reduce,
+    invert,
     invert_word,
+    is_proper_power,
     letter_sort_key,
     reduce_word,
+    render_word,
 )
 
 
@@ -622,3 +641,182 @@ def exhaustive_whitehead_minimize(
             return current, total, log
         a, side, current, total = best
         log.append({"multiplier": a, "side": list(side), "total_length": total})
+
+
+def enumerate_reduced_words(rank: int, length: int) -> Iterator[Word]:
+    """All freely reduced words of exactly the given length."""
+    letters = [i for i in range(1, rank + 1)] + [-i for i in range(1, rank + 1)]
+    letters.sort(key=letter_sort_key)
+
+    def extend(prefix: list[int], remaining: int) -> Iterator[Word]:
+        if remaining == 0:
+            yield tuple(prefix)
+            return
+        for letter in letters:
+            if prefix and prefix[-1] == -letter:
+                continue
+            prefix.append(letter)
+            yield from extend(prefix, remaining - 1)
+            prefix.pop()
+
+    yield from extend([], length)
+
+
+def enumerate_cyclic_classes(rank: int, max_len: int) -> Iterator[CyclicWord]:
+    """All nontrivial conjugacy classes with cyclic length <= max_len, one per class."""
+    for length in range(1, max_len + 1):
+        for word in enumerate_reduced_words(rank, length):
+            if word[0] == -word[-1] and length >= 2:
+                continue  # not cyclically reduced
+            if canonical_rotation(word) == word:
+                yield CyclicWord(word)
+
+
+def _apply_factors(factors: Sequence[Automorphism], word: Word) -> Word:
+    for factor in reversed(factors):
+        word = apply(factor, word)
+    return word
+
+
+def _perm_of_word(word: Word, gen_perms: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
+    perm = tuple(range(_PERM_DEGREE))
+    for letter in word:
+        base = gen_perms[abs(letter) - 1]
+        if letter < 0:
+            inv = [0] * _PERM_DEGREE
+            for i, v in enumerate(base):
+                inv[v] = i
+            base = tuple(inv)
+        perm = tuple(perm[base[i]] for i in range(_PERM_DEGREE))
+    return perm
+
+
+def _word_sort_key(word: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    return tuple(letter_sort_key(x) for x in word)
+
+
+def empirical_no_periodic_orbit(
+    phi: Optional[Automorphism],
+    max_len: int,
+    max_power: int,
+    factors: Optional[Sequence[Automorphism]] = None,
+    inverse_factors: Optional[Sequence[Automorphism]] = None,
+    quotient_samples: int = 4,
+    seed: int = 0,
+) -> dict:
+    """Sampled evidence that no short conjugacy class is periodic (original)."""
+    if max_power < 1 or max_len < 1:
+        raise UsageError(
+            f"orbit sample needs max_power and max_len of at least 1, got {max_power} and {max_len}"
+        )
+    if factors is None:
+        factors = [] if phi is None else [phi]
+    if not factors:
+        raise UsageError("orbit sample needs phi or a nonempty list of its factors")
+    basis = factors[0].basis if phi is None else phi.basis
+    rank = basis.rank
+    if inverse_factors is None:
+        inverse_factors = [invert(f) for f in reversed(factors)]
+    forward = list(factors)
+    backward = list(inverse_factors)
+
+    pairs = []  # (p, hi, lo) with hi - lo = p
+    for p in range(1, max_power + 1):
+        pairs.append((p, -(-p // 2), -(p // 2)))
+    hi_max = max(hi for _, hi, _ in pairs)
+    lo_min = min(lo for _, _, lo in pairs)
+
+    letters = list(range(1, rank + 1))
+    step_up = [_apply_factors(forward, (x,)) for x in letters]
+    step_down = [_apply_factors(backward, (x,)) for x in letters]
+
+    mat_up = _abelianization_matrix(step_up, rank)
+    mat_down = _abelianization_matrix(step_down, rank)
+    identity = [[1 if i == j else 0 for j in range(rank)] for i in range(rank)]
+    ab: dict[int, list[list[int]]] = {0: identity}
+    for j in range(1, hi_max + 1):
+        ab[j] = _mat_mul(mat_up, ab[j - 1])
+    for j in range(-1, lo_min - 1, -1):
+        ab[j] = _mat_mul(mat_down, ab[j + 1])
+    diff = {p: [
+        [ab[hi][i][j] - ab[lo][i][j] for j in range(rank)] for i in range(rank)
+    ] for p, hi, lo in pairs}
+
+    rng = random.Random(seed)
+    quotients = []  # per sample: {j: gen perms}
+    for _ in range(quotient_samples):
+        base = []
+        for _ in range(rank):
+            perm = list(range(_PERM_DEGREE))
+            rng.shuffle(perm)
+            base.append(tuple(perm))
+        maps = {0: base}
+        for j in range(1, hi_max + 1):
+            maps[j] = [_perm_of_word(image, maps[j - 1]) for image in step_up]
+        for j in range(-1, lo_min - 1, -1):
+            maps[j] = [_perm_of_word(image, maps[j + 1]) for image in step_down]
+        quotients.append(maps)
+
+    def exact_image(cyc: CyclicWord, j: int) -> CyclicWord:
+        word: Word = cyc.letters
+        chain = forward if j > 0 else backward
+        for _ in range(abs(j)):
+            word = _apply_factors(chain, word)
+        return CyclicWord.of(word)
+
+    checked = 0
+    pruned = 0
+    filtered_exact = 0
+    violation: Optional[dict] = None
+    for cyc in enumerate_cyclic_classes(rank, max_len):
+        checked += 1
+        power_flag, _, _ = is_proper_power(cyc)
+        if power_flag:
+            pruned += 1
+            continue
+        inverse_class = CyclicWord.of(invert_word(cyc.letters))
+        if inverse_class.letters != cyc.letters and _word_sort_key(
+            inverse_class.letters
+        ) < _word_sort_key(cyc.letters):
+            pruned += 1
+            continue
+        vector = [0] * rank
+        for letter in cyc.letters:
+            vector[abs(letter) - 1] += 1 if letter > 0 else -1
+        exact_cache: dict[int, CyclicWord] = {}
+        for p, hi, lo in pairs:
+            d = diff[p]
+            if any(
+                sum(d[i][j] * vector[j] for j in range(rank)) != 0
+                for i in range(rank)
+            ):
+                continue
+            if any(
+                _cycle_type(_perm_of_word(cyc.letters, maps[hi]))
+                != _cycle_type(_perm_of_word(cyc.letters, maps[lo]))
+                for maps in quotients
+            ):
+                continue
+            filtered_exact += 1
+            if hi not in exact_cache:
+                exact_cache[hi] = exact_image(cyc, hi)
+            if lo not in exact_cache:
+                exact_cache[lo] = exact_image(cyc, lo)
+            if exact_cache[hi] == exact_cache[lo]:
+                violation = {
+                    "word": render_word(cyc.letters, basis),
+                    "power": p,
+                }
+                break
+        if violation is not None:
+            break
+    return {
+        "schema": "freevol/1",
+        "max_len": max_len,
+        "max_power": max_power,
+        "classes_checked": checked,
+        "classes_pruned": pruned,
+        "exact_comparisons": filtered_exact,
+        "violation": violation,
+        "ok": violation is None,
+    }

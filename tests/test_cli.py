@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
 import fixtures as fx
+import freevol
 from freevol import cli, pingpong
 from freevol.splittings import MarkedPair, to_json, transform
 from freevol.words import power, render_word
@@ -296,3 +301,23 @@ def test_pingpong_images_add_only_the_realized_images(capsys, tmp_path, word):
     assert lines[0].startswith("word: ")
     lines.insert(1, f"automorphism: {images}")
     assert with_out.splitlines() == lines
+
+
+def test_closed_stdout_keeps_exit_code_and_leaves_stderr_empty(tmp_path):
+    """``freevol pingpong ... --images | head -c 1``: the images overflow any pipe buffer."""
+    path = write_pair(tmp_path, fx.certified_filling_pair(), "fills.json")
+    src = str(Path(freevol.__file__).resolve().parents[1])
+    path_entries = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path_entries)))
+    argv = ["pingpong", "--pair", path, "1:+N 2:-N 1:+N 2:+N", "--images"]
+    process = subprocess.Popen(
+        [sys.executable, "-m", "freevol.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert process.stdout.read(1) == b"w"
+    process.stdout.close()
+    stderr = process.stderr.read()
+    process.stderr.close()
+    assert (process.wait(timeout=60), stderr) == (0, b"")

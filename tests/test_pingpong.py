@@ -1,10 +1,15 @@
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fixtures as fx
+import oracles
 from freevol import pingpong as pp
 from freevol.errors import (
+    BasisMismatch,
     NotFillingEvidence,
     NotProperSubgroup,
     UsageError,
@@ -12,7 +17,7 @@ from freevol.errors import (
 from freevol import twisting as tw
 from freevol.splittings import MarkedPair, dehn_twist, transform
 from freevol.twisting import TwistConstants
-from freevol.words import Automorphism, power
+from freevol.words import Automorphism, Basis, power, reduce_word
 
 B3 = fx.B3
 P = fx.w3
@@ -217,3 +222,123 @@ def test_orbit_check_takes_basis_from_factors(config):
     bare = pp.empirical_no_periodic_orbit(None, 2, 1, factors=[twist])
     assert bare == pp.empirical_no_periodic_orbit(twist, 2, 1)
     assert bare["violation"]["word"].isalpha()
+
+
+REPORT_KEYS = ("classes_checked", "classes_pruned", "violation", "ok")
+
+
+@pytest.mark.parametrize(
+    "text, max_len, max_power, samples",
+    [
+        ("1:+N 2:+N", 6, 2, 1),
+        ("1:+N 2:+N", 5, 2, 4),
+        ("2:-N 1:+N", 5, 2, 1),
+        ("1:+N 2:-N 1:+N", 4, 2, 2),
+        ("1:+N", 4, 3, 4),
+    ],
+)
+def test_orbit_check_agrees_with_oracle(config, text, max_len, max_power, samples):
+    forward, backward = pp.twist_factors(config, pp.parse_twist_word(text, config.threshold))
+    args = (None, max_len, max_power)
+    kwargs = dict(factors=forward, inverse_factors=backward, quotient_samples=samples, seed=1)
+    got = pp.empirical_no_periodic_orbit(*args, **kwargs)
+    expected = oracles.empirical_no_periodic_orbit(*args, **kwargs)
+    assert {k: got[k] for k in REPORT_KEYS} == {k: expected[k] for k in REPORT_KEYS}
+    assert got["exact_comparisons"] <= expected["exact_comparisons"]
+    assert got["undecided"] == []
+
+
+@pytest.mark.parametrize("phi", ["identity", "twist"])
+def test_orbit_check_agrees_with_oracle_on_periodic_maps(config, phi):
+    phi = Automorphism.identity(B3) if phi == "identity" else dehn_twist(config.pair.second)
+    got = pp.empirical_no_periodic_orbit(phi, 5, 3)
+    expected = oracles.empirical_no_periodic_orbit(phi, 5, 3)
+    assert {k: got[k] for k in REPORT_KEYS} == {k: expected[k] for k in REPORT_KEYS}
+    assert got["exact_comparisons"] <= expected["exact_comparisons"]
+    assert not got["ok"] and got["undecided"] == []
+
+
+def test_orbit_check_trace_filter_decides_seed_405_class():
+    """A non-periodic class that passes four symmetric-group samples.
+
+    Before the trace filter its exact comparison took 16 s and 1.2 GB.
+    """
+    right_plus_one = fx.hnn_over_ab(((1, 3), (2, -3), (3,)))  # (a c, b C, c)
+    pair = MarkedPair(fx.hnn_over_ab((P("a"), P("b"), P("c"))), right_plus_one)
+    split = {1: pair.first, 2: pair.second}
+    factors = [(1, -18), (2, -18)]
+    forward = [dehn_twist(split[tid], exp) for tid, exp in factors]
+    backward = [dehn_twist(split[tid], -exp) for tid, exp in reversed(factors)]
+    started = time.perf_counter()
+    report = pp.empirical_no_periodic_orbit(
+        None, 7, 4, factors=forward, inverse_factors=backward, quotient_samples=4, seed=432951950
+    )
+    assert time.perf_counter() - started < 2
+    assert report["ok"] and report["exact_comparisons"] == 0
+
+
+def test_orbit_check_budget_trip_is_undecided(config, monkeypatch):
+    monkeypatch.setattr(pp, "EXACT_LETTER_BUDGET", 0)
+    report = pp.empirical_no_periodic_orbit(dehn_twist(config.pair.first), 2, 1)
+    assert report["violation"] is None
+    assert report["undecided"][0] == {"word": "a", "power": 1}
+    assert report["ok"] is False
+
+
+def test_orbit_report_always_lists_undecided(config):
+    report = pp.empirical_no_periodic_orbit(Automorphism.identity(B3), 2, 1)
+    assert report["undecided"] == []
+    assert list(report) == [
+        "schema", "max_len", "max_power", "classes_checked", "classes_pruned",
+        "exact_comparisons", "violation", "undecided", "ok",
+    ]
+
+
+def test_orbit_check_refutes_wrong_inverse_on_abelianization(config):
+    forward, _ = pp.twist_factors(config, pp.parse_twist_word("1:+N 2:+N", config.threshold))
+    with pytest.raises(UsageError, match="abelianization"):
+        pp.empirical_no_periodic_orbit(None, 3, 2, factors=forward, inverse_factors=forward)
+
+
+def test_orbit_check_refutes_wrong_inverse_in_a_quotient(config):
+    """A twist over a commutator is invisible on the abelianization."""
+    forward, backward = pp.twist_factors(config, pp.parse_twist_word("1:+N 2:+N", config.threshold))
+    wrong = backward + [dehn_twist(fx.hnn_over_commutator())]
+    with pytest.raises(UsageError, match="permutation quotient"):
+        pp.empirical_no_periodic_orbit(None, 3, 2, factors=forward, inverse_factors=wrong)
+
+
+def test_orbit_check_rejects_mixed_bases(config):
+    forward, backward = pp.twist_factors(config, pp.parse_twist_word("1:+N 2:+N", config.threshold))
+    identity2 = Automorphism.identity(Basis.standard(2))
+    with pytest.raises(BasisMismatch):
+        pp.empirical_no_periodic_orbit(identity2, 3, 2, factors=forward)
+    with pytest.raises(BasisMismatch):
+        pp.empirical_no_periodic_orbit(None, 3, 2, factors=forward, inverse_factors=[identity2])
+
+
+def test_trace_moduli_are_primes_near_2_to_the_61():
+    sympy = pytest.importorskip("sympy")
+    for prime in pp._TRACE_PRIMES:
+        assert sympy.isprime(prime) and abs(prime - 2**61) < 2**32
+    assert pp._TRACE_MODULUS == pp._TRACE_PRIMES[0] * pp._TRACE_PRIMES[1]
+
+
+@settings(max_examples=50)
+@given(
+    st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), min_size=1, max_size=10),
+    st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=6),
+)
+def test_trace_is_a_conjugacy_invariant(word, conjugator):
+    generators = [(2, 3, 5, 8), (1, 7, 0, 1), (4, 1, 3, 1)]  # determinant 1
+    table = pp._matrix_table(generators)
+    word = reduce_word(word)
+    conjugate = reduce_word([*conjugator, *word, *(-x for x in reversed(conjugator))])
+
+    def trace(w):
+        a, _, _, d = pp._matrix_of_word(w, table)
+        return (a + d) % pp._TRACE_MODULUS
+
+    assert trace(conjugate) == trace(word)
+    inverse = tuple(-x for x in reversed(word))
+    assert pp._matrix_of_word(word + inverse, table) == (1, 0, 0, 1)

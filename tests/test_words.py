@@ -1,7 +1,10 @@
+from math import gcd
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from freevol.errors import NotAnAutomorphism
 from freevol.words import (
     Automorphism,
@@ -141,3 +144,51 @@ def test_enumerate_cyclic_classes_counts():
         by_len[len(c.letters)] = by_len.get(len(c.letters), 0) + 1
     # rank 2: one class per necklace of cyclically reduced words.
     assert by_len == {1: 4, 2: 8, 3: 12}
+
+
+@pytest.mark.parametrize("rank, max_len", [(1, 8), (2, 8), (3, 6), (4, 5)])
+def test_enumerate_cyclic_classes_equals_oracle(rank, max_len):
+    got = [c.letters for c in enumerate_cyclic_classes(rank, max_len)]
+    assert got == [c.letters for c in oracles.enumerate_cyclic_classes(rank, max_len)]
+
+
+def _divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def _totient(n):
+    return sum(1 for i in range(1, n + 1) if gcd(i, n) == 1)
+
+
+def _moebius(n):
+    value, p = 1, 2
+    while n > 1:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            value = -value
+        p += 1
+    return value
+
+
+@pytest.mark.parametrize("rank, max_len", [(1, 8), (2, 8), (3, 7), (4, 5)])
+def test_class_counts_match_closed_form(rank, max_len):
+    """Cyclically reduced words of length n number (2k-1)^n + (k-1)(-1)^n + k.
+
+    Rotation classes of them follow by Burnside's lemma, and primitive
+    classes (Lyndon words) by Moebius inversion.
+    """
+
+    def cyclically_reduced(n):
+        return (2 * rank - 1) ** n + (rank - 1) * (-1) ** n + rank
+
+    by_length = {}
+    for c in enumerate_cyclic_classes(rank, max_len):
+        classes, primitive = by_length.get(len(c), (0, 0))
+        by_length[len(c)] = (classes + 1, primitive + (not is_proper_power(c)[0]))
+    for n in range(1, max_len + 1):
+        classes = sum(_totient(n // d) * cyclically_reduced(d) for d in _divisors(n))
+        primitive = sum(_moebius(n // d) * cyclically_reduced(d) for d in _divisors(n))
+        assert by_length.get(n, (0, 0)) == (classes // n, primitive // n)
+        assert classes % n == 0 and primitive % n == 0
