@@ -1,12 +1,14 @@
 """Command-line surface: fold, volume, fill, and pingpong subcommands.
 
 Exit codes: 0 success / definitely true, 1 definitely false, 2 unknown,
-3 hypotheses violated, 64 usage error.  A reader that closes standard
-output early (``freevol ... | head``) changes neither: the rest of the
-output is dropped, nothing is printed on standard error, and the exit
-code is still the verdict's.  All JSON output carries a
-top-level ``"schema": "freevol/1"`` field, and identical invocations
-(including ``--seed``) produce byte-identical output.
+3 hypotheses violated, 4 over budget (``pingpong --images`` on a word
+whose images would exceed ``pingpong.LETTER_BUDGET`` letters; nothing is
+printed on standard output), 64 usage error.  A reader that closes
+standard output early (``freevol ... | head``) changes neither: the rest
+of the output is dropped, nothing is printed on standard error, and the
+exit code is still the verdict's.  All JSON output carries a top-level
+``"schema": "freevol/1"`` field, and identical invocations (including
+``--seed``) produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import filling, pingpong, splittings, stallings
-from .errors import FreevolError, HypothesisViolated, UsageError
+from .errors import BudgetExceeded, FreevolError, HypothesisViolated, UsageError
 from .splittings import CyclicSplitting, MarkedPair
 from .volume import analyze, to_dot as volume_to_dot
 from .words import Basis, parse_word, render_word
@@ -27,6 +29,7 @@ EXIT_OK = 0
 EXIT_FALSE = 1
 EXIT_UNKNOWN = 2
 EXIT_HYPOTHESES = 3
+EXIT_BUDGET = 4
 EXIT_USAGE = 64
 
 PAIR_SCHEMA = "freevol/1"
@@ -228,6 +231,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except HypothesisViolated as exc:
         print(f"hypotheses violated: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESES
+    except BudgetExceeded as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
     except FreevolError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FALSE

@@ -45,5 +45,9 @@ class TieDetected(FreevolError):
     """An exact volume ratio tie was detected during classification."""
 
 
+class BudgetExceeded(FreevolError):
+    """A computation would build more letters than its documented budget."""
+
+
 class UsageError(FreevolError):
     """Bad command-line usage."""

@@ -25,6 +25,7 @@ from . import stallings
 from . import volume as volume_mod
 from .errors import (
     BasisMismatch,
+    BudgetExceeded,
     NotFillingEvidence,
     NotProperSubgroup,
     TieDetected,
@@ -218,13 +219,41 @@ def parse_twist_word(text: str, threshold: Optional[int] = None) -> TwistWord:
     return TwistWord(tuple(factors))
 
 
+#: No word built by an exact orbit comparison, and no automorphism built by
+#: ``realize`` (all its images together), may exceed this many letters.
+LETTER_BUDGET = 10_000_000
+
+
+def _letters_needed(phi: Automorphism, words: Sequence[Word]) -> int:
+    """Upper bound on the letters of ``apply(phi, w)`` over all ``w`` in ``words``.
+
+    The summed lengths of the letters' images: free reduction only
+    shortens the result, so it can be checked before anything is built.
+    """
+    lengths = [len(image) for image in phi.images]
+    return sum(lengths[abs(x) - 1] for word in words for x in word)
+
+
 def realize(config: PingPongConfig, word: TwistWord) -> Automorphism:
-    """Compose the twist powers named by the word, left factor outermost."""
+    """Compose the twist powers named by the word, left factor outermost.
+
+    Before each factor is composed, the images it would give are bounded
+    by ``_letters_needed``; past ``LETTER_BUDGET`` letters BudgetExceeded
+    is raised, naming the budget and that bound, and nothing larger is
+    built.
+    """
     basis = config.pair.ambient_basis
     splittings = {1: config.pair.first, 2: config.pair.second}
     result = Automorphism(basis, tuple((i,) for i in range(1, basis.rank + 1)))
     for twist_id, exponent in word.factors:
-        result = compose(result, dehn_twist(splittings[twist_id], exponent))
+        factor = dehn_twist(splittings[twist_id], exponent)
+        needed = _letters_needed(result, factor.images)
+        if needed > LETTER_BUDGET:
+            raise BudgetExceeded(
+                f"realizing {word.render()!r} needs up to {needed} letters, "
+                f"over the budget of {LETTER_BUDGET}"
+            )
+        result = compose(result, factor)
     return result
 
 
@@ -342,10 +371,6 @@ _IDENTITY_PERM = tuple(range(_PERM_DEGREE))
 _TRACE_PRIMES = (2**61 - 1, 2**61 - 31)
 _TRACE_MODULUS = _TRACE_PRIMES[0] * _TRACE_PRIMES[1]
 
-#: No word built by an exact comparison may exceed this many letters; a
-#: class whose comparison would is reported ``undecided``.
-EXACT_LETTER_BUDGET = 1_000_000
-
 
 def _signed_table(values: Sequence, inverses: Sequence) -> list:
     """A list indexed by signed letters: ``table[i]`` and ``table[-i]``."""
@@ -416,11 +441,11 @@ def _through(values: list, factors: Sequence[Automorphism], table, evaluate) -> 
 def _within_budget(factors: Sequence[Automorphism], word: Word) -> Optional[Word]:
     """The cyclic reduction of ``factors`` applied to ``word``, or None past the budget.
 
-    Each factor's output is bounded before it is built by the summed
-    lengths of the letters' images, so no word over the budget is built.
+    Each factor's output is bounded by ``_letters_needed`` before it is
+    built, so no word over ``LETTER_BUDGET`` is built.
     """
     for factor in reversed(factors):
-        if sum(len(factor.images[abs(x) - 1]) for x in word) > EXACT_LETTER_BUDGET:
+        if _letters_needed(factor, [word]) > LETTER_BUDGET:
             return None
         word, _ = cyclically_reduce(apply(factor, word))
     return word
@@ -464,7 +489,7 @@ def empirical_no_periodic_orbit(
     conjugate; the trace maps are set up only once some class gets that
     far.  A pair
     that passes every filter is compared exactly, building no word longer
-    than ``EXACT_LETTER_BUDGET`` letters; a class whose comparison would
+    than ``LETTER_BUDGET`` letters; a class whose comparison would
     exceed it is listed under ``undecided`` with the power reached, its
     higher powers go unchecked, and ``ok`` is false.
 

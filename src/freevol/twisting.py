@@ -11,11 +11,27 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import HypothesisViolated, NotAnAutomorphism
-from .splittings import CyclicSplitting, dehn_twist, relative_inverse
+from .errors import HypothesisViolated, NotAnAutomorphism, TrivialSubgroup, UsageError
+from .splittings import (
+    AMALGAM,
+    CyclicSplitting,
+    dehn_twist,
+    from_relative,
+    relative_inverse,
+    to_relative,
+)
 from .stallings import is_malnormal, rank, subgroup_graph
 from .volume import free_volume, translation_length
-from .words import Automorphism, Word, apply, compose
+from .words import (
+    Automorphism,
+    Word,
+    apply,
+    compose,
+    concat,
+    cyclically_reduce,
+    invert_word,
+    reduce_word,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +199,174 @@ def constants(
 
 
 # ---------------------------------------------------------------------------
+# Growth certificates for cyclic subgroups
+
+
+def _is_power_of(word: Word, root: Word) -> bool:
+    """Whether the reduced ``word`` is ``root^j`` for some j, 0 included."""
+    count, rest = divmod(len(word), len(root))
+    return not rest and word in (root * count, invert_word(root) * count)
+
+
+def _twist_blocks(splitting: CyclicSplitting, x: Word) -> Optional[list[tuple[int, Word]]]:
+    """The twist powers of a cyclically reduced relative word, in block form.
+
+    Returns ``[(k_1, w_1), ..., (k_m, w_m)]``, each k_i = +-1, such that
+    ``relative_twist(splitting, n)`` maps ``x`` to a conjugate of the
+    cyclic product ``c^(k_1 n) w_1 ... c^(k_m n) w_m`` for every n, with
+    ``c`` the edge word; no w_i is a power of c.  A w_i that is a power of
+    c between blocks of opposite signs is merged away, as
+    ``c^(kn) w c^(-kn) = w``; between blocks of one sign it gives None.
+    """
+    c = splitting.edge_word
+    amalgam = splitting.kind == AMALGAM
+    blocks: list[list] = []  # [k, letters after the block]
+    head: list[int] = []  # letters before the first block
+    for letter in x:
+        twisted = abs(letter) in splitting.b0_part if amalgam else abs(letter) == splitting.stable_index
+        if twisted and (amalgam or letter > 0):
+            blocks.append([1, []])
+        (blocks[-1][1] if blocks else head).append(letter)
+        if twisted and (amalgam or letter < 0):
+            blocks.append([-1, []])
+    if not blocks:
+        return []
+    blocks[-1][1] += head
+    i = 0
+    while i < len(blocks):
+        k, w = blocks[i][0], reduce_word(blocks[i][1])
+        blocks[i][1] = w
+        if not _is_power_of(w, c):
+            i += 1
+            continue
+        j = (i + 1) % len(blocks)
+        if blocks[j][0] != -k:
+            return None
+        if len(blocks) == 2:
+            return []
+        blocks[i - 1][1] = (*blocks[i - 1][1], *w, *blocks[j][1])
+        del blocks[max(i, j)], blocks[min(i, j)]
+        i = 0
+    return [(k, tuple(w)) for k, w in blocks]
+
+
+def _junction(left: Word, z: Word, right: Word) -> Optional[tuple[int, int]]:
+    """How many letters reducing ``left z right`` removes from ``left`` and from ``right``.
+
+    All three words are reduced.  None if ``left`` or ``right`` is used up.
+    """
+    word = (*left, *z, *right)
+    stack: list[int] = []  # positions in word of the letters kept so far
+    for position, letter in enumerate(word):
+        if stack and word[stack[-1]] == -letter:
+            stack.pop()
+        else:
+            stack.append(position)
+    removed_left = len(left) - sum(1 for p in stack if p < len(left))
+    removed_right = len(right) - sum(1 for p in stack if p >= len(left) + len(z))
+    if removed_left == len(left) or removed_right == len(right):
+        return None
+    return removed_left, removed_right
+
+
+def _certificate(
+    splitting1: CyclicSplitting, splitting2: CyclicSplitting, g: Word, length_c1: int
+) -> Optional[dict]:
+    """``growth_certificate`` with the edge word's length in splitting 2 given."""
+    if length_c1 == 0:
+        return None
+    x, _ = cyclically_reduce(to_relative(splitting1, g))
+    if not x:
+        raise TrivialSubgroup("the generator is trivial")
+    blocks = _twist_blocks(splitting1, x)
+    if blocks is None:
+        return None
+    # Splitting-2 relative coordinates, through nu = basis_change(splitting1,
+    # splitting2) without composing it.
+    u, q = cyclically_reduce(to_relative(splitting2, splitting1.edge_word_ambient()))
+    q_inverse = invert_word(q)
+    zs = [concat(q_inverse, to_relative(splitting2, from_relative(splitting1, w)), q) for _, w in blocks]
+    m = len(blocks)
+    slope = m * length_c1
+    certificate = {}
+    for sign, key in ((1, "plus"), (-1, "minus")):
+        periods = [u if sign * k > 0 else invert_word(u) for k, _ in blocks]
+        # cuts[i]: letters removed from the end of block i and from the
+        # start of block i + 1 at the junction through z_i.
+        cuts = []
+        for i, z in enumerate(zs):
+            reps = len(z) // len(u) + 2
+            cut = _junction(periods[i] * reps, z, periods[(i + 1) % m] * reps)
+            if cut is None:
+                return None
+            cuts.append(cut)
+        eaten = max((cuts[i - 1][1] + cuts[i][0] for i in range(m)), default=None)
+        n0 = 1 if eaten is None else -(-eaten // len(u)) + 2
+        at_n0 = free_volume(splitting2, [apply(dehn_twist(splitting1, sign * n0), g)])
+        certificate[key] = {"slope": slope, "intercept": at_n0 - slope * n0, "n0": n0}
+    return certificate
+
+
+def growth_certificate(
+    splitting1: CyclicSplitting, splitting2: CyclicSplitting, g: Word
+) -> Optional[dict]:
+    """Exact twisted volume of a cyclic subgroup for every large twist power.
+
+    Returns ``{"plus": line, "minus": line}``, each ``line`` a dict
+    ``{"slope", "intercept", "n0"}`` such that for every n >= n0
+
+        free_volume(splitting2, [T1^(+-n)(g)]) == slope * n + intercept,
+
+    T1 = ``dehn_twist(splitting1)``, with ``slope = l1(g) * l2(c1)`` (l the
+    translation length, c1 the first edge word).  The intercept comes
+    from one refold at +-n0.  Returns None, so that the caller refolds,
+    when l2(c1) = 0; also if two blocks of one sign meet around a power
+    of c1 or a junction cancels without end, which step 1 rules out.
+
+    Proof of n0, in three steps.
+
+    1. Block form.  Let x be the cyclic reduction of g in splitting-1
+       relative coordinates.  The relative twist puts c^n before each B0
+       letter and c^-n after it (amalgam), or c^n before t and c^-n after
+       t^-1 (HNN), with c = c1 relative.  So T1^n(g) is conjugate to the
+       cyclic word c^(k_1 n) w_1 ... c^(k_m n) w_m, k_i = +-1
+       (``_twist_blocks``), once c^(kn) w c^(-kn) = w is merged wherever
+       w is a power of c.  The merges fall exactly on the gaps that the
+       count of step 3, read in splitting 1, does not count, so m = l1(g).
+       With nu = ``basis_change(splitting1, splitting2)`` and
+       nu(c) = q u q^-1, u cyclically reduced, the splitting-2 relative
+       word is the cyclic product of u^(k_i n) z_i, z_i = q^-1 nu(w_i) q.
+    2. Free pumping.  Reducing u^(k_i R) z_i u^(k_(i+1) R), for R periods
+       longer than z_i and u together, removes a_i letters from the left
+       block and b_i from the right one (``_junction``).  If neither block
+       is used up, longer blocks change nothing: the cut depends only on
+       z_i and on the periodic rays around it.  So once every block
+       u^(k_i n) is longer than the b_(i-1) + a_i letters its two
+       junctions remove, the cyclic reduction of the word is the product
+       of the junction remainders and the surviving middles S_i(n) of the
+       blocks, and S_i(n + 1) is S_i(n) with one period of u inserted.
+    3. l2 is a local count.  Call the B0 letters (amalgam) or the stable
+       letter t (HNN) of splitting 2 separators.  On a cyclically reduced
+       relative word with a separator, l2 is a sum over the gaps between
+       cyclically consecutive separators: an amalgam's gap adds 2 unless
+       it is a power of c2, and for an HNN splitting l2 = #t minus 2 per
+       gap t^-1 c2^j t, since such pinches cannot nest (the edge groups
+       are malnormal in the vertex groups).  As l2(u) = l2(c1) > 0, u has
+       a separator, so every |u| letters of S_i(n) hold one.  If
+       S_i(n) has at least 2|u| letters, insert the new period right after
+       a separator in its first period: the gaps of one period of u are
+       added, l2(u) in all, and no other gap changes.
+
+    Hence l2(T1^(n+1) g) = l2(T1^n g) + m l2(c1) for every n >= n0, the
+    least n >= 1 with n |u| >= b_(i-1) + a_i + 2|u| for all i; for m = 0
+    the word does not depend on n and n0 = 1.  The negative powers are
+    the same argument with every k_i negated.
+    """
+    c1_ambient = splitting1.edge_word_ambient()
+    return _certificate(splitting1, splitting2, g, translation_length(splitting2, c1_ambient))
+
+
+# ---------------------------------------------------------------------------
 # Volume growth bounds
 
 
@@ -198,7 +382,18 @@ def check_volume_growth_bounds(
 
     The subgroup must be cyclic or malnormal, of rank at most the bound the
     constants were computed for; otherwise HypothesisViolated is raised.
+    The twist power ``n`` must be a nonzero int, or UsageError is raised.
+
+    A subgroup given by one generator also gets ``growth_certificate``
+    under ``"certificate"``, with ``all_n_ok``: the two-sided bound for
+    every |n| >= n0 at once.  Both bounds have slope vol1 * l2(c1), so
+    this holds exactly when the certified slope equals it and
+    |intercept| <= vol1 * C + M * vol2.  For |n| >= n0 the observed
+    volume is read off the certificate; otherwise, and for every other
+    subgroup, the generators are twisted and refolded.
     """
+    if isinstance(n, bool) or not isinstance(n, int) or n == 0:
+        raise UsageError(f"the twist power must be a nonzero int, got {n!r}")
     ambient_core = subgroup_graph(splitting1.ambient_basis, list(gens), keep_basepoint=False)
     subgroup_rank = rank(ambient_core)
     if subgroup_rank > 1 and not is_malnormal(ambient_core):
@@ -209,24 +404,38 @@ def check_volume_growth_bounds(
     length_c1 = translation_length(splitting2, c1_ambient)
     vol1 = free_volume(splitting1, gens)
     vol2 = free_volume(splitting2, gens)
+    nontrivial = [g for g in gens if g]
+    certificate = None
+    if len(nontrivial) == 1:
+        certificate = _certificate(splitting1, splitting2, nontrivial[0], length_c1)
     results = {}
     all_ok = True
     for sign in (+1, -1):
-        phi = dehn_twist(splitting1, sign * n)
-        twisted = [apply(phi, g) for g in gens]
-        observed = free_volume(splitting2, twisted)
+        power = sign * n
+        line = certificate and certificate["plus" if power > 0 else "minus"]
+        if line and abs(n) >= line["n0"]:
+            observed = line["slope"] * abs(n) + line["intercept"]
+        else:
+            phi = dehn_twist(splitting1, power)
+            observed = free_volume(splitting2, [apply(phi, g) for g in gens])
         lower = vol1 * (abs(n) * length_c1 - bounds.C) - bounds.M * vol2
         upper = vol1 * (abs(n) * length_c1 + bounds.C) + bounds.M * vol2
         ok_low = lower <= observed
         ok_high = observed <= upper
         all_ok = all_ok and ok_low and ok_high
-        results[f"twist_power_{sign * n}"] = {
+        results[f"twist_power_{power}"] = {
             "observed": observed,
             "lower": lower,
             "upper": upper,
             "lower_ok": ok_low,
             "upper_ok": ok_high,
         }
+    if certificate is not None:
+        slack = vol1 * bounds.C + bounds.M * vol2
+        certificate["all_n_ok"] = all(
+            line["slope"] == vol1 * length_c1 and abs(line["intercept"]) <= slack
+            for line in (certificate["plus"], certificate["minus"])
+        )
     return {
         "schema": "freevol/1",
         "vol1": vol1,
@@ -236,4 +445,5 @@ def check_volume_growth_bounds(
         "n": n,
         "all_ok": all_ok,
         "bounds": results,
+        "certificate": certificate,
     }

@@ -297,56 +297,6 @@ def translation_length(splitting: CyclicSplitting, word: Word) -> int:
     return free_volume(splitting, [core])
 
 
-def bilipschitz_sample(
-    splitting1: CyclicSplitting,
-    splitting2: CyclicSplitting,
-    trials: int,
-    max_len: int,
-    seed: int = 0,
-) -> dict:
-    """Sampled comparison of volume sums against ambient rose volume.
-
-    For random cyclically reduced words g, compares vol1(g) + vol2(g)
-    against the ambient rose length of the cyclic word; reports extremal
-    ratios and the number of excluded zero-denominator samples.
-    """
-    import random
-
-    from .words import CyclicWord
-
-    rng = random.Random(seed)
-    k = splitting1.rank
-    ratios: list[float] = []
-    excluded = 0
-    for _ in range(trials):
-        length = rng.randint(1, max_len)
-        letters: list[int] = []
-        for _ in range(length):
-            choices = [x for x in range(-k, k + 1) if x != 0]
-            if letters:
-                choices = [x for x in choices if x != -letters[-1]]
-            letters.append(rng.choice(choices))
-        cyclic = CyclicWord.of(tuple(letters))
-        if not cyclic.letters:
-            excluded += 1
-            continue
-        rose_volume = len(cyclic.letters)
-        total = translation_length(splitting1, cyclic.letters) + translation_length(
-            splitting2, cyclic.letters
-        )
-        if total == 0 or rose_volume == 0:
-            excluded += 1
-            continue
-        ratios.append(total / rose_volume)
-    return {
-        "schema": "freevol/1",
-        "samples": len(ratios),
-        "excluded": excluded,
-        "min_ratio": min(ratios) if ratios else None,
-        "max_ratio": max(ratios) if ratios else None,
-    }
-
-
 def to_dot(report: VolumeReport, basis: Basis) -> str:
     """DOT overlay: edge classes by color, chain edges dashed, essential vertices filled."""
     colors = {A_EDGE: "blue", B0_EDGE: "red", T_EDGE: "darkgreen"}

@@ -21,6 +21,9 @@ it cross-checks the twist, the library fold and the crossing vertices of
 ``volume.py`` at once.  ``graph_composition`` likewise rewrites a core
 graph through a change of marking by substituting image words for labels.
 
+``bilipschitz_sample`` compares the library's summed volumes with the
+rose length of random classes.  No verdict uses it, so it lives here.
+
 ``suffix_window_bcc`` is the library's original bounded cancellation
 constant: it tracks the reachable suffixes of images in a window that
 doubles until no cancellation reaches past it, and gives up past a state
@@ -62,6 +65,7 @@ from freevol.volume import (
     classify_chains,
     essential_and_crossing_vertices,
     find_chains,
+    translation_length as library_translation_length,
 )
 from freevol.words import (
     Automorphism,
@@ -225,6 +229,53 @@ def translation_length(splitting: CyclicSplitting, word: Word) -> int:
     if splitting.kind == AMALGAM:
         return _amalgam_length(splitting, relative)
     return _hnn_length(splitting, relative)
+
+
+def bilipschitz_sample(
+    splitting1: CyclicSplitting,
+    splitting2: CyclicSplitting,
+    trials: int,
+    max_len: int,
+    seed: int = 0,
+) -> dict:
+    """Sampled comparison of volume sums against ambient rose volume.
+
+    For random cyclically reduced words g, compares vol1(g) + vol2(g)
+    against the ambient rose length of the cyclic word; reports extremal
+    ratios and the number of excluded zero-denominator samples.  The
+    volumes are the library's ``volume.translation_length``.
+    """
+    rng = random.Random(seed)
+    k = splitting1.rank
+    ratios: list[float] = []
+    excluded = 0
+    for _ in range(trials):
+        length = rng.randint(1, max_len)
+        letters: list[int] = []
+        for _ in range(length):
+            choices = [x for x in range(-k, k + 1) if x != 0]
+            if letters:
+                choices = [x for x in choices if x != -letters[-1]]
+            letters.append(rng.choice(choices))
+        cyclic = CyclicWord.of(tuple(letters))
+        if not cyclic.letters:
+            excluded += 1
+            continue
+        rose_volume = len(cyclic.letters)
+        total = library_translation_length(splitting1, cyclic.letters) + library_translation_length(
+            splitting2, cyclic.letters
+        )
+        if total == 0 or rose_volume == 0:
+            excluded += 1
+            continue
+        ratios.append(total / rose_volume)
+    return {
+        "schema": "freevol/1",
+        "samples": len(ratios),
+        "excluded": excluded,
+        "min_ratio": min(ratios) if ratios else None,
+        "max_ratio": max(ratios) if ratios else None,
+    }
 
 
 def max_cancellation(nu, max_len: int) -> int:

@@ -230,7 +230,7 @@ def test_criterion_10_bilipschitz_sampling():
     # checking its volumes directly.
     ok, evidence = fl.check_f1_for(pair, [P("c"), P("cababbc")])
     assert ok and evidence == {"vol_1": 3, "vol_2": 2}
-    report = vol.bilipschitz_sample(pair.first, pair.second, 200, 12, seed=0)
+    report = oracles.bilipschitz_sample(pair.first, pair.second, 200, 12, seed=0)
     assert report["samples"] > 0
     assert report["min_ratio"] is not None and report["min_ratio"] > 0
     assert report["max_ratio"] is not None

@@ -321,3 +321,30 @@ def test_closed_stdout_keeps_exit_code_and_leaves_stderr_empty(tmp_path):
     stderr = process.stderr.read()
     process.stderr.close()
     assert (process.wait(timeout=60), stderr) == (0, b"")
+
+
+def test_images_over_the_letter_budget_exit_with_the_budget_code(tmp_path):
+    """On the sixth-power pair (N = 111) this word's images need 22.8 million letters."""
+    path = write_pair(tmp_path, fx.pair_with_sixth_power(), "sixth.json")
+    src = str(Path(freevol.__file__).resolve().parents[1])
+    path_entries = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path_entries)))
+    argv = ["pingpong", "--pair", path, "1:+N 2:-N 1:+N 2:+N", "--images"]
+    result = subprocess.run(
+        [sys.executable, "-m", "freevol.cli", *argv],
+        capture_output=True,
+        env=env,
+        timeout=20,
+    )
+    assert result.returncode == cli.EXIT_BUDGET == 4
+    assert result.stdout == b""
+    assert b"Traceback" not in result.stderr
+    assert f"budget of {pingpong.LETTER_BUDGET}".encode() in result.stderr
+
+
+def test_realize_names_the_budget_and_the_letters_needed(monkeypatch):
+    config = pingpong.configure(fx.certified_filling_pair())
+    word = pingpong.parse_twist_word("1:+N 2:-N", config.threshold)
+    monkeypatch.setattr(pingpong, "LETTER_BUDGET", 100)
+    with pytest.raises(freevol.BudgetExceeded, match=r"needs up to \d+ letters, over the budget of 100"):
+        pingpong.realize(config, word)

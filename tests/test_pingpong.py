@@ -278,7 +278,7 @@ def test_orbit_check_trace_filter_decides_seed_405_class():
 
 
 def test_orbit_check_budget_trip_is_undecided(config, monkeypatch):
-    monkeypatch.setattr(pp, "EXACT_LETTER_BUDGET", 0)
+    monkeypatch.setattr(pp, "LETTER_BUDGET", 0)
     report = pp.empirical_no_periodic_orbit(dehn_twist(config.pair.first), 2, 1)
     assert report["violation"] is None
     assert report["undecided"][0] == {"word": "a", "power": 1}

@@ -10,7 +10,7 @@ from freevol import splittings as sp
 from freevol import stallings as st_mod
 from freevol import twisting as tw
 from freevol import volume as vol
-from freevol.errors import NotAnAutomorphism
+from freevol.errors import NotAnAutomorphism, UsageError
 from freevol.words import (
     Automorphism,
     apply,
@@ -201,3 +201,124 @@ def test_volume_growth_bounds_rejects_non_malnormal():
         tw.check_volume_growth_bounds(
             pair.first, pair.second, [P("a"), P("baB")], 2, consts, rank_bound=2
         )
+
+
+# Growth certificates of cyclic subgroups
+
+CERTIFIED_PAIRS = [
+    "certified_filling_pair",
+    "mirror_filling_pair",
+    "pair_with_sixth_power",
+    "pair_with_single_step",
+]
+
+
+def _random_cyclic_words(seed, count, max_len=9):
+    rng = random.Random(seed)
+    words = []
+    while len(words) < count:
+        letters = []
+        for _ in range(rng.randint(1, max_len)):
+            choices = [x for x in (-3, -2, -1, 1, 2, 3) if not letters or x != -letters[-1]]
+            letters.append(rng.choice(choices))
+        if len(letters) < 2 or letters[0] != -letters[-1]:
+            words.append(tuple(letters))
+    return words
+
+
+def _refolded(pair, g, power):
+    return oracles.translation_length(pair.second, apply(sp.dehn_twist(pair.first, power), g))
+
+
+def _assert_certificate_matches_refolding(pair, g, certificate):
+    for key, sign in (("plus", 1), ("minus", -1)):
+        line = certificate[key]
+        for n in [*range(line["n0"], line["n0"] + 9), 128]:
+            assert line["slope"] * n + line["intercept"] == _refolded(pair, g, sign * n), (key, n)
+
+
+@pytest.mark.parametrize("name", CERTIFIED_PAIRS)
+def test_growth_certificate_equals_refolding(name):
+    pair = getattr(fx, name)()
+    length_c1 = oracles.translation_length(pair.second, pair.first.edge_word_ambient())
+    for g in _random_cyclic_words(seed=len(name), count=16):
+        certificate = tw.growth_certificate(pair.first, pair.second, g)
+        assert certificate is not None, render_word(g, B3)
+        slope = oracles.translation_length(pair.first, g) * length_c1
+        assert certificate["plus"]["slope"] == certificate["minus"]["slope"] == slope
+        _assert_certificate_matches_refolding(pair, g, certificate)
+
+
+@pytest.mark.parametrize(
+    "text, blocks",
+    [
+        ("a", 0),  # elliptic in the first splitting: nothing to twist
+        ("abcc", 2),
+        ("Cabca", 0),  # t^-1 c t a: the two blocks cancel
+        ("aCabcac", 1),  # t^-1 c t inside: two of three blocks cancel
+    ],
+)
+def test_growth_certificate_of_merged_and_elliptic_words(text, blocks):
+    pair = fx.certified_filling_pair()
+    g = P(text)
+    length_c1 = oracles.translation_length(pair.second, pair.first.edge_word_ambient())
+    certificate = tw.growth_certificate(pair.first, pair.second, g)
+    assert certificate["plus"]["slope"] == blocks * length_c1
+    assert oracles.translation_length(pair.first, g) == blocks
+    _assert_certificate_matches_refolding(pair, g, certificate)
+
+
+def test_no_certificate_when_the_edge_word_is_elliptic():
+    # Swapped, the single-step pair's first edge word is elliptic in the second.
+    pair = fx.pair_with_single_step()
+    first, second = pair.second, pair.first
+    assert vol.translation_length(second, first.edge_word_ambient()) == 0
+    g = P("aCCbc")
+    assert tw.growth_certificate(first, second, g) is None
+    consts = tw.constants(1, first, second)
+    report = tw.check_volume_growth_bounds(first, second, [g], 40, consts)
+    assert report["certificate"] is None
+    assert report["bounds"]["twist_power_40"]["observed"] == oracles.translation_length(
+        second, apply(sp.dehn_twist(first, 40), g)
+    )
+
+
+def test_growth_report_reads_large_powers_off_the_certificate():
+    pair = fx.certified_filling_pair()
+    consts = tw.constants(1, pair.first, pair.second)
+    g = P("abCacBBc")
+    certificate = tw.growth_certificate(pair.first, pair.second, g)
+    for n in (1, 2, 20, -20):
+        report = tw.check_volume_growth_bounds(pair.first, pair.second, [g], n, consts)
+        assert report["certificate"] == {**certificate, "all_n_ok": True}
+        for power in (n, -n):
+            assert report["bounds"][f"twist_power_{power}"]["observed"] == _refolded(pair, g, power)
+        assert report["all_ok"]
+
+
+def test_growth_check_cost_does_not_grow_with_n(monkeypatch):
+    pair = fx.certified_filling_pair()
+    consts = tw.constants(1, pair.first, pair.second)
+    g = P("abCacBBc")
+    assert max(line["n0"] for line in tw.growth_certificate(pair.first, pair.second, g).values()) <= 16
+    fold = st_mod.fold_and_core
+    largest = []
+
+    def counting_fold(graph, keep_basepoint):
+        largest[-1] = max(largest[-1], len(graph.edges))
+        return fold(graph, keep_basepoint)
+
+    monkeypatch.setattr(st_mod, "fold_and_core", counting_fold)
+    for n in (16, 4096):
+        largest.append(0)
+        report = tw.check_volume_growth_bounds(pair.first, pair.second, [g], n, consts)
+        assert report["all_ok"]
+    assert largest[0] == largest[1] > 0
+
+
+@pytest.mark.parametrize("n", [0, True, False])
+def test_growth_check_refuses_a_zero_or_bool_power(n):
+    pair = fx.pair_with_single_step()
+    consts = tw.constants(1, pair.first, pair.second)
+    with pytest.raises(UsageError):
+        tw.check_volume_growth_bounds(pair.first, pair.second, [P("aCCbc")], n, consts)

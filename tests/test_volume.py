@@ -90,7 +90,7 @@ def test_oracle_agreement_on_sample():
 
 def test_bilipschitz_sample_smoke():
     pair = fx.pair_with_sixth_power()
-    report = vol.bilipschitz_sample(pair.first, pair.second, 40, 8, seed=5)
+    report = oracles.bilipschitz_sample(pair.first, pair.second, 40, 8, seed=5)
     assert report["samples"] > 0
     assert report["min_ratio"] is not None and report["min_ratio"] > 0
     assert report["max_ratio"] >= report["min_ratio"]
