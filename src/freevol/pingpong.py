@@ -35,6 +35,7 @@ from .filling import FillingCertificate, check_filling
 from .splittings import MarkedPair, dehn_twist, require_valid
 from .twisting import TwistConstants, constants as twist_constants
 from .words import (
+    LETTER_BUDGET,
     Automorphism,
     Word,
     apply,
@@ -43,13 +44,14 @@ from .words import (
     enumerate_cyclic_classes,
     invert,
     is_proper_power,
+    letters_needed,
     render_word,
 )
 
 SIDE_FIRST = "side1"
 SIDE_SECOND = "side2"
 
-DEFAULT_SLACK = Fraction(2**40 + 1, 2**40)
+SLACK = Fraction(2**40 + 1, 2**40)
 
 VERDICT_IWIP = "fully_irreducible_hyperbolic"
 VERDICT_NONTRIVIAL = "nontrivial"
@@ -61,22 +63,17 @@ VERDICT_NOT_MET = "hypotheses_not_met"
 class PingPongConfig:
     """Everything needed to run the ping-pong argument on one pair.
 
-    ``slack`` is the rational factor separating the two sides; it must
-    stay within a factor of 2 of 1 in either direction.  ``threshold`` is
-    the minimal twist exponent making both swap inequalities hold.
-    ``filling`` is the pair's filling certificate; the argument needs its
-    verdict to be ``fills``.
+    ``threshold`` is the minimal twist exponent making both swap
+    inequalities hold.  ``filling`` is the pair's filling certificate; the
+    argument needs its verdict to be ``fills``.
     """
 
     pair: MarkedPair
     constants: TwistConstants
-    slack: Fraction
     threshold: int
     filling: FillingCertificate
 
     def __post_init__(self) -> None:
-        if self.slack <= 0 or max(self.slack, 1 / self.slack) > 2:
-            raise UsageError("slack factor must be positive and within [1/2, 2]")
         if self.threshold < 1:
             raise UsageError("threshold exponent must be at least 1")
 
@@ -106,7 +103,7 @@ def threshold_exponent(consts: TwistConstants, ell12: int, ell21: int) -> int:
     return n
 
 
-def configure(pair: MarkedPair, slack: Fraction = DEFAULT_SLACK) -> PingPongConfig:
+def configure(pair: MarkedPair) -> PingPongConfig:
     """Filling certificate, constants and threshold of the pair.
 
     The edge words' cross translation lengths are tested first, so a pair
@@ -121,7 +118,6 @@ def configure(pair: MarkedPair, slack: Fraction = DEFAULT_SLACK) -> PingPongConf
     return PingPongConfig(
         pair=pair,
         constants=consts,
-        slack=slack,
         threshold=threshold_exponent(consts, ell12, ell21),
         filling=filling,
     )
@@ -144,7 +140,7 @@ def size(config: PingPongConfig, gens: Sequence[Word]) -> int:
 def classify(config: PingPongConfig, gens: Sequence[Word]) -> str:
     """Which ping-pong side a proper free factor or cyclic subgroup is on.
 
-    Side one collects subgroups whose first volume is below ``slack``
+    Side one collects subgroups whose first volume is below ``SLACK``
     times the second; side two the mirror image.  An exact tie raises.
     """
     gens = list(gens)
@@ -155,13 +151,13 @@ def classify(config: PingPongConfig, gens: Sequence[Word]) -> str:
         )
     v1, v2 = volumes(config, gens)
     lhs = Fraction(v1)
-    rhs = config.slack * v2
+    rhs = SLACK * v2
     if lhs < rhs:
         return SIDE_FIRST
     if lhs > rhs:
         return SIDE_SECOND
     raise TieDetected(
-        f"volumes ({v1}, {v2}) tie exactly at slack {config.slack}"
+        f"volumes ({v1}, {v2}) tie exactly at slack {SLACK}"
     )
 
 
@@ -219,35 +215,20 @@ def parse_twist_word(text: str, threshold: Optional[int] = None) -> TwistWord:
     return TwistWord(tuple(factors))
 
 
-#: No word built by an exact orbit comparison, and no automorphism built by
-#: ``realize`` (all its images together), may exceed this many letters.
-LETTER_BUDGET = 10_000_000
-
-
-def _letters_needed(phi: Automorphism, words: Sequence[Word]) -> int:
-    """Upper bound on the letters of ``apply(phi, w)`` over all ``w`` in ``words``.
-
-    The summed lengths of the letters' images: free reduction only
-    shortens the result, so it can be checked before anything is built.
-    """
-    lengths = [len(image) for image in phi.images]
-    return sum(lengths[abs(x) - 1] for word in words for x in word)
-
-
 def realize(config: PingPongConfig, word: TwistWord) -> Automorphism:
     """Compose the twist powers named by the word, left factor outermost.
 
     Before each factor is composed, the images it would give are bounded
-    by ``_letters_needed``; past ``LETTER_BUDGET`` letters BudgetExceeded
+    by ``letters_needed``; past ``LETTER_BUDGET`` letters BudgetExceeded
     is raised, naming the budget and that bound, and nothing larger is
-    built.
+    built (``dehn_twist`` bounds each factor likewise).
     """
     basis = config.pair.ambient_basis
     splittings = {1: config.pair.first, 2: config.pair.second}
-    result = Automorphism(basis, tuple((i,) for i in range(1, basis.rank + 1)))
+    result = Automorphism.identity(basis)
     for twist_id, exponent in word.factors:
         factor = dehn_twist(splittings[twist_id], exponent)
-        needed = _letters_needed(result, factor.images)
+        needed = letters_needed(result, factor.images)
         if needed > LETTER_BUDGET:
             raise BudgetExceeded(
                 f"realizing {word.render()!r} needs up to {needed} letters, "
@@ -441,11 +422,11 @@ def _through(values: list, factors: Sequence[Automorphism], table, evaluate) -> 
 def _within_budget(factors: Sequence[Automorphism], word: Word) -> Optional[Word]:
     """The cyclic reduction of ``factors`` applied to ``word``, or None past the budget.
 
-    Each factor's output is bounded by ``_letters_needed`` before it is
+    Each factor's output is bounded by ``letters_needed`` before it is
     built, so no word over ``LETTER_BUDGET`` is built.
     """
     for factor in reversed(factors):
-        if _letters_needed(factor, [word]) > LETTER_BUDGET:
+        if letters_needed(factor, [word]) > LETTER_BUDGET:
             return None
         word, _ = cyclically_reduce(apply(factor, word))
     return word

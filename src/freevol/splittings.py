@@ -13,8 +13,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .errors import InvalidSplitting
+from .errors import BudgetExceeded, InvalidSplitting, NotAnAutomorphism
 from .words import (
+    LETTER_BUDGET,
     Automorphism,
     Basis,
     CyclicWord,
@@ -27,10 +28,10 @@ from .words import (
     invert,
     invert_word,
     is_proper_power,
+    letters_needed,
     parse_word,
     reduce_word,
     render_word,
-    validate_automorphism,
 )
 
 AMALGAM = "amalgam"
@@ -106,8 +107,9 @@ def _diagnostics(splitting: CyclicSplitting) -> tuple[str, ...]:
     if len(splitting.relative_basis) != k:
         problems.append("relative basis size differs from ambient rank")
         return tuple(problems)
-    sigma = splitting.relative_automorphism()
-    if not validate_automorphism(sigma):
+    try:
+        relative_inverse(splitting)
+    except NotAnAutomorphism:
         problems.append("relative basis is not a basis")
     if splitting.kind == AMALGAM:
         if splitting.stable_index is not None:
@@ -182,11 +184,28 @@ def dehn_twist(splitting: CyclicSplitting, exponent: int = 1) -> Automorphism:
     With ``sigma`` the relative-basis automorphism this is
     ``sigma * relative_twist(splitting, n) * sigma^-1``: two compositions
     for any ``n``, since the relative twist power is written directly.
+    ``needed`` sums the unreduced lengths of ``sigma`` of the relative
+    twist's images over the letters of ``sigma^-1``'s images, so it bounds
+    every word built on the way, ``c^n`` included; past ``LETTER_BUDGET``
+    BudgetExceeded is raised before anything is built.
     """
     require_valid(splitting)
     sigma = splitting.relative_automorphism()
+    c_letters = abs(exponent) * letters_needed(sigma, [splitting.edge_word])
+    spelled = [len(image) for image in sigma.images]
+    for index in splitting.b0_part:
+        spelled[index - 1] += 2 * c_letters
+    if splitting.stable_index is not None:
+        spelled[splitting.stable_index - 1] += c_letters
+    inverse = relative_inverse(splitting)
+    needed = sum(spelled[abs(x) - 1] for image in inverse.images for x in image)
+    if needed > LETTER_BUDGET:
+        raise BudgetExceeded(
+            f"the twist to the power {exponent} needs up to {needed} letters, "
+            f"over the budget of {LETTER_BUDGET}"
+        )
     delta = relative_twist(splitting, exponent)
-    return compose(sigma, compose(delta, relative_inverse(splitting)))
+    return compose(sigma, compose(delta, inverse))
 
 
 def transform(splitting: CyclicSplitting, phi: Automorphism) -> CyclicSplitting:

@@ -10,7 +10,6 @@ as ``"1"``.
 from __future__ import annotations
 
 import string
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
@@ -236,6 +235,21 @@ def compose(phi: Automorphism, psi: Automorphism) -> Automorphism:
     return Automorphism(phi.basis, tuple(apply(phi, im) for im in psi.images))
 
 
+#: No automorphism built by ``dehn_twist`` or ``pingpong.realize`` (all its images
+#: together), and no word built by an exact orbit comparison, may exceed this many letters.
+LETTER_BUDGET = 10_000_000
+
+
+def letters_needed(phi: Automorphism, words: Sequence[Word]) -> int:
+    """Upper bound on the letters of ``apply(phi, w)`` over all ``w`` in ``words``.
+
+    The summed lengths of the letters' images: free reduction only
+    shortens the result, so it can be checked before anything is built.
+    """
+    lengths = [len(image) for image in phi.images]
+    return sum(lengths[abs(x) - 1] for word in words for x in word)
+
+
 def power(phi: Automorphism, exponent: int) -> Automorphism:
     base = phi if exponent >= 0 else invert(phi)
     result = Automorphism.identity(phi.basis)
@@ -244,111 +258,94 @@ def power(phi: Automorphism, exponent: int) -> Automorphism:
     return result
 
 
-def _nielsen_moves(rank: int) -> Iterator[tuple[int, int, int, bool]]:
-    """All elementary replacement moves (i, j, sign, premultiply)."""
-    for i in range(rank):
-        for j in range(rank):
-            if i == j:
-                continue
-            for sign in (1, -1):
-                for pre in (False, True):
-                    yield (i, j, sign, pre)
-
-
-_PLATEAU_LIMIT = 20000
-
-
-def _apply_nielsen(
-    state: tuple[Word, ...], move: tuple[int, int, int, bool]
-) -> tuple[Word, ...]:
-    i, j, sign, pre = move
-    other = state[j] if sign > 0 else invert_word(state[j])
-    candidate = concat(other, state[i]) if pre else concat(state[i], other)
-    replaced = list(state)
-    replaced[i] = candidate
-    return tuple(replaced)
-
-
 def invert(phi: Automorphism) -> Automorphism:
-    """Invert by total-length-decreasing Nielsen reduction of the images.
+    """Invert by one labelled Stallings fold of the images (Stallings 1983).
 
-    Each replacement of image i by its product with image j corresponds to
-    precomposing with an elementary automorphism; accumulating those
-    elementary automorphisms against the terminal signed permutation yields
-    the inverse.  When no single move shortens the images, a breadth-first
-    search through length-preserving moves finds a path off the plateau;
-    the search is bounded, and exhausting the bound means the images do not
-    reduce to a basis.
+    The images are glued as loops at the basepoint 0, each edge carrying a
+    word so that a closed path at 0 spelling ``w`` carries a ``u`` with
+    ``phi(u) = w``.  Folding ``v -> w1`` and ``v -> w2``, which read one
+    letter with labels ``l1`` and ``l2`` from ``v``, regauges ``w2`` (never
+    0) by ``h = l2^-1 l1``, so its leaving edges take ``h^-1`` in front and
+    its entering edges ``h`` behind, then merges it into ``w1``.  Parallel
+    edges with different labels spell a ``u != 1`` with ``phi(u) = 1``, and
+    a fold ending anywhere but the rose means the images do not generate:
+    NotAnAutomorphism is raised exactly when they are not a basis.  The
+    rose's loop reading ``x_j`` carries ``phi^-1(x_j)``.
     """
-    basis = phi.basis
-    rank = basis.rank
     if any(len(image) == 0 for image in phi.images):
         raise NotAnAutomorphism("an image is the empty word")
-    moves = tuple(_nielsen_moves(rank))
-    state: tuple[Word, ...] = tuple(phi.images)
-    applied: list[tuple[int, int, int, bool]] = []
-    while True:
-        total = sum(len(w) for w in state)
-        if total == rank:
-            break
-        # BFS over the plateau of equal-length states for a shortening move.
-        visited: dict[tuple[Word, ...], list] = {state: []}
-        queue = deque([state])
-        shortened = None
-        while queue and shortened is None:
-            current = queue.popleft()
-            for move in moves:
-                candidate = _apply_nielsen(current, move)
-                new_total = sum(len(w) for w in candidate)
-                if new_total < total:
-                    shortened = (visited[current] + [move], candidate)
-                    break
-                if (
-                    new_total == total
-                    and candidate not in visited
-                    and len(visited) < _PLATEAU_LIMIT
-                ):
-                    visited[candidate] = visited[current] + [move]
-                    queue.append(candidate)
-        if shortened is None:
-            raise NotAnAutomorphism(
-                "Nielsen reduction stalled above total length = rank; "
-                "the images do not reduce to a basis"
-            )
-        path, state = shortened
-        applied.extend(path)
-    # Fold every applied move into the accumulated left factor of the inverse.
-    accumulated = Automorphism.identity(basis)
-    for i, j, sign, pre in applied:
-        elem_images = [(t + 1,) for t in range(rank)]
-        if pre:
-            elem_images[i] = reduce_word(((j + 1) * sign, i + 1))
-        else:
-            elem_images[i] = reduce_word((i + 1, (j + 1) * sign))
-        accumulated = compose(accumulated, Automorphism(basis, tuple(elem_images)))
-    # state is now a signed permutation: x_i -> x_{sigma(i)}^{eps_i}.
-    perm_inverse_images: list[Word] = [()] * rank
-    for i, image in enumerate(state):
-        target = image[0]
-        perm_inverse_images[abs(target) - 1] = ((i + 1) if target > 0 else -(i + 1),)
-    if any(im == () for im in perm_inverse_images):
-        raise NotAnAutomorphism("terminal tuple is not a signed permutation")
-    return compose(accumulated, Automorphism(basis, tuple(perm_inverse_images)))
+    # edges[e] = (tail, head, label) reads a positive letter from tail to
+    # head; star[v][s] lists the edges leaving v by the signed letter s,
+    # and work gets (v, s) each time that list grows past one edge.
+    edges: list[tuple[int, int, Word]] = []
+    star: dict[int, dict[int, list[int]]] = {0: {}}
+    work: list[tuple[int, int]] = []
 
+    def attach(v: int, s: int, e: int) -> None:
+        out = star[v].setdefault(s, [])
+        out.append(e)
+        if len(out) > 1:
+            work.append((v, s))
 
-def validate_automorphism(phi: Automorphism) -> bool:
-    """True iff the images form a basis (their folded rose is the full rose)."""
-    from . import stallings  # local import to avoid a cycle
+    def add(v: int, x: int, w: int, label: Word) -> int:
+        star.setdefault(w, {})
+        edges.append((v, w, label) if x > 0 else (w, v, invert_word(label)))
+        attach(v, x, len(edges) - 1)
+        attach(w, -x, len(edges) - 1)
+        return w
 
-    if any(len(im) == 0 for im in phi.images):
-        return False
-    graph = stallings.from_generators(phi.basis, phi.images)
-    folded, _ = stallings.fold_and_core(graph, keep_basepoint=True)
-    return (
-        len(folded.vertices) == 1
-        and len(folded.edges) == phi.basis.rank
-        and stallings.rank(folded) == phi.basis.rank
-    )
+    def read(s: int, e: int) -> tuple[int, Word]:
+        # The far end of edge e and its label, leaving by the signed letter s.
+        tail, head, label = edges[e]
+        return (head, label) if s > 0 else (tail, invert_word(label) if label else label)
+
+    for generator, image in enumerate(phi.images, start=1):
+        # image = u c u^-1: follow or spell a stem reading u, then spell a
+        # loop reading c at its end, whose last edge closes the label.
+        core, stem = cyclically_reduce(image)
+        v, along = 0, ()
+        for x in stem:
+            if star[v].get(x):
+                v, label = read(x, star[v][x][0])
+                along = concat(along, label)
+            else:
+                v = add(v, x, len(star), ())
+        anchor = v
+        for x in core[:-1]:
+            v = add(v, x, len(star), ())
+        add(v, core[-1], anchor, concat(invert_word(along), (generator,), along))
+
+    while work:
+        v, s = work.pop()
+        out = star.get(v, {}).get(s, ())  # empty once v is merged away
+        if len(out) < 2:
+            continue
+        e1, e2 = out[0], out[1]
+        (w1, l1), (w2, l2) = read(s, e1), read(s, e2)
+        if w2 == 0:  # the basepoint is never regauged
+            e1, e2, w1, w2, l1, l2 = e2, e1, w2, w1, l2, l1
+        if w1 == w2 and l1 != l2:
+            raise NotAnAutomorphism("the images satisfy a relation")
+        if w1 != w2:
+            h = concat(invert_word(l2), l1)
+            moved = star.pop(w2)
+            for e in {e for out in moved.values() for e in out}:
+                tail, head, label = edges[e]
+                if tail == w2:
+                    tail, label = w1, concat(invert_word(h), label)
+                if head == w2:
+                    head, label = w1, concat(label, h)
+                edges[e] = (tail, head, label)
+            for t, out in moved.items():
+                for e in out:
+                    attach(w1, t, e)
+        tail, head, _ = edges[e2]  # now parallel to e1, with the same label
+        star[tail][abs(s)].remove(e2)
+        star[head][-abs(s)].remove(e2)
+    petals = [star[0].get(x, ()) for x in range(1, phi.basis.rank + 1)]
+    if len(star) > 1 or any(len(petal) != 1 for petal in petals):
+        raise NotAnAutomorphism("the images do not generate the free group")
+    return Automorphism(phi.basis, tuple(edges[petal[0]][2] for petal in petals))
 
 
 def _cyclic_necklaces(rank: int, length: int) -> Iterator[Word]:

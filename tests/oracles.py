@@ -30,6 +30,14 @@ doubles until no cancellation reaches past it, and gives up past a state
 budget.  Its state count grows exponentially, but wherever it finishes it
 must agree with the library's ``bcc``.
 
+``nielsen_invert`` is the library's original automorphism inverse: it
+shortens the images by Nielsen moves, searching breadth-first through
+equal-length states when no single move shortens them, and stops that
+search after ``_PLATEAU_LIMIT`` states.  The library inverts by one
+labelled fold instead.  An inverse is unique, so wherever the Nielsen
+search finishes both must return equal automorphisms, and both must refuse
+the same non-bases.
+
 ``exhaustive_whitehead_minimize`` is the library's original Whitehead
 descent: each step applies all 2k * 2^(2k-2) moves of ``whitehead_moves``
 to the classes and keeps the least strictly improving one.  The library
@@ -51,11 +59,12 @@ comparisons.
 """
 
 import random
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
-from freevol.errors import HypothesisViolated, UsageError
+from freevol.errors import HypothesisViolated, NotAnAutomorphism, UsageError
 from freevol.pingpong import _PERM_DEGREE, _abelianization_matrix, _cycle_type, _mat_mul
 from freevol.splittings import AMALGAM, CyclicSplitting, require_valid, to_relative
 from freevol.stallings import Edge, FoldTrace, LabeledGraph, spell_path
@@ -75,6 +84,8 @@ from freevol.words import (
     apply,
     apply_cyclic,
     canonical_rotation,
+    compose,
+    concat,
     cyclically_reduce,
     invert,
     invert_word,
@@ -620,6 +631,102 @@ def suffix_window_bcc(nu: Automorphism, max_states: int = STATE_BUDGET) -> int:
         except _WindowOverflow:
             window *= 2
     raise RuntimeError("bounded cancellation window grew past 65536; giving up")
+
+
+# ---------------------------------------------------------------------------
+# Automorphism inversion by Nielsen reduction
+
+
+def _nielsen_moves(rank: int) -> Iterator[tuple[int, int, int, bool]]:
+    """All elementary replacement moves (i, j, sign, premultiply)."""
+    for i in range(rank):
+        for j in range(rank):
+            if i == j:
+                continue
+            for sign in (1, -1):
+                for pre in (False, True):
+                    yield (i, j, sign, pre)
+
+
+_PLATEAU_LIMIT = 20000
+
+
+def _apply_nielsen(
+    state: tuple[Word, ...], move: tuple[int, int, int, bool]
+) -> tuple[Word, ...]:
+    i, j, sign, pre = move
+    other = state[j] if sign > 0 else invert_word(state[j])
+    candidate = concat(other, state[i]) if pre else concat(state[i], other)
+    replaced = list(state)
+    replaced[i] = candidate
+    return tuple(replaced)
+
+
+def nielsen_invert(phi: Automorphism) -> Automorphism:
+    """The library's original inverse, by total-length-decreasing Nielsen reduction.
+
+    Each replacement of image i by its product with image j corresponds to
+    precomposing with an elementary automorphism; accumulating those
+    elementary automorphisms against the terminal signed permutation yields
+    the inverse.  When no single move shortens the images, a breadth-first
+    search through length-preserving moves finds a path off the plateau.
+    The search stops after ``_PLATEAU_LIMIT`` states and then raises
+    NotAnAutomorphism, which is proven only when the plateau was exhausted.
+    """
+    basis = phi.basis
+    rank = basis.rank
+    if any(len(image) == 0 for image in phi.images):
+        raise NotAnAutomorphism("an image is the empty word")
+    moves = tuple(_nielsen_moves(rank))
+    state: tuple[Word, ...] = tuple(phi.images)
+    applied: list[tuple[int, int, int, bool]] = []
+    while True:
+        total = sum(len(w) for w in state)
+        if total == rank:
+            break
+        # BFS over the plateau of equal-length states for a shortening move.
+        visited: dict[tuple[Word, ...], list] = {state: []}
+        queue = deque([state])
+        shortened = None
+        while queue and shortened is None:
+            current = queue.popleft()
+            for move in moves:
+                candidate = _apply_nielsen(current, move)
+                new_total = sum(len(w) for w in candidate)
+                if new_total < total:
+                    shortened = (visited[current] + [move], candidate)
+                    break
+                if (
+                    new_total == total
+                    and candidate not in visited
+                    and len(visited) < _PLATEAU_LIMIT
+                ):
+                    visited[candidate] = visited[current] + [move]
+                    queue.append(candidate)
+        if shortened is None:
+            raise NotAnAutomorphism(
+                "Nielsen reduction stalled above total length = rank; "
+                "the images do not reduce to a basis"
+            )
+        path, state = shortened
+        applied.extend(path)
+    # Fold every applied move into the accumulated left factor of the inverse.
+    accumulated = Automorphism.identity(basis)
+    for i, j, sign, pre in applied:
+        elem_images = [(t + 1,) for t in range(rank)]
+        if pre:
+            elem_images[i] = reduce_word(((j + 1) * sign, i + 1))
+        else:
+            elem_images[i] = reduce_word((i + 1, (j + 1) * sign))
+        accumulated = compose(accumulated, Automorphism(basis, tuple(elem_images)))
+    # state is now a signed permutation: x_i -> x_{sigma(i)}^{eps_i}.
+    perm_inverse_images: list[Word] = [()] * rank
+    for i, image in enumerate(state):
+        target = image[0]
+        perm_inverse_images[abs(target) - 1] = ((i + 1) if target > 0 else -(i + 1),)
+    if any(im == () for im in perm_inverse_images):
+        raise NotAnAutomorphism("terminal tuple is not a signed permutation")
+    return compose(accumulated, Automorphism(basis, tuple(perm_inverse_images)))
 
 
 # ---------------------------------------------------------------------------

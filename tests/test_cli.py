@@ -26,6 +26,13 @@ def write_pair(tmp_path, pair, name):
     return str(path)
 
 
+def subprocess_env():
+    """The environment for ``python -m freevol.cli``, with this package's source first."""
+    src = str(Path(freevol.__file__).resolve().parents[1])
+    path_entries = [src, os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path_entries)))
+
+
 def run(capsys, argv):
     code = cli.main(argv)
     captured = capsys.readouterr()
@@ -66,6 +73,23 @@ def test_volume_anchor(capsys, tmp_path):
     code, out, _ = run(capsys, ["volume", "--splitting", path, "aCCbc", "--json"])
     assert code == 0
     assert json.loads(out)["free_volume"] == 2
+
+
+@pytest.mark.parametrize("relative_basis", [["ab", "ab", "c"], ["1", "ab", "c"]])
+def test_volume_refuses_a_relative_basis_that_is_not_a_basis(capsys, tmp_path, relative_basis):
+    path = tmp_path / "bad.json"
+    payload = {
+        "schema": "freevol/1",
+        "kind": "amalgam",
+        "ambient_rank": 3,
+        "relative_basis": relative_basis,
+        "a_part": [1, 2],
+        "edge_word": "ab",
+        "b0_part": [3],
+    }
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, ["volume", "--splitting", str(path), "a"])
+    assert (code, out, err) == (1, "", "error: relative basis is not a basis\n")
 
 
 def test_volume_of_edge_word_is_zero(capsys, tmp_path):
@@ -306,9 +330,7 @@ def test_pingpong_images_add_only_the_realized_images(capsys, tmp_path, word):
 def test_closed_stdout_keeps_exit_code_and_leaves_stderr_empty(tmp_path):
     """``freevol pingpong ... --images | head -c 1``: the images overflow any pipe buffer."""
     path = write_pair(tmp_path, fx.certified_filling_pair(), "fills.json")
-    src = str(Path(freevol.__file__).resolve().parents[1])
-    path_entries = [src, os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path_entries)))
+    env = subprocess_env()
     argv = ["pingpong", "--pair", path, "1:+N 2:-N 1:+N 2:+N", "--images"]
     process = subprocess.Popen(
         [sys.executable, "-m", "freevol.cli", *argv],
@@ -326,9 +348,7 @@ def test_closed_stdout_keeps_exit_code_and_leaves_stderr_empty(tmp_path):
 def test_images_over_the_letter_budget_exit_with_the_budget_code(tmp_path):
     """On the sixth-power pair (N = 111) this word's images need 22.8 million letters."""
     path = write_pair(tmp_path, fx.pair_with_sixth_power(), "sixth.json")
-    src = str(Path(freevol.__file__).resolve().parents[1])
-    path_entries = [src, os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path_entries)))
+    env = subprocess_env()
     argv = ["pingpong", "--pair", path, "1:+N 2:-N 1:+N 2:+N", "--images"]
     result = subprocess.run(
         [sys.executable, "-m", "freevol.cli", *argv],
@@ -340,6 +360,30 @@ def test_images_over_the_letter_budget_exit_with_the_budget_code(tmp_path):
     assert result.stdout == b""
     assert b"Traceback" not in result.stderr
     assert f"budget of {pingpong.LETTER_BUDGET}".encode() in result.stderr
+
+
+@pytest.mark.parametrize("flags", [["--images"], ["--trials", "1"]])
+def test_one_huge_twist_exponent_exits_with_the_budget_code(tmp_path, flags):
+    """T1^300000000 needs 600 million letters; it is refused before any is built."""
+    path = write_pair(tmp_path, fx.certified_filling_pair(), "fills.json")
+    env = subprocess_env()
+    result = subprocess.run(
+        [sys.executable, "-m", "freevol.cli", "pingpong", "--pair", path, "1:+300000000", *flags],
+        capture_output=True,
+        env=env,
+        timeout=20,
+    )
+    assert result.returncode == cli.EXIT_BUDGET == 4
+    assert result.stdout == b""
+    assert b"Traceback" not in result.stderr
+    assert f"budget of {pingpong.LETTER_BUDGET}".encode() in result.stderr
+
+
+def test_one_huge_twist_exponent_still_certifies(capsys, tmp_path):
+    path = write_pair(tmp_path, fx.certified_filling_pair(), "fills.json")
+    code, out, _ = run(capsys, ["pingpong", "--pair", path, "1:+300000000 2:+N", "--json"])
+    assert code == 0
+    assert json.loads(out)["verdict"] == pingpong.VERDICT_IWIP
 
 
 def test_realize_names_the_budget_and_the_letters_needed(monkeypatch):

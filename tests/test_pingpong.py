@@ -1,5 +1,4 @@
 import time
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -148,12 +147,6 @@ def test_orbit_check_passes_certified_word_small(config):
     )
     assert report["ok"]
     assert report["classes_checked"] > 0
-
-
-def test_slack_guardrails():
-    pair = fx.certified_filling_pair()
-    with pytest.raises(UsageError):
-        pp.configure(pair, slack=Fraction(3, 1))
 
 
 @pytest.mark.parametrize("side", ["right", "left"])

@@ -2,7 +2,7 @@ import pytest
 
 import fixtures as fx
 from freevol import splittings as sp
-from freevol.errors import InvalidSplitting
+from freevol.errors import BudgetExceeded, InvalidSplitting
 from freevol.words import (
     compose,
     invert,
@@ -55,6 +55,19 @@ def test_validate_rejects_non_basis():
     assert not sp.validate(bad)
 
 
+@pytest.mark.parametrize("relative_basis", [("ab", "ab", "c"), ("1", "ab", "c")])
+def test_diagnostics_name_a_relative_basis_that_is_not_a_basis(relative_basis):
+    bad = sp.CyclicSplitting(
+        kind=sp.AMALGAM,
+        ambient_basis=B3,
+        relative_basis=tuple(P(w) for w in relative_basis),
+        a_part=(1, 2),
+        edge_word=(1, 2),
+        b0_part=(3,),
+    )
+    assert sp.diagnostics(bad) == ["relative basis is not a basis"]
+
+
 def test_amalgam_twist_conjugates_one_side():
     twist = sp.dehn_twist(fx.amalgam_over_c())
     assert [R(w) for w in twist.images] == ["a", "cbC", "c"]
@@ -88,6 +101,26 @@ def test_twist_power_closed_form_matches_iterated_power(name):
     twist = sp.dehn_twist(splitting)
     for n in range(-7, 13):
         assert sp.dehn_twist(splitting, n) == power(twist, n), n
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_SPLITTINGS))
+def test_twist_letter_budget_covers_what_is_built(name, monkeypatch):
+    splitting = FIXTURE_SPLITTINGS[name]
+    for n in (-40, -1, 1, 3, 40):
+        built = sum(map(len, sp.dehn_twist(splitting, n).images))
+        monkeypatch.setattr(sp, "LETTER_BUDGET", max(built, abs(n) * len(splitting.edge_word)) - 1)
+        with pytest.raises(BudgetExceeded, match=f"power {n} needs up to"):
+            sp.dehn_twist(splitting, n)
+        monkeypatch.undo()
+
+
+def test_twist_over_the_letter_budget_names_the_letters_needed(monkeypatch):
+    splitting = fx.pair_with_sixth_power().second
+    monkeypatch.setattr(sp, "LETTER_BUDGET", 8545)
+    assert sum(map(len, sp.dehn_twist(splitting, 100).images)) == 8467
+    monkeypatch.setattr(sp, "LETTER_BUDGET", 8544)
+    with pytest.raises(BudgetExceeded, match="needs up to 8545 letters, over the budget of 8544"):
+        sp.dehn_twist(splitting, 100)
 
 
 def test_vertex_groups():

@@ -118,6 +118,47 @@ def test_invert_random_nielsen_products(rng):
     assert compose(phi, invert(phi)) == Automorphism.identity(B3)
 
 
+@st.composite
+def whitehead_products(draw):
+    """A signed permutation times 1-12 Whitehead moves, at rank 2-6."""
+    rank = draw(st.integers(2, 6))
+    basis = Basis.standard(rank)
+    order = draw(st.permutations(range(1, rank + 1)))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=rank, max_size=rank))
+    phi = Automorphism(basis, tuple((sign * x,) for sign, x in zip(signs, order)))
+    moves = oracles.whitehead_moves(rank)
+    for index in draw(st.lists(st.integers(0, len(moves) - 1), min_size=1, max_size=12)):
+        phi = compose(phi, moves[index][2])
+    return phi
+
+
+@settings(max_examples=100, deadline=None)
+@given(whitehead_products())
+def test_invert_equals_nielsen_oracle(phi):
+    inverse = invert(phi)
+    assert inverse == oracles.nielsen_invert(phi)
+    assert compose(phi, inverse) == Automorphism.identity(phi.basis)
+
+
+@pytest.mark.parametrize(
+    "images",
+    [("a", "a"), ("aab", "bab"), ("aa", "b", "c"), ("abAB", "bc", "ca"), ("1", "b"), ("aa",)],
+)
+@pytest.mark.parametrize("inverse_of", [invert, oracles.nielsen_invert])
+def test_invert_refuses_non_bases(images, inverse_of):
+    basis = Basis.standard(len(images))
+    phi = Automorphism(basis, tuple(parse_word(w, basis) for w in images))
+    with pytest.raises(NotAnAutomorphism):
+        inverse_of(phi)
+
+
+@pytest.mark.parametrize("inverse_of", [invert, oracles.nielsen_invert])
+def test_invert_rank_one(inverse_of):
+    basis = Basis.standard(1)
+    for letter in (1, -1):
+        assert inverse_of(Automorphism(basis, ((letter,),))).images == ((letter,),)
+
+
 def test_power_includes_negative():
     phi = Automorphism(B2, (parse_word("ab", B2), parse_word("b", B2)))
     assert power(phi, 0) == Automorphism.identity(B2)
