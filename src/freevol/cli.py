@@ -3,7 +3,9 @@
 Exit codes: 0 success / definitely true, 1 definitely false, 2 unknown,
 3 hypotheses violated, 4 over budget (``pingpong --images`` when the images,
 and ``--trials`` too when one twist factor, could exceed ``LETTER_BUDGET``
-letters; nothing is printed on standard output), 64 usage error.  A reader
+letters, and ``--trials`` when the orbit sample would check more than
+``ORBIT_BUDGET`` word powers; nothing is printed on standard output), 64
+usage error.  A reader
 that closes standard output early (``freevol ... | head``) changes
 neither: the rest of the output is dropped, nothing is printed on standard
 error, and the exit code is still the verdict's.  All JSON output carries

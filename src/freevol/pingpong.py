@@ -53,6 +53,9 @@ SIDE_SECOND = "side2"
 
 SLACK = Fraction(2**40 + 1, 2**40)
 
+# Word powers one orbit sample may check: reduced words times powers.
+ORBIT_BUDGET = 10_000_000
+
 VERDICT_IWIP = "fully_irreducible_hyperbolic"
 VERDICT_NONTRIVIAL = "nontrivial"
 VERDICT_TWIST_POWER = "conjugate_to_twist_power"
@@ -454,7 +457,9 @@ def empirical_no_periodic_orbit(
     ``max_len`` and every ``1 <= p <= max_power``, in the balanced form
     ``[phi^i(g)] != [phi^(i-p)(g)]`` with ``i`` about ``p/2`` so word
     growth is split between both sides.  Evidence only: a clean report is
-    sampling, not a proof.
+    sampling, not a proof.  Before any work, the number of reduced words of
+    length at most ``max_len`` times ``max_power`` is checked against
+    ``ORBIT_BUDGET``; past it BudgetExceeded is raised, naming the budget.
 
     A class is periodic exactly when its root is, and exactly when its
     inverse is, so proper powers and the larger of a class and its inverse
@@ -501,6 +506,14 @@ def empirical_no_periodic_orbit(
         raise BasisMismatch("phi, its factors and its inverse factors use different bases")
     basis = factors[0].basis
     rank = basis.rank
+    reduced_words = 0
+    for length in range(max_len):
+        reduced_words += 2 * rank * (2 * rank - 1) ** length
+        if reduced_words * max_power > ORBIT_BUDGET:
+            raise BudgetExceeded(
+                f"the orbit sample of powers up to {max_power} of the reduced words of length "
+                f"at most {max_len} is over the budget of {ORBIT_BUDGET} word powers"
+            )
     if inverse_factors is None:
         inverse_factors = [invert(f) for f in reversed(factors)]
     forward = list(factors)

@@ -162,18 +162,23 @@ def subgroup_graph(basis: Basis, gens: Sequence[Word], keep_basepoint: bool = Tr
     return folded
 
 
+def read_path(table: dict[tuple[int, int], int], start: int, word: Word) -> Optional[int]:
+    """End of the path reading ``word`` from ``start``, or None if it leaves the graph.
+
+    ``table`` is a folded graph's ``out_map``, so the path is unique.
+    """
+    for letter in word:
+        start = table.get((start, letter))
+        if start is None:
+            return None
+    return start
+
+
 def contains(graph: LabeledGraph, word: Word) -> bool:
     """Membership test: does ``word`` label a closed path at the basepoint?"""
     if graph.basepoint is None:
         raise ValueError("membership needs a basepointed graph")
-    table = graph.out_map()
-    current = graph.basepoint
-    for letter in word:
-        nxt = table.get((current, letter))
-        if nxt is None:
-            return False
-        current = nxt
-    return current == graph.basepoint
+    return read_path(graph.out_map(), graph.basepoint, word) == graph.basepoint
 
 
 def rank(graph: LabeledGraph) -> int:

@@ -1,38 +1,56 @@
 """Free volume of subgroups relative to a cyclic splitting.
 
-The pipeline rewrites generators in relative coordinates, builds the core graph
-of the subgroup over the relative rose, detects chains (concatenations of
-lifts of the edge-word loop), classifies them, and counts simply connected
-essential chains plus essential vertices.
+A cyclic splitting presents F as the fundamental group of a one-edge graph
+of groups whose edge group is generated by the edge word c; T is its
+Bass-Serre tree.  A finitely generated subgroup H acts on T, and T_H is its
+minimal subtree.  The free volume of H is the number of edges of the
+quotient graph of groups T_H/H with trivial stabilizer (Clay-Pettet).  For
+H = <g> with g hyperbolic, T_H is the axis of g, so the free volume is the
+translation length of g.
+
+The quotient is read off Gamma, the folded core graph of H over the
+relative rose (Bestvina-Feighn 1991; Kapovich-Weidmann-Miasnikov 2005).  A
+vertex Hg of Gamma stands for the tree edge g<c>.  The lift map sends a
+vertex to the end of the path reading c from it; its orbits, the chains,
+are the H-orbits of tree edges that Gamma meets.  A cyclic chain has
+stabilizer Z, every other chain a trivial one.  Vertex orbits are the
+components of the graphs below, each with group rank E - V + 1:
+
+* amalgam A *_<c> B with B = <c> * B0: the A-orbits are the components of
+  Gamma's A-edges, the B-orbits those of its B0-edges together with one
+  link v -> lift(v) per lift.  Every chain joins its A-orbit to its B-orbit.
+* HNN extension with stable letter t, vertex group <A, t^-1 c t>: Gamma's
+  A-edges, plus one node per chain that a t-edge leaves, joined to the head
+  of each such edge and given a loop when the chain is cyclic.  Each such
+  chain joins its own orbit to its heads' orbit.
+
+These vertices and edges form the quotient Y of an H-invariant subtree that
+contains T_H.  Dropping, while there is one, a valence-1 vertex whose rank
+equals its edge's (0 or 1), that is whose group is its edge's group, leaves
+T_H/H.  The free volume is the number of non-cyclic chains left.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import TrivialSubgroup
-from .splittings import AMALGAM, HNN, CyclicSplitting, require_valid, to_relative
-from .stallings import Edge, LabeledGraph, subgroup_graph
+from .splittings import HNN, CyclicSplitting, require_valid, to_relative
+from .stallings import LabeledGraph, read_path, subgroup_graph
 from .words import Basis, Word, cyclically_reduce
-
-A_EDGE = "A"
-B0_EDGE = "B0"
-T_EDGE = "T"
 
 
 @dataclass(frozen=True)
 class Chain:
-    """A maximal concatenation of lifts of the edge-word loop.
+    """An orbit of the lift map: one H-orbit of tree edges that Gamma meets.
 
-    ``chain_vertices`` are the lift endpoints in order; ``path_vertices``
-    and ``path_edges`` cover the whole image, including subdivision points
-    interior to a single lift.
+    ``chain_vertices`` lists the orbit in lift order; a cyclic chain ends
+    with its first vertex again.  ``essential`` says the chain is an edge
+    of T_H/H.
     """
 
     chain_vertices: tuple[int, ...]
-    path_vertices: frozenset[int]
-    path_edges: frozenset[Edge]
     is_cycle: bool
     essential: bool = False
 
@@ -43,19 +61,16 @@ class Chain:
 
 @dataclass(frozen=True)
 class VolumeReport:
+    """``chains`` holds every chain but the singletons that are not essential."""
+
     graph: LabeledGraph
-    edge_classes: dict[Edge, str]
     chains: tuple[Chain, ...]
-    essential_vertices: frozenset[int]
-    crossing_vertices: frozenset[int]
     free_volume: int
 
     def to_json(self) -> dict:
         return {
             "schema": "freevol/1",
             "free_volume": self.free_volume,
-            "essential_vertices": sorted(self.essential_vertices),
-            "crossing_vertices": sorted(self.crossing_vertices),
             "chains": [
                 {
                     "vertices": list(chain.chain_vertices),
@@ -65,12 +80,6 @@ class VolumeReport:
                 for chain in self.chains
             ],
         }
-
-
-def initial_edge_class(splitting: CyclicSplitting, label: int) -> str:
-    if splitting.kind == HNN:
-        return T_EDGE if label == splitting.stable_index else A_EDGE
-    return A_EDGE if label in splitting.a_part else B0_EDGE
 
 
 def lambda_graph(splitting: CyclicSplitting, gens: Sequence[Word]) -> LabeledGraph:
@@ -83,210 +92,118 @@ def lambda_graph(splitting: CyclicSplitting, gens: Sequence[Word]) -> LabeledGra
     return subgroup_graph(splitting.ambient_basis, relative_gens, keep_basepoint=False)
 
 
-def _edge_word_lifts(
-    graph: LabeledGraph, edge_word: Word
-) -> dict[int, tuple[int, frozenset[int], frozenset[Edge]]]:
-    """For each vertex where the edge-word loop lifts: endpoint and image.
-
-    The graph is folded, so from a fixed start vertex the lift is unique;
-    the resulting vertex-to-endpoint map is a partial injection.
-    """
+def _chains(graph: LabeledGraph, edge_word: Word) -> list[tuple[int, ...]]:
+    """Orbits of the lift map: paths from each vertex without a preimage, then cycles."""
     table = graph.out_map()
-    lifts: dict[int, tuple[int, frozenset[int], frozenset[Edge]]] = {}
-    for start in sorted(graph.vertices):
-        current = start
-        vertices = {start}
-        edges: set[Edge] = set()
-        ok = True
-        for letter in edge_word:
-            nxt = table.get((current, letter))
-            if nxt is None:
-                ok = False
-                break
-            if letter > 0:
-                edges.add((current, nxt, letter))
-            else:
-                edges.add((nxt, current, -letter))
-            current = nxt
-            vertices.add(current)
-        if ok:
-            lifts[start] = (current, frozenset(vertices), frozenset(edges))
-    return lifts
-
-
-def find_chains(graph: LabeledGraph, splitting: CyclicSplitting) -> list[Chain]:
-    """All maximal chains, unclassified (``essential`` left False)."""
-    lifts = _edge_word_lifts(graph, splitting.edge_word)
-    successor = {v: target for v, (target, _, _) in lifts.items()}
-    has_predecessor = set(successor.values())
-    chains: list[Chain] = []
-    visited: set[int] = set()
-
-    def walk(start: int) -> None:
-        vertex_sequence = [start]
-        current = start
-        while current in successor:
-            visited.add(current)
-            current = successor[current]
-            vertex_sequence.append(current)
-            if current == start:
-                break
-        is_cycle = len(vertex_sequence) > 1 and vertex_sequence[-1] == vertex_sequence[0]
-        path_vertices: set[int] = set(vertex_sequence)
-        path_edges: set[Edge] = set()
-        for v in vertex_sequence[:-1]:
-            _, vs, es = lifts[v]
-            path_vertices |= vs
-            path_edges |= es
-        chains.append(
-            Chain(tuple(vertex_sequence), frozenset(path_vertices), frozenset(path_edges), is_cycle)
-        )
-
-    for start in sorted(successor):
-        if start not in has_predecessor:
-            walk(start)  # maximal path orbit
-    for start in sorted(successor):
-        if start not in visited:
-            walk(start)  # remaining orbits are cycles
-    return chains
-
-
-def _incidences(graph: LabeledGraph) -> dict[int, list[tuple[Edge, str]]]:
-    """Edge incidences per vertex, tagged 'out' at the source, 'in' at the target."""
-    table: dict[int, list[tuple[Edge, str]]] = {v: [] for v in graph.vertices}
-    for edge in graph.edges:
-        source, target, _ = edge
-        table[source].append((edge, "out"))
-        table[target].append((edge, "in"))
-    return table
-
-
-def classify_chains(
-    graph: LabeledGraph, splitting: CyclicSplitting, chains: Sequence[Chain]
-) -> tuple[list[Chain], dict[Edge, str]]:
-    """Essential/nonessential status plus edge classes, run to a fixpoint.
-
-    Reclassification: in the amalgam case the edges of a chain whose only
-    adjacencies are B0-edges at chain vertices become B0-edges; in the HNN
-    case positive stable-letter edges adjacent to a nonessential chain
-    become A-edges.  Both rules can cascade, so classification repeats
-    until neither edge classes nor chain statuses change.
-    """
-    classes = {edge: initial_edge_class(splitting, edge[2]) for edge in graph.edges}
-    incidences = _incidences(graph)
-    status: list[Optional[bool]] = [None] * len(chains)
-    for _ in range(len(graph.edges) + len(chains) + 2):
-        changed = False
-        for index, chain in enumerate(chains):
-            adjacent: list[tuple[Edge, str, int]] = []
-            for vertex in chain.path_vertices:
-                for edge, direction in incidences[vertex]:
-                    if edge in chain.path_edges:
-                        continue
-                    adjacent.append((edge, direction, vertex))
-            if splitting.kind == AMALGAM:
-                only_b0_at_chain_vertices = all(
-                    classes[edge] == B0_EDGE and vertex in chain.chain_vertices
-                    for edge, _, vertex in adjacent
-                )
-                only_a = all(classes[edge] == A_EDGE for edge, _, _ in adjacent)
-                essential = not (only_b0_at_chain_vertices or only_a)
-                reclassify = not essential and only_b0_at_chain_vertices
-                if reclassify:
-                    for edge in chain.path_edges:
-                        if classes[edge] != B0_EDGE:
-                            classes[edge] = B0_EDGE
-                            changed = True
-            else:
-                only_positive_t_at_chain_vertices = all(
-                    classes[edge] == T_EDGE
-                    and direction == "out"
-                    and vertex in chain.chain_vertices
-                    for edge, direction, vertex in adjacent
-                )
-                only_harmless = all(
-                    classes[edge] == A_EDGE
-                    or (classes[edge] == T_EDGE and direction == "in")
-                    for edge, direction, _ in adjacent
-                )
-                essential = not (only_positive_t_at_chain_vertices or only_harmless)
-                if not essential:
-                    for edge, direction, _ in adjacent:
-                        if classes[edge] == T_EDGE and direction == "out":
-                            classes[edge] = A_EDGE
-                            changed = True
-            if status[index] != essential:
-                status[index] = essential
-                changed = True
-        if not changed:
-            break
-    classified = [
-        Chain(
-            chain.chain_vertices,
-            chain.path_vertices,
-            chain.path_edges,
-            chain.is_cycle,
-            essential=bool(status[index]),
-        )
-        for index, chain in enumerate(chains)
-    ]
-    return classified, classes
-
-
-def essential_and_crossing_vertices(
-    graph: LabeledGraph,
-    splitting: CyclicSplitting,
-    chains: Sequence[Chain],
-    classes: dict[Edge, str],
-) -> tuple[frozenset[int], frozenset[int]]:
-    incidences = _incidences(graph)
-    essential_chain_vertices: set[int] = set()
-    any_chain_vertices: set[int] = set()
-    for chain in chains:
-        any_chain_vertices.update(chain.chain_vertices)
-        if chain.essential:
-            essential_chain_vertices.update(chain.chain_vertices)
-    essential: set[int] = set()
-    crossing: set[int] = set()
+    lift = {}
     for vertex in graph.vertices:
-        local = incidences[vertex]
-        if splitting.kind == AMALGAM:
-            touches_a = any(classes[e] == A_EDGE for e, _ in local)
-            touches_b0 = any(classes[e] == B0_EDGE for e, _ in local)
-            if vertex not in essential_chain_vertices and touches_a and touches_b0:
-                essential.add(vertex)
-            if vertex in essential_chain_vertices and touches_b0:
-                crossing.add(vertex)
-        else:
-            starts_positive_t = any(
-                classes[e] == T_EDGE and d == "out" for e, d in local
-            )
-            if vertex not in any_chain_vertices and starts_positive_t:
-                essential.add(vertex)
-            if vertex in essential_chain_vertices and starts_positive_t:
-                crossing.add(vertex)
-    crossing |= essential
-    return frozenset(essential), frozenset(crossing)
+        end = read_path(table, vertex, edge_word)
+        if end is not None:
+            lift[vertex] = end
+    starts = sorted(graph.vertices - set(lift.values())) + sorted(lift)
+    seen: set[int] = set()
+    orbits = []
+    for start in starts:
+        if start in seen:
+            continue
+        orbit = [start]
+        while orbit[-1] in lift and (len(orbit) == 1 or orbit[-1] != start):
+            orbit.append(lift[orbit[-1]])
+        seen.update(orbit)
+        orbits.append(tuple(orbit))
+    return orbits
+
+
+def _component_ranks(
+    nodes: Sequence[int], links: Sequence[tuple[int, int]]
+) -> tuple[dict[int, int], dict[int, int]]:
+    """Each node's component, and each component's rank E - V + 1."""
+    parent = {node: node for node in nodes}
+
+    def find(node: int) -> int:
+        while parent[node] != node:
+            parent[node] = parent[parent[node]]
+            node = parent[node]
+        return node
+
+    for u, w in links:
+        parent[find(u)] = find(w)
+    root = {node: find(node) for node in nodes}
+    ranks = dict.fromkeys(root.values(), 1)
+    for component in root.values():
+        ranks[component] -= 1
+    for u, _ in links:
+        ranks[root[u]] += 1
+    return root, ranks
+
+
+def _prune(
+    ranks: dict[int, int], ends: dict[int, tuple[int, int]], cyclic: list[bool]
+) -> set[int]:
+    """The edges of the graph of groups, by chain index, that survive pruning to T_H/H."""
+    incident: dict[int, list[int]] = {vertex: [] for vertex in ranks}
+    for index, (u, w) in ends.items():
+        incident[u].append(index)
+        incident[w].append(index)
+    alive = set(ends)
+    leaves = [vertex for vertex, edges in incident.items() if len(edges) == 1]
+    while leaves:
+        vertex = leaves.pop()
+        edges = [index for index in incident[vertex] if index in alive]
+        if len(edges) != 1 or ranks[vertex] != cyclic[edges[0]]:
+            continue
+        alive.remove(edges[0])
+        u, w = ends[edges[0]]
+        other = w if u == vertex else u
+        if sum(index in alive for index in incident[other]) == 1:
+            leaves.append(other)
+    return alive
+
+
+def _quotient(
+    splitting: CyclicSplitting, graph: LabeledGraph
+) -> tuple[list[tuple[int, ...]], list[bool], list[bool]]:
+    """The chains, which of them are cyclic, and which are edges of T_H/H."""
+    orbits = _chains(graph, splitting.edge_word)
+    cyclic = [len(orbit) > 1 and orbit[-1] == orbit[0] for orbit in orbits]
+    in_a = set(splitting.a_part)
+    a_links = [(u, w) for u, w, label in graph.edges if label in in_a]
+    vertices = list(graph.vertices)
+    if splitting.kind == HNN:
+        # Node ~i stands for the i-th chain; it joins the heads of its t-edges.
+        chain_of = {v: index for index, orbit in enumerate(orbits) for v in orbit}
+        heads = [(~chain_of[u], w) for u, w, label in graph.edges if label not in in_a]
+        nodes = {node for node, _ in heads}
+        loops = [(node, node) for node in nodes if cyclic[~node]]
+        root, ranks = _component_ranks(vertices + list(nodes), a_links + heads + loops)
+        ends = {~node: (root[orbits[~node][0]], root[node]) for node in nodes}
+    else:
+        # Node ~v stands for vertex v on the B-side.
+        lifts = [(~orbit[i], ~orbit[i + 1]) for orbit in orbits for i in range(len(orbit) - 1)]
+        b_links = [(~u, ~w) for u, w, label in graph.edges if label not in in_a]
+        root, ranks = _component_ranks(
+            vertices + [~v for v in vertices], a_links + b_links + lifts
+        )
+        ends = {index: (root[orbit[0]], root[~orbit[0]]) for index, orbit in enumerate(orbits)}
+    alive = _prune(ranks, ends, cyclic)
+    return orbits, cyclic, [index in alive for index in range(len(orbits))]
 
 
 def analyze(splitting: CyclicSplitting, gens: Sequence[Word]) -> VolumeReport:
     graph = lambda_graph(splitting, gens)
-    chains = find_chains(graph, splitting)
-    chains, classes = classify_chains(graph, splitting, chains)
-    essential, crossing = essential_and_crossing_vertices(graph, splitting, chains, classes)
-    volume = sum(1 for c in chains if c.essential and c.simply_connected) + len(essential)
-    return VolumeReport(
-        graph=graph,
-        edge_classes=classes,
-        chains=tuple(chains),
-        essential_vertices=essential,
-        crossing_vertices=crossing,
-        free_volume=volume,
+    orbits, cyclic, essential = _quotient(splitting, graph)
+    chains = tuple(
+        Chain(orbit, is_cycle, alive)
+        for orbit, is_cycle, alive in zip(orbits, cyclic, essential)
+        if len(orbit) > 1 or alive
     )
+    volume = sum(1 for chain in chains if chain.essential and chain.simply_connected)
+    return VolumeReport(graph=graph, chains=chains, free_volume=volume)
 
 
 def free_volume(splitting: CyclicSplitting, gens: Sequence[Word]) -> int:
-    return analyze(splitting, gens).free_volume
+    _, cyclic, essential = _quotient(splitting, lambda_graph(splitting, gens))
+    return sum(1 for is_cycle, alive in zip(cyclic, essential) if alive and not is_cycle)
 
 
 def translation_length(splitting: CyclicSplitting, word: Word) -> int:
@@ -298,27 +215,16 @@ def translation_length(splitting: CyclicSplitting, word: Word) -> int:
 
 
 def to_dot(report: VolumeReport, basis: Basis) -> str:
-    """DOT overlay: edge classes by color, chain edges dashed, essential vertices filled."""
-    colors = {A_EDGE: "blue", B0_EDGE: "red", T_EDGE: "darkgreen"}
-    chain_edges: set[Edge] = set()
+    """DOT overlay: vertices of counted chains filled black, of essential cyclic ones gray."""
+    styles = {}
     for chain in report.chains:
         if chain.essential:
-            chain_edges |= set(chain.path_edges)
+            fill = "fillcolor=gray" if chain.is_cycle else "fillcolor=black fontcolor=white"
+            styles.update(dict.fromkeys(chain.chain_vertices, f"style=filled {fill}"))
     lines = ["digraph volume {"]
     for vertex in sorted(report.graph.vertices):
-        attrs = []
-        if vertex in report.essential_vertices:
-            attrs.append("style=filled fillcolor=black fontcolor=white")
-        elif vertex in report.crossing_vertices:
-            attrs.append("style=filled fillcolor=gray")
-        lines.append(f"  v{vertex} [{' '.join(attrs)}];")
-    for edge in sorted(report.graph.edges):
-        source, target, label = edge
-        name = basis.names[label - 1]
-        style = "dashed" if edge in chain_edges else "solid"
-        color = colors[report.edge_classes[edge]]
-        lines.append(
-            f'  v{source} -> v{target} [label="{name}" color={color} style={style}];'
-        )
+        lines.append(f"  v{vertex} [{styles.get(vertex, '')}];")
+    for source, target, label in sorted(report.graph.edges):
+        lines.append(f'  v{source} -> v{target} [label="{basis.names[label - 1]}"];')
     lines.append("}")
     return "\n".join(lines)

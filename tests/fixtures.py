@@ -102,6 +102,18 @@ def mirror_filling_pair() -> MarkedPair:
     return MarkedPair(first, second)
 
 
+def fixture_splittings() -> dict[str, CyclicSplitting]:
+    """The three base splittings and both sides of each pair, each once, by name."""
+    named: dict[CyclicSplitting, str] = {}
+    for make in (amalgam_over_c, amalgam_over_ab, hnn_over_commutator):
+        named.setdefault(make(), make.__name__)
+    for make in (certified_filling_pair, mirror_filling_pair, pair_with_sixth_power, pair_with_single_step):
+        pair = make()
+        named.setdefault(pair.first, f"{make.__name__}().first")
+        named.setdefault(pair.second, f"{make.__name__}().second")
+    return {name: splitting for splitting, name in named.items()}
+
+
 def nielsen_products(seed: int = 5, count: int = 60) -> list[Automorphism]:
     """Random products of 1-4 elementary Nielsen moves at rank 2 or 3.
 

@@ -175,6 +175,16 @@ def test_pingpong_with_orbit_sample(capsys, tmp_path):
     assert payload["orbit_check"]["ok"] is True
 
 
+@pytest.mark.parametrize("trials, max_len", [("100000000", "1"), ("1", "12")])
+def test_orbit_sample_over_the_work_budget_exits_with_the_budget_code(capsys, tmp_path, trials, max_len):
+    path = write_pair(tmp_path, fx.certified_filling_pair(), "fills.json")
+    argv = ["pingpong", "--pair", path, "1:+N 2:+N", "--trials", trials, "--max-len", max_len]
+    code, out, err = run(capsys, argv)
+    assert code == cli.EXIT_BUDGET == 4
+    assert out == ""
+    assert err.startswith("error:") and f"budget of {pingpong.ORBIT_BUDGET} word powers" in err
+
+
 def test_output_is_deterministic(capsys, tmp_path):
     path = write_pair(tmp_path, fx.certified_filling_pair(), "fills.json")
     argv = [

@@ -9,6 +9,7 @@ import oracles
 from freevol import pingpong as pp
 from freevol.errors import (
     BasisMismatch,
+    BudgetExceeded,
     NotFillingEvidence,
     NotProperSubgroup,
     UsageError,
@@ -276,6 +277,14 @@ def test_orbit_check_budget_trip_is_undecided(config, monkeypatch):
     assert report["violation"] is None
     assert report["undecided"][0] == {"word": "a", "power": 1}
     assert report["ok"] is False
+
+
+@pytest.mark.parametrize("max_len, max_power", [(1, 100_000_000), (12, 1), (8, 18)])
+def test_orbit_check_over_the_work_budget_names_it(max_len, max_power):
+    # At rank 3 there are 6 * 5^(n-1) reduced words of length n, so (8, 4),
+    # the largest size in use, needs 2 343 744 word powers and (8, 18) 10 546 848.
+    with pytest.raises(BudgetExceeded, match=f"over the budget of {pp.ORBIT_BUDGET} word powers"):
+        pp.empirical_no_periodic_orbit(Automorphism.identity(B3), max_len, max_power)
 
 
 def test_orbit_report_always_lists_undecided(config):

@@ -1,13 +1,25 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fixtures as fx
 import oracles
 from freevol import stallings as st_mod
+from freevol import twisting as tw
 from freevol import volume as vol
-from freevol.words import enumerate_cyclic_classes
+from freevol.splittings import dehn_twist
+from freevol.words import apply, conjugate, enumerate_cyclic_classes, invert_word, reduce_word
 
 B3 = fx.B3
 P = fx.w3
+SPLITTINGS = fx.fixture_splittings()
+# <BABCA, abAbc> in the HNN splitting over ab: the chain pipeline counted 3
+# free edges before the splitting's own twist and 2 after it.
+MENDED_GENS = [P("BABCA"), P("abAbc")]
+
+words = st.lists(st.sampled_from((1, -1, 2, -2, 3, -3)), min_size=1, max_size=6)
+reduced = words.map(reduce_word).filter(bool)
+subgroups = st.lists(reduced, min_size=1, max_size=3)
 
 
 @pytest.mark.parametrize(
@@ -69,6 +81,16 @@ def test_report_json_schema():
     assert payload["free_volume"] == 2
 
 
+def test_report_lists_essential_singleton_chains():
+    # <ab> against the amalgam over c: no vertex lifts c, and each vertex
+    # is a free edge of the quotient, so both count as singleton chains.
+    report = vol.analyze(fx.amalgam_over_c(), [P("ab")])
+    assert [chain.chain_vertices for chain in report.chains] == [(0,), (1,)]
+    assert all(chain.essential and chain.simply_connected for chain in report.chains)
+    dot = vol.to_dot(report, B3)
+    assert dot.count("fillcolor=black") == 2
+
+
 def test_lambda_graph_of_cyclic_subgroup_is_circle():
     graph = vol.lambda_graph(fx.amalgam_over_c(), [P("aCCbc")])
     assert st_mod.rank(graph) == 1
@@ -80,12 +102,83 @@ def test_lambda_graph_of_cyclic_subgroup_is_circle():
 
 
 def test_oracle_agreement_on_sample():
-    splittings = [fx.amalgam_over_c(), fx.amalgam_over_ab(), fx.hnn_over_commutator()]
-    for splitting in splittings:
-        for cyclic in enumerate_cyclic_classes(3, 4):
+    classes = list(enumerate_cyclic_classes(3, 6))
+    for splitting in SPLITTINGS.values():
+        for cyclic in classes:
             assert vol.translation_length(
                 splitting, cyclic.letters
             ) == oracles.translation_length(splitting, cyclic.letters)
+
+
+@pytest.mark.parametrize("name", SPLITTINGS)
+def test_chain_oracle_agrees_on_cyclic_classes(name):
+    splitting = SPLITTINGS[name]
+    for cyclic in enumerate_cyclic_classes(3, 5):
+        gens = [cyclic.letters]
+        assert vol.free_volume(splitting, gens) == oracles.chain_free_volume(splitting, gens)
+
+
+def test_free_volume_survives_the_twist_that_broke_the_chain_count():
+    splitting = fx.certified_filling_pair().first
+    twisted = [apply(dehn_twist(splitting, 1), g) for g in MENDED_GENS]
+    assert oracles.chain_free_volume(splitting, MENDED_GENS) == 3
+    assert vol.free_volume(splitting, MENDED_GENS) == 2
+    assert vol.free_volume(splitting, twisted) == 2
+
+
+def test_growth_bounds_hold_where_the_chain_count_broke_them():
+    pair = fx.certified_filling_pair()
+    consts = tw.constants(2, pair.first, pair.second)
+    report = tw.check_volume_growth_bounds(
+        pair.first, pair.second, MENDED_GENS, 64, consts, rank_bound=2
+    )
+    assert report["all_ok"]
+    assert report["vol1"] == 2
+    observed = [report["bounds"][f"twist_power_{n}"]["observed"] for n in (64, -64)]
+    assert observed == [264, 262]
+
+
+def _assert_same_volume(splitting, gens, moved):
+    assert vol.free_volume(splitting, moved) == vol.free_volume(splitting, gens)
+
+
+@pytest.mark.parametrize("name", SPLITTINGS)
+@settings(max_examples=40, deadline=None)
+@given(gens=subgroups, n=st.integers(1, 5), sign=st.sampled_from((1, -1)))
+def test_free_volume_is_invariant_under_the_splittings_twist(name, gens, n, sign):
+    splitting = SPLITTINGS[name]
+    twist = dehn_twist(splitting, sign * n)
+    _assert_same_volume(splitting, gens, [apply(twist, g) for g in gens])
+
+
+@pytest.mark.parametrize("name", SPLITTINGS)
+@settings(max_examples=40, deadline=None)
+@given(gens=subgroups, conjugator=reduced)
+def test_free_volume_is_invariant_under_conjugation(name, gens, conjugator):
+    splitting = SPLITTINGS[name]
+    _assert_same_volume(splitting, gens, [conjugate(g, conjugator) for g in gens])
+
+
+@pytest.mark.parametrize("name", SPLITTINGS)
+@settings(max_examples=40, deadline=None)
+@given(gens=subgroups, power=st.integers(-2, 2).filter(bool))
+def test_free_volume_is_invariant_under_conjugation_by_the_edge_word(name, gens, power):
+    splitting = SPLITTINGS[name]
+    edge = splitting.edge_word_ambient()
+    conjugator = edge * power if power > 0 else invert_word(edge) * -power
+    _assert_same_volume(splitting, gens, [conjugate(g, conjugator) for g in gens])
+
+
+@pytest.mark.parametrize("name", SPLITTINGS)
+@settings(max_examples=40, deadline=None)
+@given(gens=st.lists(reduced, min_size=2, max_size=3), data=st.data())
+def test_free_volume_is_invariant_under_nielsen_moves(name, gens, data):
+    splitting = SPLITTINGS[name]
+    i, j = data.draw(st.permutations(range(len(gens))))[:2]
+    factor = data.draw(st.sampled_from((gens[j], invert_word(gens[j]))))
+    moved = list(gens)
+    moved[i] = reduce_word(factor + gens[i] if data.draw(st.booleans()) else gens[i] + factor)
+    _assert_same_volume(splitting, gens, moved)
 
 
 def test_bilipschitz_sample_smoke():
