@@ -118,7 +118,7 @@ def cmd_volume(args: argparse.Namespace) -> int:
         raise UsageError("generators must be nonempty reduced words")
     report = analyze(splitting, gens)
     if args.dot:
-        _write(volume_to_dot(report, basis))
+        _write(volume_to_dot(report, splitting))
         return EXIT_OK
     _emit(report.to_json(), args.json)
     return EXIT_OK

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter, sub
+from operator import itemgetter, mul, sub
 from typing import Optional, Sequence
 
 from . import stallings
@@ -37,11 +37,14 @@ from .twisting import TwistConstants, constants as twist_constants
 from .words import (
     LETTER_BUDGET,
     Automorphism,
+    CyclicWord,
     Word,
     apply,
     compose,
+    count_cyclic_classes,
     cyclically_reduce,
     enumerate_cyclic_classes,
+    enumerate_cyclic_classes_with,
     invert,
     is_proper_power,
     letters_needed,
@@ -464,20 +467,31 @@ def empirical_no_periodic_orbit(
     A class is periodic exactly when its root is, and exactly when its
     inverse is, so proper powers and the larger of a class and its inverse
     are counted as pruned and not checked.  A matching pair must agree on
-    every conjugacy invariant, so three cheap necessary conditions discard
-    the other classes before any long word is built: equal abelianization
-    images; equal cycle types in ``quotient_samples`` random quotients to
-    the symmetric group on 16 points; and equal traces in SL(2, Z/p) for
-    two primes p near 2^61.  Each map ``rho . phi^j`` is tracked through
-    the generator images of phi's factors, never on growing words.  The
-    trace is a conjugacy invariant and F_k embeds in SL(2, Z) (Sanov 1947),
-    so random generator matrices tell apart almost every pair that is not
-    conjugate; the trace maps are set up only once some class gets that
-    far.  A pair
-    that passes every filter is compared exactly, building no word longer
-    than ``LETTER_BUDGET`` letters; a class whose comparison would
-    exceed it is listed under ``undecided`` with the power reached, its
-    higher powers go unchecked, and ``ok`` is false.
+    every conjugacy invariant.  The first, equal abelianization images,
+    steers the enumeration: with ``A_j`` the abelianization of phi^j, a
+    class whose exponent-sum vector ``v`` has ``(A_hi - A_lo) v != 0`` for
+    every checked power cannot match.  The necklace tree skips every prefix
+    whose vector is farther in l1 from all vectors that can match than its
+    letters left (``words.enumerate_cyclic_classes_with``), so such classes
+    are never generated.  Two more cheap necessary conditions discard classes
+    before any long word is built: equal cycle types in ``quotient_samples``
+    random quotients to the symmetric group on 16 points, and equal traces
+    in SL(2, Z/p) for two primes p near 2^61.  Each map ``rho . phi^j`` is
+    tracked through the generator images of phi's factors, never on growing
+    words.  The trace is a conjugacy invariant and F_k embeds in SL(2, Z)
+    (Sanov 1947), so random generator matrices tell apart almost every pair
+    that is not conjugate; the trace maps are set up only once some class
+    gets that far.  A pair that passes every filter is compared exactly,
+    building no word longer than ``LETTER_BUDGET`` letters; a class whose
+    comparison would exceed it is listed under ``undecided`` with the power
+    reached, its higher powers go unchecked, and ``ok`` is false.
+
+    ``classes_checked`` counts every class up to the first violation, all
+    of them when there is none, and ``classes_pruned`` those among them
+    pruned as above.  With no violation both come from closed forms
+    (``words.count_cyclic_classes``): no nontrivial class of a free group
+    is conjugate to its inverse, so half the primitive classes are pruned.
+    With a violation the classes up to it are walked and counted.
 
     ``factors`` optionally presents ``phi`` as a right-to-left composition
     (for example individual twist powers), which keeps the exact word
@@ -578,51 +592,55 @@ def empirical_no_periodic_orbit(
             traces.append({j: _matrix_table(v) for j, v in values.items()})
         return traces[0]
 
-    # Per abelianization vector, the (p, hi, lo) whose images of it agree.
-    ab_passes: dict[tuple[int, ...], list] = {}
+    # The images of a vector v under phi^hi and phi^lo agree exactly when
+    # D v = 0 for D = ab[hi] - ab[lo].  Packing each column of D into one
+    # int, in a base past twice any entry of D v, makes that one dot product:
+    # sum(map(mul, packed, v)) == 0.
+    packed_differences = []
+    for _, hi, lo in pairs:
+        difference = [list(map(sub, upper, lower)) for upper, lower in zip(ab[hi], ab[lo])]
+        radix = 2 * max_len * max(abs(x) for row in difference for x in row) + 1
+        packed_differences.append(
+            [sum(row[i] * radix**j for j, row in enumerate(difference)) for i in range(rank)]
+        )
+
+    def passes(vector: tuple[int, ...]) -> list:
+        """The (p, hi, lo) whose abelianization images of ``vector`` agree."""
+        return [
+            pair
+            for pair, packed in zip(pairs, packed_differences)
+            if not sum(map(mul, packed, vector))
+        ]
+
     inverse_letters = [-x for x in letters]
     # Rank of each signed letter, and of its inverse, in a < A < b < B < ...
     rank_of = _signed_table(range(0, 2 * rank, 2), range(1, 2 * rank, 2))
     inverse_rank_of = _signed_table(range(1, 2 * rank, 2), range(0, 2 * rank, 2))
 
-    checked = 0
-    pruned = 0
-    filtered_exact = 0
-    violation: Optional[dict] = None
-    undecided: list[dict] = []
-    for cyc in enumerate_cyclic_classes(rank, max_len):
-        checked += 1
-        word = cyc.letters
+    def kept(cyc: CyclicWord) -> bool:
         # Classes come as least rotations; prune a proper power, and a class
         # whose inverse has a smaller rotation (one starting at its least
         # letter, which must not be below the class's first letter).
         if is_proper_power(cyc)[0]:
-            pruned += 1
-            continue
+            return False
+        word = cyc.letters
         inverse = tuple(map(inverse_rank_of.__getitem__, reversed(word)))
         least, first = min(inverse), rank_of[word[0]]
-        if least < first:
-            pruned += 1
+        if least != first:
+            return least > first
+        n = len(word)
+        ranks = tuple(map(rank_of.__getitem__, word))
+        doubled = inverse * 2
+        return not any(doubled[i : i + n] < ranks for i in range(n) if inverse[i] == least)
+
+    filtered_exact = 0
+    violation: Optional[dict] = None
+    undecided: list[dict] = []
+    for cyc in enumerate_cyclic_classes_with(rank, max_len, passes):
+        if not kept(cyc):
             continue
-        if least == first:
-            n = len(word)
-            ranks = tuple(map(rank_of.__getitem__, word))
-            doubled = inverse * 2
-            if any(doubled[i : i + n] < ranks for i in range(n) if inverse[i] == least):
-                pruned += 1
-                continue
+        word = cyc.letters
         vector = tuple(map(sub, map(word.count, letters), map(word.count, inverse_letters)))
-        passes = ab_passes.get(vector)
-        if passes is None:
-            image = {
-                j: [sum(row[i] * vector[i] for i in range(rank)) for row in ab[j]]
-                for j in powers
-            }
-            passes = ab_passes[vector] = [
-                (p, hi, lo) for p, hi, lo in pairs if image[hi] == image[lo]
-            ]
-        if not passes:
-            continue
         cycle_types: dict = {}
 
         def cycle_type(sample: int, j: int) -> tuple[int, ...]:
@@ -640,7 +658,7 @@ def empirical_no_periodic_orbit(
                 exact[j] = None if previous is None else _within_budget(chain, previous)
             return exact[j]
 
-        for p, hi, lo in passes:
+        for p, hi, lo in passes(vector):
             if any(
                 cycle_type(sample, hi) != cycle_type(sample, lo)
                 for sample in range(quotient_samples)
@@ -660,6 +678,18 @@ def empirical_no_periodic_orbit(
                 break
         if violation is not None:
             break
+    if violation is None:
+        # Every class was checked.  No nontrivial class of a free group is
+        # conjugate to its inverse, so half the primitive ones are kept.
+        checked, primitive = count_cyclic_classes(rank, max_len)
+        pruned = checked - primitive // 2
+    else:
+        checked = pruned = 0
+        for cyc in enumerate_cyclic_classes(rank, max_len):
+            checked += 1
+            pruned += not kept(cyc)
+            if cyc.letters == word:  # the violating class
+                break
     return {
         "schema": "freevol/1",
         "max_len": max_len,

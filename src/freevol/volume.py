@@ -38,7 +38,7 @@ from typing import Sequence
 from .errors import TrivialSubgroup
 from .splittings import HNN, CyclicSplitting, require_valid, to_relative
 from .stallings import LabeledGraph, read_path, subgroup_graph
-from .words import Basis, Word, cyclically_reduce
+from .words import Word, cyclically_reduce, render_word
 
 
 @dataclass(frozen=True)
@@ -214,8 +214,13 @@ def translation_length(splitting: CyclicSplitting, word: Word) -> int:
     return free_volume(splitting, [core])
 
 
-def to_dot(report: VolumeReport, basis: Basis) -> str:
-    """DOT overlay: vertices of counted chains filled black, of essential cyclic ones gray."""
+def to_dot(report: VolumeReport, splitting: CyclicSplitting) -> str:
+    """DOT overlay: vertices of counted chains filled black, of essential cyclic ones gray.
+
+    The graph lives over the relative rose, so each edge is labelled with
+    its relative generator spelled in the ambient basis.
+    """
+    names = [render_word(word, splitting.ambient_basis) for word in splitting.relative_basis]
     styles = {}
     for chain in report.chains:
         if chain.essential:
@@ -225,6 +230,6 @@ def to_dot(report: VolumeReport, basis: Basis) -> str:
     for vertex in sorted(report.graph.vertices):
         lines.append(f"  v{vertex} [{styles.get(vertex, '')}];")
     for source, target, label in sorted(report.graph.edges):
-        lines.append(f'  v{source} -> v{target} [label="{basis.names[label - 1]}"];')
+        lines.append(f'  v{source} -> v{target} [label="{names[label - 1]}"];')
     lines.append("}")
     return "\n".join(lines)

@@ -12,7 +12,8 @@ from __future__ import annotations
 import string
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from operator import mul
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import BasisMismatch, EmptyWord, NotAnAutomorphism
 
@@ -348,7 +349,15 @@ def invert(phi: Automorphism) -> Automorphism:
     return Automorphism(phi.basis, tuple(edges[petal[0]][2] for petal in petals))
 
 
-def _cyclic_necklaces(rank: int, length: int) -> Iterator[Word]:
+#: A necklace constraint ``(steps, distance)``.  Each prefix has an int key,
+#: the sum of ``steps[r]`` over its letter ranks ``r``; ``distance[key]`` is a
+#: lower bound on the letters still needed to reach a wanted key, and is 0
+#: exactly at a wanted key.  A prefix farther than its letters left is pruned.
+Constraint = tuple[Sequence[int], Mapping[int, int]]
+_UNCONSTRAINED: Constraint = ((0,) * 52, {0: 0})
+
+
+def _cyclic_necklaces(rank: int, length: int, constraint: Constraint) -> Iterator[Word]:
     """Cyclically reduced necklaces of the given length, in lexicographic order.
 
     The Fredricksen-Kessler-Maiorana tree (Ruskey, Savage and Wang 1992)
@@ -358,27 +367,37 @@ def _cyclic_necklaces(rank: int, length: int) -> Iterator[Word]:
     and a full-length prenecklace is a necklace exactly when ``p`` divides
     the length.  Every prefix of a freely reduced word is freely reduced,
     so pruning a prefix that ends in ``x x^-1`` (ranks ``r, r ^ 1``) loses
-    no necklace; the wrap-around pair is checked at the leaves.
+    no necklace; the wrap-around pair is checked at the leaves.  Pruning by
+    the ``constraint`` keeps the order of the necklaces it keeps.
     """
+    steps, distance = constraint
     letter_of = [i // 2 + 1 if i % 2 == 0 else -(i // 2 + 1) for i in range(2 * rank)]
     a = [0] * (length + 1)  # 1-based; a[0] is the FKM sentinel
 
-    def extend(t: int, p: int, prefix: Word) -> Iterator[Word]:
+    def extend(t: int, p: int, prefix: Word, key: int) -> Iterator[Word]:
         # Fills a[t] .. a[length] after the prefix a[1 .. t-1], spelled ``prefix``.
         repeat = a[t - p]
         banned = a[t - 1] ^ 1 if t > 1 else -1
         if t == length:
             wrap = a[1] ^ 1 if t > 1 else -1
             for c in range(repeat, 2 * rank):
-                if c != banned and c != wrap and (c != repeat or length % p == 0):
+                if (
+                    c != banned
+                    and c != wrap
+                    and (c != repeat or length % p == 0)
+                    and not distance[key + steps[c]]
+                ):
                     yield prefix + (letter_of[c],)
             return
+        left = length - t
         for c in range(repeat, 2 * rank):
-            if c != banned:
+            if c != banned and distance[key + steps[c]] <= left:
                 a[t] = c
-                yield from extend(t + 1, p if c == repeat else t, prefix + (letter_of[c],))
+                yield from extend(
+                    t + 1, p if c == repeat else t, prefix + (letter_of[c],), key + steps[c]
+                )
 
-    yield from extend(1, 1, ())
+    yield from extend(1, 1, (), 0)
 
 
 def enumerate_cyclic_classes(rank: int, max_len: int) -> Iterator[CyclicWord]:
@@ -389,5 +408,83 @@ def enumerate_cyclic_classes(rank: int, max_len: int) -> Iterator[CyclicWord]:
     directly as a cyclically reduced necklace, so no rotation is tested.
     """
     for length in range(1, max_len + 1):
-        for letters in _cyclic_necklaces(rank, length):
+        for letters in _cyclic_necklaces(rank, length, _UNCONSTRAINED):
             yield CyclicWord(letters)
+
+
+def _ball(dim: int, radius: int) -> Iterator[tuple[int, ...]]:
+    """The integer vectors of the given dimension and l1 norm at most ``radius``."""
+    if dim == 0:
+        yield ()
+        return
+    for x in range(-radius, radius + 1):
+        for rest in _ball(dim - 1, radius - abs(x)):
+            yield (x, *rest)
+
+
+def _distances(
+    units: Sequence[int], radius: int, accepts: Callable[[tuple[int, ...]], object]
+) -> dict[int, int]:
+    """The l1 distance of each vector of norm at most ``radius`` to the nearest one ``accepts`` takes.
+
+    Keys are the vectors packed by ``units``; a distance past ``radius`` is
+    given as ``radius + 1``.  It is a breadth-first search from the
+    accepted vectors, since a shortest path between two vectors of the ball
+    stays in it.
+    """
+    vectors = list(_ball(len(units), radius))
+    far = radius + 1
+    table = {sum(map(mul, units, v)): far for v in vectors}
+    frontier = {sum(map(mul, units, v)) for v in vectors if accepts(v)}
+    moves = [*units, *(-u for u in units)]
+    for distance in range(far):
+        table.update(dict.fromkeys(frontier, distance))
+        frontier = {k + m for k in frontier for m in moves if table.get(k + m) == far}
+    return table
+
+
+def enumerate_cyclic_classes_with(
+    rank: int, max_len: int, accepts: Callable[[tuple[int, ...]], object]
+) -> Iterator[CyclicWord]:
+    """The classes of ``enumerate_cyclic_classes`` whose abelianization ``accepts`` takes.
+
+    They come in the same order.  The abelianization of a class is its
+    vector of exponent sums, one per generator.  A prefix's vector is packed
+    into one int key, in balanced base ``2 max_len + 3`` so that vectors of
+    norm up to ``max_len + 1`` get distinct keys, and each letter adds its
+    step to the key.  The necklace tree skips a prefix whose distance to the
+    accepted vectors exceeds its letters left: each letter moves the vector
+    by one in l1.  Distances come from a table over the ball of some radius
+    at least the length, whose radius doubles when the length passes it, so
+    a walk that stops at a short class builds only small tables.
+    """
+    base = 2 * max_len + 3
+    units = [base**i for i in range(rank)]
+    steps = [units[r // 2] if r % 2 == 0 else -units[r // 2] for r in range(2 * rank)]
+    radius = 0
+    for length in range(1, max_len + 1):
+        if length > radius:
+            radius = min(max(2 * radius, length), max_len)
+            constraint = (steps, _distances(units, radius, accepts))
+        for letters in _cyclic_necklaces(rank, length, constraint):
+            yield CyclicWord(letters)
+
+
+def count_cyclic_classes(rank: int, max_len: int) -> tuple[int, int]:
+    """Conjugacy classes of cyclic length 1..max_len, and how many are primitive.
+
+    A primitive class is no proper power.  The cyclically reduced words of
+    length n number W(n) = (2k-1)^n + (k-1)(-1)^n + k, the trace of the
+    n-th power of the letter-transition matrix.  Each is the power of a
+    primitive word of some length d dividing n, and d rotations of it give
+    the same class, so W(n) is the sum of d P(d) over those d; inverting
+    this (Moebius inversion) gives the primitive classes P(n), and the
+    classes of length n number the sum of P(d) over d dividing n (Burnside's
+    lemma over rotations).
+    """
+    primitive: dict[int, int] = {}
+    for n in range(1, max_len + 1):
+        words = (2 * rank - 1) ** n + (rank - 1) * (-1) ** n + rank
+        primitive[n] = (words - sum(d * primitive[d] for d in _divisors(n)[:-1])) // n
+    classes = sum(primitive[d] for n in primitive for d in _divisors(n))
+    return classes, sum(primitive.values())

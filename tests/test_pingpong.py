@@ -229,6 +229,12 @@ REPORT_KEYS = ("classes_checked", "classes_pruned", "violation", "ok")
         ("2:-N 1:+N", 5, 2, 1),
         ("1:+N 2:-N 1:+N", 4, 2, 2),
         ("1:+N", 4, 3, 4),
+        # Opposite equal exponents: the classes whose abelianization can be
+        # periodic form a 2-dimensional lattice.
+        ("1:-N 2:+N", 6, 2, 2),
+        # Periodic, first at the class aabc, so the classes up to it are
+        # counted by walking them.
+        ("1:+1 2:+1 1:-1", 5, 2, 2),
     ],
 )
 def test_orbit_check_agrees_with_oracle(config, text, max_len, max_power, samples):

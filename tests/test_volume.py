@@ -8,7 +8,16 @@ from freevol import stallings as st_mod
 from freevol import twisting as tw
 from freevol import volume as vol
 from freevol.splittings import dehn_twist
-from freevol.words import apply, conjugate, enumerate_cyclic_classes, invert_word, reduce_word
+from freevol.words import (
+    Automorphism,
+    apply,
+    concat,
+    conjugate,
+    enumerate_cyclic_classes,
+    invert_word,
+    reduce_word,
+    render_word,
+)
 
 B3 = fx.B3
 P = fx.w3
@@ -87,8 +96,19 @@ def test_report_lists_essential_singleton_chains():
     report = vol.analyze(fx.amalgam_over_c(), [P("ab")])
     assert [chain.chain_vertices for chain in report.chains] == [(0,), (1,)]
     assert all(chain.essential and chain.simply_connected for chain in report.chains)
-    dot = vol.to_dot(report, B3)
+    dot = vol.to_dot(report, fx.amalgam_over_c())
     assert dot.count("fillcolor=black") == 2
+
+
+@pytest.mark.parametrize("name", SPLITTINGS)
+def test_volume_dot_labels_edges_by_relative_generators(name):
+    # amalgam_over_c's relative basis is (a, c, b): its second relative
+    # letter reads c, not b.  Transformed splittings have words there.
+    splitting = SPLITTINGS[name]
+    for generator in splitting.relative_basis:
+        text = render_word(generator, B3)
+        dot = vol.to_dot(vol.analyze(splitting, [generator]), splitting)
+        assert dot.splitlines()[2:] == [f'  v0 -> v0 [label="{text}"];', "}"]
 
 
 def test_lambda_graph_of_cyclic_subgroup_is_circle():
@@ -149,6 +169,41 @@ def test_free_volume_is_invariant_under_the_splittings_twist(name, gens, n, sign
     splitting = SPLITTINGS[name]
     twist = dehn_twist(splitting, sign * n)
     _assert_same_volume(splitting, gens, [apply(twist, g) for g in gens])
+
+
+def _power(word, n):
+    return word * n if n >= 0 else invert_word(word) * -n
+
+
+@pytest.mark.parametrize("name", ["amalgam_over_c", "amalgam_over_ab"])
+@settings(max_examples=60, deadline=None)
+@given(
+    gens=subgroups,
+    exponents=st.lists(st.integers(-2, 2), min_size=4, max_size=4),
+    signs=st.tuples(st.sampled_from((1, -1)), st.sampled_from((1, -1))),
+)
+def test_free_volume_is_invariant_under_vertex_group_automorphisms(name, gens, exponents, signs):
+    """x -> e^i x^+-1 e^j and y -> e^k y^+-1 e^l, with the edge word e fixed.
+
+    The vertex groups are <e, x> and <e, y>: x = a and y = b over e = c for
+    amalgam_over_c, x = b and y = c over e = ab for amalgam_over_ab (so a,
+    which is e b^-1, goes to e x'^-1).  Each map is an automorphism of one
+    vertex group that fixes the edge word, so together they act on the
+    Bass-Serre tree by an isometry, which keeps the quotient graph of groups.
+    """
+    i, j, k, l = exponents
+    edge, x, y = ((3,), 1, 2) if name == "amalgam_over_c" else ((1, 2), 2, 3)
+    images = {
+        x: concat(_power(edge, i), (signs[0] * x,), _power(edge, j)),
+        y: concat(_power(edge, k), (signs[1] * y,), _power(edge, l)),
+    }
+    if name == "amalgam_over_ab":
+        images[1] = concat(edge, invert_word(images[2]))
+    else:
+        images[3] = edge
+    phi = Automorphism(B3, (images[1], images[2], images[3]))
+    assert apply(phi, edge) == edge
+    _assert_same_volume(getattr(fx, name)(), gens, [apply(phi, g) for g in gens])
 
 
 @pytest.mark.parametrize("name", SPLITTINGS)

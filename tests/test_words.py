@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from freevol.errors import NotAnAutomorphism
+from freevol.errors import BudgetExceeded, NotAnAutomorphism
+from freevol.pingpong import empirical_no_periodic_orbit
 from freevol.words import (
     Automorphism,
     Basis,
@@ -14,8 +15,10 @@ from freevol.words import (
     apply_cyclic,
     canonical_rotation,
     compose,
+    count_cyclic_classes,
     cyclically_reduce,
     enumerate_cyclic_classes,
+    enumerate_cyclic_classes_with,
     invert,
     invert_word,
     is_proper_power,
@@ -193,6 +196,26 @@ def test_enumerate_cyclic_classes_equals_oracle(rank, max_len):
     assert got == [c.letters for c in oracles.enumerate_cyclic_classes(rank, max_len)]
 
 
+def _abelianization(word, rank):
+    return tuple(word.count(i) - word.count(-i) for i in range(1, rank + 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_classes_steered_by_abelianization_are_the_filtered_classes(data):
+    rank = data.draw(st.integers(1, 4))
+    max_len = data.draw(st.integers(1, 7 - rank))
+    vectors = st.tuples(*[st.integers(-4, 4)] * rank)
+    targets = data.draw(st.sets(vectors, max_size=6))
+    got = [c.letters for c in enumerate_cyclic_classes_with(rank, max_len, targets.__contains__)]
+    expected = [
+        c.letters
+        for c in enumerate_cyclic_classes(rank, max_len)
+        if _abelianization(c.letters, rank) in targets
+    ]
+    assert got == expected
+
+
 def _divisors(n):
     return [d for d in range(1, n + 1) if n % d == 0]
 
@@ -213,13 +236,27 @@ def _moebius(n):
     return value
 
 
-@pytest.mark.parametrize("rank, max_len", [(1, 8), (2, 8), (3, 7), (4, 5)])
-def test_class_counts_match_closed_form(rank, max_len):
+def _largest_orbit_len(rank):
+    """The largest max_len the orbit check takes at power 1 within ORBIT_BUDGET."""
+    identity = Automorphism.identity(Basis.standard(rank))
+    max_len = 1
+    while True:
+        try:
+            empirical_no_periodic_orbit(identity, max_len + 1, 1)
+        except BudgetExceeded:
+            return max_len
+        max_len += 1
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_class_counts_match_closed_form(rank):
     """Cyclically reduced words of length n number (2k-1)^n + (k-1)(-1)^n + k.
 
     Rotation classes of them follow by Burnside's lemma, and primitive
-    classes (Lyndon words) by Moebius inversion.
+    classes (Lyndon words) by Moebius inversion.  ``count_cyclic_classes``
+    agrees with enumeration at every max_len the orbit check takes.
     """
+    max_len = 8 if rank == 1 else _largest_orbit_len(rank)
 
     def cyclically_reduced(n):
         return (2 * rank - 1) ** n + (rank - 1) * (-1) ** n + rank
@@ -228,8 +265,11 @@ def test_class_counts_match_closed_form(rank, max_len):
     for c in enumerate_cyclic_classes(rank, max_len):
         classes, primitive = by_length.get(len(c), (0, 0))
         by_length[len(c)] = (classes + 1, primitive + (not is_proper_power(c)[0]))
+    total = (0, 0)
     for n in range(1, max_len + 1):
         classes = sum(_totient(n // d) * cyclically_reduced(d) for d in _divisors(n))
         primitive = sum(_moebius(n // d) * cyclically_reduced(d) for d in _divisors(n))
         assert by_length.get(n, (0, 0)) == (classes // n, primitive // n)
         assert classes % n == 0 and primitive % n == 0
+        total = (total[0] + classes // n, total[1] + primitive // n)
+        assert count_cyclic_classes(rank, n) == total
