@@ -248,16 +248,7 @@ def _largest_orbit_len(rank):
         max_len += 1
 
 
-@pytest.mark.parametrize("rank", [1, 2, 3, 4])
-def test_class_counts_match_closed_form(rank):
-    """Cyclically reduced words of length n number (2k-1)^n + (k-1)(-1)^n + k.
-
-    Rotation classes of them follow by Burnside's lemma, and primitive
-    classes (Lyndon words) by Moebius inversion.  ``count_cyclic_classes``
-    agrees with enumeration at every max_len the orbit check takes.
-    """
-    max_len = 8 if rank == 1 else _largest_orbit_len(rank)
-
+def _assert_class_counts_match_closed_form(rank, max_len):
     def cyclically_reduced(n):
         return (2 * rank - 1) ** n + (rank - 1) * (-1) ** n + rank
 
@@ -273,3 +264,19 @@ def test_class_counts_match_closed_form(rank):
         assert classes % n == 0 and primitive % n == 0
         total = (total[0] + classes // n, total[1] + primitive // n)
         assert count_cyclic_classes(rank, n) == total
+
+
+@pytest.mark.parametrize("rank, max_len", [(1, 8), (2, 8), (3, 7), (4, 5)])
+def test_class_counts_match_closed_form(rank, max_len):
+    """Cyclically reduced words of length n number (2k-1)^n + (k-1)(-1)^n + k.
+
+    Rotation classes of them follow by Burnside's lemma, and primitive
+    classes (Lyndon words) by Moebius inversion.
+    """
+    _assert_class_counts_match_closed_form(rank, max_len)
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_class_counts_match_closed_form_at_orbit_lengths(rank):
+    """``count_cyclic_classes`` agrees with enumeration at every max_len the orbit check takes."""
+    _assert_class_counts_match_closed_form(rank, _largest_orbit_len(rank))
