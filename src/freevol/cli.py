@@ -11,11 +11,16 @@ neither: the rest of the output is dropped, nothing is printed on standard
 error, and the exit code is still the verdict's.  All JSON output carries
 a top-level ``"schema": "freevol/1"`` field, and identical invocations
 (including ``--seed``) produce byte-identical output.
+
+``main`` may be called repeatedly in one process: its parser is built on
+the first call and reused, and every call prints the same output and
+returns the same exit code as it would in a fresh process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -218,10 +223,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """``main``'s own parser, built on its first call.
+
+    ``build_parser`` returns a new parser on every call, so a caller that
+    extends one cannot change this one.
+    """
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on bad usage; normalize to the documented code.
         return EXIT_OK if exc.code == 0 else EXIT_USAGE

@@ -186,6 +186,24 @@ def rank(graph: LabeledGraph) -> int:
     return len(graph.edges) - len(graph.vertices) + 1
 
 
+def cycle_word(graph: LabeledGraph) -> Word:
+    """The word read once around a folded graph that is a single cycle.
+
+    The walk starts at the least vertex along its greatest signed label, so
+    the word is cyclically reduced and depends only on the graph.
+    """
+    exits: dict[int, list[int]] = {}
+    for source, target, label in graph.edges:
+        exits.setdefault(source, []).append(label)
+        exits.setdefault(target, []).append(-label)
+    table = graph.out_map()
+    start = vertex = min(graph.vertices)
+    word = [max(exits[start])]
+    while (vertex := table[(vertex, word[-1])]) != start:
+        word.append(next(x for x in exits[vertex] if x != -word[-1]))
+    return tuple(word)
+
+
 def connected_components(graph: LabeledGraph) -> list[LabeledGraph]:
     adjacency: dict[int, set[int]] = {v: set() for v in graph.vertices}
     for source, target, _ in graph.edges:

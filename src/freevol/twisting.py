@@ -20,7 +20,7 @@ from .splittings import (
     relative_inverse,
     to_relative,
 )
-from .stallings import is_malnormal, rank, subgroup_graph
+from .stallings import cycle_word, is_malnormal, rank, subgroup_graph
 from .volume import free_volume, translation_length
 from .words import (
     Automorphism,
@@ -384,13 +384,15 @@ def check_volume_growth_bounds(
     constants were computed for; otherwise HypothesisViolated is raised.
     The twist power ``n`` must be a nonzero int, or UsageError is raised.
 
-    A subgroup given by one generator also gets ``growth_certificate``
-    under ``"certificate"``, with ``all_n_ok``: the two-sided bound for
-    every |n| >= n0 at once.  Both bounds have slope vol1 * l2(c1), so
-    this holds exactly when the certified slope equals it and
-    |intercept| <= vol1 * C + M * vol2.  For |n| >= n0 the observed
-    volume is read off the certificate; otherwise, and for every other
-    subgroup, the generators are twisted and refolded.
+    A cyclic subgroup also gets ``growth_certificate`` under
+    ``"certificate"``, with ``all_n_ok``: the two-sided bound for every
+    |n| >= n0 at once.  However many generators it is given by, its folded
+    core is one cycle, and the certificate is for the word read around it,
+    which generates a conjugate of the subgroup.  Both bounds have slope
+    vol1 * l2(c1), so ``all_n_ok`` holds exactly when the certified slope
+    equals it and |intercept| <= vol1 * C + M * vol2.  For |n| >= n0 the
+    observed volume is read off the certificate; otherwise, and for every
+    subgroup of rank 2 or more, the generators are twisted and refolded.
     """
     if isinstance(n, bool) or not isinstance(n, int) or n == 0:
         raise UsageError(f"the twist power must be a nonzero int, got {n!r}")
@@ -404,10 +406,9 @@ def check_volume_growth_bounds(
     length_c1 = translation_length(splitting2, c1_ambient)
     vol1 = free_volume(splitting1, gens)
     vol2 = free_volume(splitting2, gens)
-    nontrivial = [g for g in gens if g]
     certificate = None
-    if len(nontrivial) == 1:
-        certificate = _certificate(splitting1, splitting2, nontrivial[0], length_c1)
+    if subgroup_rank == 1:
+        certificate = _certificate(splitting1, splitting2, cycle_word(ambient_core), length_c1)
     results = {}
     all_ok = True
     for sign in (+1, -1):

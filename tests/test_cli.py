@@ -402,3 +402,37 @@ def test_realize_names_the_budget_and_the_letters_needed(monkeypatch):
     monkeypatch.setattr(pingpong, "LETTER_BUDGET", 100)
     with pytest.raises(freevol.BudgetExceeded, match=r"needs up to \d+ letters, over the budget of 100"):
         pingpong.realize(config, word)
+
+
+def test_repeated_calls_in_one_process_match_fresh_processes(capsys, tmp_path, monkeypatch):
+    """The parser is built once, and no call leaves state that a later call sees."""
+    # Help text wraps at the terminal width; fix it for both sides.
+    monkeypatch.setenv("COLUMNS", "80")
+    path = write_pair(tmp_path, fx.certified_filling_pair(), "fills.json")
+    usage_error = ["fold", "-k", "2", "zz"]
+    argvs = [usage_error, ["pingpong", "--help"], ["fill", "--pair", path, "--json"], usage_error]
+    built = []
+
+    def counting_build_parser():
+        built.append(None)
+        return build_parser()
+
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._parser.cache_clear()
+    try:
+        in_process = [run(capsys, argv) for argv in argvs]
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+    assert [code for code, _, _ in in_process] == [64, 0, 0, 64]
+    env = subprocess_env()
+    for argv, result in zip(argvs, in_process):
+        fresh = subprocess.run(
+            [sys.executable, "-m", "freevol.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert (fresh.returncode, fresh.stdout, fresh.stderr) == result, argv

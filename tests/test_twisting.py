@@ -324,3 +324,23 @@ def test_growth_check_refuses_a_zero_or_bool_power(n):
     consts = tw.constants(1, pair.first, pair.second)
     with pytest.raises(UsageError):
         tw.check_volume_growth_bounds(pair.first, pair.second, [P("aCCbc")], n, consts)
+
+
+@pytest.mark.parametrize("text", ["abCacb", "abCacBBc"])
+def test_cyclic_subgroup_given_by_several_generators_is_certified(text):
+    pair = fx.certified_filling_pair()
+    consts = tw.constants(1, pair.first, pair.second)
+    g = P(text)
+    keys = ("vol1", "vol2", "bounds", "certificate")
+    for n in (2048, -2048):
+        reference = tw.check_volume_growth_bounds(pair.first, pair.second, [g], n, consts)
+        assert reference["certificate"]["all_n_ok"]
+        for gens in ([reduce_word(g * 2), reduce_word(g * 3)], [g, g]):
+            report = tw.check_volume_growth_bounds(pair.first, pair.second, gens, n, consts)
+            assert {key: report[key] for key in keys} == {key: reference[key] for key in keys}
+    # At the larger n0 both powers are read off the certificate.
+    n = max(reference["certificate"][key]["n0"] for key in ("plus", "minus"))
+    report = tw.check_volume_growth_bounds(pair.first, pair.second, [g, g], n, consts)
+    assert report["certificate"] == reference["certificate"]
+    for power in (n, -n):
+        assert report["bounds"][f"twist_power_{power}"]["observed"] == _refolded(pair, g, power)
