@@ -192,15 +192,16 @@ def cycle_word(graph: LabeledGraph) -> Word:
     The walk starts at the least vertex along its greatest signed label, so
     the word is cyclically reduced and depends only on the graph.
     """
-    exits: dict[int, list[int]] = {}
+    exits: dict[int, list[tuple[int, int]]] = {}  # vertex -> [(signed label, neighbor)]
     for source, target, label in graph.edges:
-        exits.setdefault(source, []).append(label)
-        exits.setdefault(target, []).append(-label)
-    table = graph.out_map()
-    start = vertex = min(graph.vertices)
-    word = [max(exits[start])]
-    while (vertex := table[(vertex, word[-1])]) != start:
-        word.append(next(x for x in exits[vertex] if x != -word[-1]))
+        exits.setdefault(source, []).append((label, target))
+        exits.setdefault(target, []).append((-label, source))
+    start = min(graph.vertices)
+    letter, vertex = max(exits[start])
+    word = [letter]
+    while vertex != start:
+        letter, vertex = next((x, w) for x, w in exits[vertex] if x != -letter)
+        word.append(letter)
     return tuple(word)
 
 

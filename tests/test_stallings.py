@@ -47,6 +47,7 @@ def test_cyclic_core_spells_cyclic_reduction(word):
     core = st_mod.subgroup_graph(B3, [word], keep_basepoint=False)
     assert st_mod.rank(core) == 1
     assert len(core.edges) == len(cyclic.letters)
+    assert CyclicWord.of(st_mod.cycle_word(core)) in (cyclic, CyclicWord.of(invert_word(word)))
 
 
 def test_pullback_intersections():
