@@ -411,13 +411,12 @@ def test_repeated_calls_in_one_process_match_fresh_processes(capsys, tmp_path, m
     path = write_pair(tmp_path, fx.certified_filling_pair(), "fills.json")
     usage_error = ["fold", "-k", "2", "zz"]
     argvs = [usage_error, ["pingpong", "--help"], ["fill", "--pair", path, "--json"], usage_error]
-    built = []
+    build_parser, built = cli.build_parser, []
 
     def counting_build_parser():
         built.append(None)
         return build_parser()
 
-    build_parser = cli.build_parser
     monkeypatch.setattr(cli, "build_parser", counting_build_parser)
     cli._parser.cache_clear()
     try:
