@@ -2,10 +2,15 @@
 
 Two checks are implemented.  The free-action check verifies that no
 nontrivial element is elliptic in both splittings by intersecting all
-conjugates of their vertex groups through graph pullbacks.  The free-factor
-check decides whether the two edge words can sit inside a common proper
-free factor, using Whitehead minimization followed by the cut-vertex
-criterion on the Whitehead graph of the minimized conjugacy classes.
+conjugates of their vertex groups through graph pullbacks (Stallings 1983):
+each vertex group's core graph is built once, and each pair of cores gets
+the ranks of its pullback components from one union-find pass over their
+fiber product (``stallings.pullback_ranks``), with no graph built per
+component.  The free-factor check decides whether the two edge words can
+sit inside a common proper free factor, using Whitehead minimization
+followed by the cut-vertex criterion on the Whitehead graph of the
+minimized conjugacy classes (Stallings 1999, "Whitehead graphs on
+handlebodies").
 
 Whitehead minimization applies, at each step, the least strictly
 shortening Whitehead move ``(multiplier, sorted side)`` in the letter
@@ -13,7 +18,12 @@ order a < A < b < B < ....  Moves are priced, not tried: on the graph G'
 with one edge ``{x, y^-1}`` per cyclically adjacent pair ``x . y``, the
 move ``(a, A)`` changes the total cyclic length by ``cap(A) - deg(a)``.
 Finding the move takes O(k) max-flows on the 2k letters per step, instead
-of applying all 2k * 2^(2k-2) moves.
+of applying all 2k * 2^(2k-2) moves.  Each max-flow copies G' as plain
+dictionaries and runs at most ``deg(a)`` augmenting depth-first searches.
+
+The cut vertex of the minimized Whitehead graph is found by one
+depth-first search for articulation points over an adjacency built once,
+and the least one in the letter order is reported.
 
 The combined verdict is conservative: a failed free-factor check only
 downgrades the answer to "unknown", because the pair may still separate
@@ -23,8 +33,8 @@ lie in a common proper free factor.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 from . import stallings
@@ -62,42 +72,66 @@ class WhiteheadGraph:
         ]
         return tuple(sorted(signed, key=letter_sort_key))
 
-    def _adjacency(self, removed: Optional[int] = None) -> dict[int, set[int]]:
-        adj: dict[int, set[int]] = {
-            v: set() for v in self.vertices if v != removed
-        }
+    @cached_property
+    def _adjacency(self) -> dict[int, set[int]]:
+        adj: dict[int, set[int]] = {v: set() for v in self.vertices}
         for x, y in self.edges:
-            if removed in (x, y):
-                continue
             adj[x].add(y)
             adj[y].add(x)
         return adj
 
-    def _is_connected(self, removed: Optional[int] = None) -> bool:
-        adj = self._adjacency(removed)
+    def is_connected(self) -> bool:
+        adj = self._adjacency
         if not adj:
             return True
-        seen = set()
-        stack = [next(iter(sorted(adj, key=letter_sort_key)))]
+        start = self.vertices[0]
+        seen = {start}
+        stack = [start]
         while stack:
-            v = stack.pop()
-            if v in seen:
-                continue
-            seen.add(v)
-            stack.extend(adj[v] - seen)
+            for w in adj[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
         return len(seen) == len(adj)
 
-    def is_connected(self) -> bool:
-        return self._is_connected()
-
     def cut_vertex(self) -> Optional[int]:
-        """A vertex whose removal disconnects the graph, if one exists."""
-        if not self._is_connected():
+        """The least vertex, in the order a < A < b < B < ..., whose removal
+        disconnects the graph; None if there is none or the graph is not connected.
+
+        One depth-first search from ``a`` finds every cut vertex (Hopcroft and
+        Tarjan 1973): the root when it has two or more children, and any other
+        vertex ``u`` with a child whose subtree has no edge to a vertex
+        discovered before ``u``.
+        """
+        if not self.is_connected():
             return None
-        for v in self.vertices:
-            if not self._is_connected(removed=v):
-                return v
-        return None
+        adj = self._adjacency
+        root = self.vertices[0]
+        order = {root: 0}  # discovery index
+        low = {root: 0}  # least index an edge from the vertex's subtree reaches
+        cuts: set[int] = set()
+        root_children = 0
+        stack = [(root, None, iter(adj[root]))]
+        while stack:
+            u, parent, neighbors = stack[-1]
+            for w in neighbors:
+                if w not in order:
+                    order[w] = low[w] = len(order)
+                    stack.append((w, u, iter(adj[w])))
+                    break
+                if w != parent:
+                    low[u] = min(low[u], order[w])
+            else:
+                stack.pop()
+                if parent == root:
+                    root_children += 1
+                elif parent is not None:
+                    low[parent] = min(low[parent], low[u])
+                    if low[u] >= order[parent]:
+                        cuts.add(parent)
+        if root_children > 1:
+            cuts.add(root)
+        return min(cuts, key=letter_sort_key, default=None)
 
 
 def whitehead_graph(classes: Sequence[CyclicWord], rank: int) -> WhiteheadGraph:
@@ -113,25 +147,32 @@ def whitehead_graph(classes: Sequence[CyclicWord], rank: int) -> WhiteheadGraph:
     return WhiteheadGraph(rank=rank, edges=tuple(sorted(edges)))
 
 
-def _cut_graph(classes: Sequence[CyclicWord], rank: int) -> dict[int, Counter]:
+def _cut_graph(classes: Sequence[CyclicWord], rank: int) -> dict[int, dict[int, int]]:
     """G': edge multiplicities on the letters, keyed in the order a < A < b < B < ...
 
     Each cyclically adjacent pair ``x . y`` adds one edge ``{x, y^-1}``:
     the mirror image of ``WhiteheadGraph``, which joins ``x^-1`` and ``y``.
+    Every row lists exactly the letters joined to its own, so ``cap[u][v]``
+    exists exactly when ``cap[v][u]`` does.
     """
-    cap = {x: Counter() for i in range(1, rank + 1) for x in (i, -i)}
+    cap: dict[int, dict[int, int]] = {x: {} for i in range(1, rank + 1) for x in (i, -i)}
     for cyc in classes:
         letters = cyc.letters
         for x, y in zip(letters, letters[1:] + letters[:1]):
-            cap[x][-y] += 1
-            cap[-y][x] += 1
+            cap[x][-y] = cap[x].get(-y, 0) + 1
+            cap[-y][x] = cap[-y].get(x, 0) + 1
     return cap
 
 
-def _cut_below(cap: dict[int, Counter], sources: set[int], sinks: set[int], bound: int) -> bool:
+def _cut_below(cap: dict[int, dict[int, int]], sources: set[int], sinks: set[int], bound: int) -> bool:
     """Whether some letter set holding ``sources`` and no ``sinks`` has fewer
-    than ``bound`` edges of G' leaving it: at most ``bound`` unit augmenting paths."""
-    residual = {u: Counter(row) for u, row in cap.items()}
+    than ``bound`` edges of G' leaving it: at most ``bound`` unit augmenting paths.
+
+    Each call costs a copy of G' and at most ``bound`` depth-first searches
+    over its 2k letters.  The residual graph keeps G's rows, so an edge
+    pushed back along always has its key.
+    """
+    residual = {u: row.copy() for u, row in cap.items()}
     for _ in range(bound):
         parent = dict.fromkeys(sources)
         stack = list(sources)
@@ -152,7 +193,7 @@ def _cut_below(cap: dict[int, Counter], sources: set[int], sinks: set[int], boun
     return False
 
 
-def _least_improving_move(cap: dict[int, Counter]) -> Optional[tuple[int, list[int]]]:
+def _least_improving_move(cap: dict[int, dict[int, int]]) -> Optional[tuple[int, list[int]]]:
     """The least strictly shortening move ``(a, sorted A)``, if there is one.
 
     Multipliers are tried in letter order.  For the first with a shortening
@@ -268,16 +309,15 @@ def check_f2(pair: MarkedPair) -> tuple[bool, dict]:
     require_valid(pair.first)
     require_valid(pair.second)
     basis = pair.ambient_basis
-    groups1 = vertex_groups(pair.first)
-    groups2 = vertex_groups(pair.second)
+    cores1, cores2 = (
+        [stallings.subgroup_graph(basis, gens, keep_basepoint=False) for gens in vertex_groups(splitting)]
+        for splitting in (pair.first, pair.second)
+    )
     entries: list[dict] = []
     ok = True
-    for i, gens1 in enumerate(groups1):
-        core1 = stallings.subgroup_graph(basis, gens1, keep_basepoint=False)
-        for j, gens2 in enumerate(groups2):
-            core2 = stallings.subgroup_graph(basis, gens2, keep_basepoint=False)
-            components = stallings.pullback(core1, core2)
-            ranks = sorted(stallings.rank(c) for c in components)
+    for i, core1 in enumerate(cores1):
+        for j, core2 in enumerate(cores2):
+            ranks = stallings.pullback_ranks(core1, core2)
             if any(r > 0 for r in ranks):
                 ok = False
             entries.append(

@@ -480,11 +480,13 @@ def empirical_no_periodic_orbit(
     tracked through the generator images of phi's factors, never on growing
     words.  The trace is a conjugacy invariant and F_k embeds in SL(2, Z)
     (Sanov 1947), so random generator matrices tell apart almost every pair
-    that is not conjugate; the trace maps are set up only once some class
-    gets that far.  A pair that passes every filter is compared exactly,
-    building no word longer than ``LETTER_BUDGET`` letters; a class whose
-    comparison would exceed it is listed under ``undecided`` with the power
-    reached, its higher powers go unchecked, and ``ok`` is false.
+    that is not conjugate.  Every random map is drawn at the start, but
+    each symmetric-group sample after the first, and the trace maps, are
+    tracked only once some class gets that far.  A pair that passes every
+    filter is compared exactly, building no word longer than
+    ``LETTER_BUDGET`` letters; a class whose comparison would exceed it is
+    listed under ``undecided`` with the power reached, its higher powers go
+    unchecked, and ``ok`` is false.
 
     ``classes_checked`` counts every class up to the first violation, all
     of them when there is none, and ``classes_pruned`` those among them
@@ -566,17 +568,27 @@ def empirical_no_periodic_orbit(
         return values
 
     rng = _random.Random(seed)
-    quotients = []  # per sample: {j: perm getters of rho . phi^j}
-    for sample in range(quotient_samples):
+    bases = []  # per sample: the generators' permutations under rho
+    for _ in range(quotient_samples):
         base = []
         for _ in range(rank):
             perm = list(range(_PERM_DEGREE))
             rng.shuffle(perm)
             base.append(tuple(perm))
-        values = track(base, _perm_getters, _perm_of_word)
-        if sample == 0 and _through(values[1], backward, _perm_getters, _perm_of_word) != base:
-            raise UsageError("inverse factors do not invert phi in a permutation quotient")
-        quotients.append({j: _perm_getters(v) for j, v in values.items()})
+        bases.append(base)
+    quotients: dict[int, dict] = {}  # sample -> {j: perm getters of rho . phi^j}
+
+    def quotient(sample: int) -> dict:
+        """Sample ``sample``'s maps, tracked when a class first reaches it."""
+        if sample not in quotients:
+            values = track(bases[sample], _perm_getters, _perm_of_word)
+            if sample == 0 and _through(values[1], backward, _perm_getters, _perm_of_word) != bases[0]:
+                raise UsageError("inverse factors do not invert phi in a permutation quotient")
+            quotients[sample] = {j: _perm_getters(v) for j, v in values.items()}
+        return quotients[sample]
+
+    if quotient_samples:
+        quotient(0)  # checks the inverse factors before any class is enumerated
 
     traces: list = []  # {j: matrix table of rho . phi^j}, built on first use
 
@@ -645,7 +657,7 @@ def empirical_no_periodic_orbit(
 
         def cycle_type(sample: int, j: int) -> tuple[int, ...]:
             if (sample, j) not in cycle_types:
-                cycle_types[sample, j] = _cycle_type(_perm_of_word(word, quotients[sample][j]))
+                cycle_types[sample, j] = _cycle_type(_perm_of_word(word, quotient(sample)[j]))
             return cycle_types[sample, j]
 
         exact: dict[int, Optional[Word]] = {0: word}

@@ -4,11 +4,19 @@ A graph is a finite set of integer vertices with directed edges labeled by
 positive generator indices.  A folded graph has at most one outgoing and one
 incoming edge per (vertex, label), which makes the label-reading map to the
 rose locally injective.
+
+The pullback of two folded graphs is their fiber product over the rose, and
+the cores of its components are the intersections of the conjugates of the
+two subgroups (Stallings 1983, "Topology of finite graphs").  That product
+is folded too, and pruning keeps E - V + 1, so the components' ranks come
+from one union-find pass over the product's edges (``_FiberProduct``).
+``pullback_ranks`` and ``is_malnormal`` read them there, and only
+``pullback`` builds and cores a graph per component.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import TrivialSubgroup
@@ -41,14 +49,6 @@ class LabeledGraph:
         return table
 
 
-@dataclass
-class FoldTrace:
-    """Replayable log of vertex merges and prunes performed while folding."""
-
-    folds: list[tuple[int, int]] = field(default_factory=list)
-    prunes: list[int] = field(default_factory=list)
-
-
 def spell_path(
     edges: set[Edge], word: Word, source: int, target: Optional[int], fresh: int
 ) -> list[int]:
@@ -78,7 +78,7 @@ def from_generators(basis: Basis, gens: Sequence[Word]) -> LabeledGraph:
     return LabeledGraph(frozenset(vertices), frozenset(edges), basepoint=0)
 
 
-def _prune(links: dict[int, dict[int, int]], keep: Optional[int], trace: FoldTrace) -> None:
+def _prune(links: dict[int, dict[int, int]], keep: Optional[int]) -> None:
     """Remove valence-<=1 vertices other than ``keep`` in rounds, never the last one.
 
     ``links`` maps each vertex of a folded graph to its (signed label ->
@@ -98,12 +98,14 @@ def _prune(links: dict[int, dict[int, int]], keep: Optional[int], trace: FoldTra
                 del links[other][-key]
                 if len(links[other]) <= 1 and other != keep:
                     exposed.add(other)
-            trace.prunes.append(vertex)
         layer = sorted(v for v in exposed if v in links)
 
 
-def fold_and_core(graph: LabeledGraph, keep_basepoint: bool) -> tuple[LabeledGraph, FoldTrace]:
+def fold_and_core(graph: LabeledGraph, keep_basepoint: bool) -> tuple[LabeledGraph, int]:
     """Fold to an immersion, then prune to a core graph.
+
+    Returns the core and the number of vertex merges, which is 0 exactly
+    when ``graph`` was already folded.
 
     A union-find worklist fold (Touikan 2006): every class of vertices
     keeps one (signed label -> neighbor) table, two tables merge smaller
@@ -128,14 +130,14 @@ def fold_and_core(graph: LabeledGraph, keep_basepoint: bool) -> tuple[LabeledGra
             known = links[vertex].setdefault(key, other)
             if known != other:
                 pending.append((known, other))
-    trace = FoldTrace()
+    merges = 0
     while pending:
         first, second = pending.pop()
         keep_vertex, merge_vertex = sorted((find(first), find(second)))
         if keep_vertex == merge_vertex:
             continue
         parent[merge_vertex] = keep_vertex
-        trace.folds.append((keep_vertex, merge_vertex))
+        merges += 1
         kept, moved = links[keep_vertex], links.pop(merge_vertex)
         if len(kept) < len(moved):
             kept, moved = moved, kept
@@ -148,9 +150,9 @@ def fold_and_core(graph: LabeledGraph, keep_basepoint: bool) -> tuple[LabeledGra
         for key, other in out.items():
             out[key] = find(other)
     basepoint = find(graph.basepoint) if graph.basepoint is not None and keep_basepoint else None
-    _prune(links, basepoint, trace)
+    _prune(links, basepoint)
     edges = frozenset((v, w, key) for v, out in links.items() for key, w in out.items() if key > 0)
-    return LabeledGraph(frozenset(links), edges, basepoint=basepoint), trace
+    return LabeledGraph(frozenset(links), edges, basepoint=basepoint), merges
 
 
 def subgroup_graph(basis: Basis, gens: Sequence[Word], keep_basepoint: bool = True) -> LabeledGraph:
@@ -205,75 +207,107 @@ def cycle_word(graph: LabeledGraph) -> Word:
     return tuple(word)
 
 
-def connected_components(graph: LabeledGraph) -> list[LabeledGraph]:
-    adjacency: dict[int, set[int]] = {v: set() for v in graph.vertices}
-    for source, target, _ in graph.edges:
-        adjacency[source].add(target)
-        adjacency[target].add(source)
-    seen: set[int] = set()
-    components: list[LabeledGraph] = []
-    for start in sorted(graph.vertices):
-        if start in seen:
-            continue
-        stack = [start]
-        block = set()
-        while stack:
-            vertex = stack.pop()
-            if vertex in block:
-                continue
-            block.add(vertex)
-            stack.extend(adjacency[vertex] - block)
-        seen |= block
-        edges = frozenset(e for e in graph.edges if e[0] in block)
-        basepoint = graph.basepoint if graph.basepoint in block else None
-        components.append(LabeledGraph(frozenset(block), edges, basepoint=basepoint))
-    return components
+class _FiberProduct:
+    """Union-find partition of the fiber product of two folded graphs over the rose.
 
+    The product's vertices are the pairs (v1, v2) that an edge of each graph
+    with the same label leaves or enters, so the full V1 x V2 product is
+    never materialized.  Each pair is named by one int, ``vertex(v1, v2)``.
+    One pass over the label coincidences joins the ends of every product
+    edge and counts, per component, the edges that close a cycle: E - V + 1
+    of that component.  Each component's root is its least vertex.
 
-def _fiber_product(
-    graph1: LabeledGraph, graph2: LabeledGraph
-) -> tuple[list[LabeledGraph], dict[tuple[int, int], int]]:
-    """Components of the fiber product over the rose, and each vertex pair's id.
-
-    Vertex pairs are generated lazily from edge coincidences, so the full
-    V1 x V2 product is never materialized.
+    When both graphs are folded, so is the product, and pruning keeps
+    E - V + 1, so each count is the rank of the component's core.  If
+    ``edges`` is given, every product edge is appended to it.
     """
-    table2: dict[int, list[tuple[int, int]]] = {}
-    for source, target, label in graph2.edges:
-        table2.setdefault(label, []).append((source, target))
-    pair_ids: dict[tuple[int, int], int] = {}
-    edges: set[Edge] = set()
-    for source1, target1, label in graph1.edges:
-        for source2, target2 in table2.get(label, []):
-            source = pair_ids.setdefault((source1, source2), len(pair_ids))
-            target = pair_ids.setdefault((target1, target2), len(pair_ids))
-            edges.add((source, target, label))
-    product = LabeledGraph(frozenset(pair_ids.values()), frozenset(edges))
-    return connected_components(product), pair_ids
+
+    __slots__ = ("_low", "_span", "_parent", "_cycles")
+
+    def __init__(self, graph1: LabeledGraph, graph2: LabeledGraph, edges: Optional[list[Edge]] = None):
+        self._low = min(graph2.vertices, default=0)
+        self._span = max(graph2.vertices, default=0) - self._low + 1
+        self._parent: dict[int, int] = {}
+        self._cycles: dict[int, int] = {}  # root -> E - V + 1, when positive
+        ends2: dict[int, list[tuple[int, int]]] = {}  # label -> [(source, target)] of graph2
+        for source2, target2, label in graph2.edges:
+            ends2.setdefault(label, []).append((source2, target2))
+        parent, cycles, vertex, root = self._parent, self._cycles, self.vertex, self.root
+        for source1, target1, label in graph1.edges:
+            for source2, target2 in ends2.get(label, ()):
+                source, target = vertex(source1, source2), vertex(target1, target2)
+                if edges is not None:
+                    edges.append((source, target, label))
+                parent.setdefault(source, source)
+                parent.setdefault(target, target)
+                first, second = root(source), root(target)
+                if first == second:
+                    cycles[first] = cycles.get(first, 0) + 1
+                    continue
+                if second < first:
+                    first, second = second, first
+                parent[second] = first
+                if second in cycles:
+                    cycles[first] = cycles.get(first, 0) + cycles.pop(second)
+
+    def vertex(self, v1: int, v2: int) -> int:
+        return v1 * self._span + v2 - self._low
+
+    def root(self, vertex: int) -> int:
+        parent = self._parent
+        while parent[vertex] != vertex:
+            parent[vertex] = parent[parent[vertex]]
+            vertex = parent[vertex]
+        return vertex
+
+    def ranks(self) -> dict[int, int]:
+        """The rank of each component, keyed by its root."""
+        return {v: self._cycles.get(v, 0) for v, up in self._parent.items() if v == up}
 
 
 def pullback(graph1: LabeledGraph, graph2: LabeledGraph) -> list[LabeledGraph]:
-    """Cores of all components of the fiber product over the rose."""
-    components, _ = _fiber_product(graph1, graph2)
-    return [fold_and_core(component, keep_basepoint=False)[0] for component in components]
+    """Cores of all components of the fiber product over the rose.
+
+    The product's edges are split by the union-find partition in one pass,
+    and each component is cored by ``fold_and_core``; the components come
+    in the order of their least vertex.  For folded graphs the cores are
+    the intersections of conjugates of the two subgroups (Stallings 1983),
+    and when only their ranks are needed ``pullback_ranks`` builds none.
+    """
+    edges: list[Edge] = []
+    product = _FiberProduct(graph1, graph2, edges)
+    blocks: dict[int, list[Edge]] = {root: [] for root in sorted(product.ranks())}
+    for edge in edges:
+        blocks[product.root(edge[0])].append(edge)
+    return [
+        fold_and_core(
+            LabeledGraph(frozenset(v for edge in block for v in edge[:2]), frozenset(block)),
+            keep_basepoint=False,
+        )[0]
+        for block in blocks.values()
+    ]
+
+
+def pullback_ranks(graph1: LabeledGraph, graph2: LabeledGraph) -> list[int]:
+    """Ranks of the components of the fiber product of two folded graphs, sorted.
+
+    Equal to ``sorted(rank(c) for c in pullback(graph1, graph2))``, read off
+    the union-find partition without building a graph per component.
+    """
+    return sorted(_FiberProduct(graph1, graph2).ranks().values())
 
 
 def is_malnormal(graph: LabeledGraph) -> bool:
     """True iff every non-diagonal self-pullback component has rank 0.
 
-    In a folded graph the diagonal of the self fiber product is a union of
-    whole components, and each such component is detected by containing a
-    pair with equal coordinates.
+    ``graph`` must be folded.  The diagonal of its self fiber product is
+    then a union of whole components, each holding a pair (v, v) for some
+    vertex v that an edge leaves; those components are skipped, and the
+    others' ranks are read off the union-find partition.
     """
-    components, pair_ids = _fiber_product(graph, graph)
-    diagonal = {pair_ids[(v, v)] for v in graph.vertices if (v, v) in pair_ids}
-    for component in components:
-        if component.vertices & diagonal:
-            continue
-        core, _ = fold_and_core(component, keep_basepoint=False)
-        if rank(core) > 0:
-            return False
-    return True
+    product = _FiberProduct(graph, graph)
+    diagonal = {product.root(product.vertex(v, v)) for v, _, _ in graph.edges}
+    return all(r == 0 or root in diagonal for root, r in product.ranks().items())
 
 
 def canonical_form(graph: LabeledGraph) -> tuple:

@@ -12,6 +12,14 @@ every fold and prunes in full sweeps, so it is quadratic, but its schedule
 is simple enough to trust.  The library's worklist fold must return an
 equal graph, vertex ids included.
 
+``pullback``, ``pullback_ranks`` and ``is_malnormal`` are the library's
+original pullbacks: they split the fiber product into component graphs and
+fold and core each one with the reference folder, where the library reads
+every rank off one union-find pass.  ``cut_vertex`` is the original
+cut-vertex test, which rebuilds the Whitehead graph without each vertex in
+turn, where the library runs one articulation-point search.  Both must
+agree with the library on every input.
+
 ``twisted_core`` builds the core of a twisted subgroup without twisting
 any word: ``graph_surgery`` inserts a segment spelling the n-th edge-word
 power at each crossing vertex of the subgroup's graph and re-roots the
@@ -68,14 +76,14 @@ comparisons.
 
 import random
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
 from freevol.errors import HypothesisViolated, NotAnAutomorphism, UsageError
 from freevol.pingpong import _PERM_DEGREE, _abelianization_matrix, _cycle_type, _mat_mul
 from freevol.splittings import AMALGAM, HNN, CyclicSplitting, require_valid, to_relative
-from freevol.stallings import Edge, FoldTrace, LabeledGraph, spell_path
+from freevol.stallings import Edge, LabeledGraph, spell_path
 from freevol.volume import lambda_graph, translation_length as library_translation_length
 from freevol.words import (
     Automorphism,
@@ -332,6 +340,14 @@ def max_cancellation(nu, max_len: int) -> int:
     return best
 
 
+@dataclass
+class FoldTrace:
+    """Replayable log of vertex merges and prunes performed while folding."""
+
+    folds: list[tuple[int, int]] = field(default_factory=list)
+    prunes: list[int] = field(default_factory=list)
+
+
 def _prune(
     vertices: set[int],
     edges: set[Edge],
@@ -408,6 +424,118 @@ def fold_and_core(graph: LabeledGraph, keep_basepoint: bool) -> tuple[LabeledGra
         LabeledGraph(frozenset(vertices), frozenset(edge_set), basepoint=basepoint),
         trace,
     )
+
+
+# ---------------------------------------------------------------------------
+# Pullbacks and malnormality, one graph per component
+
+
+def connected_components(graph: LabeledGraph) -> list[LabeledGraph]:
+    """The components of ``graph``, in the order of their least vertex."""
+    adjacency: dict[int, set[int]] = {v: set() for v in graph.vertices}
+    for source, target, _ in graph.edges:
+        adjacency[source].add(target)
+        adjacency[target].add(source)
+    seen: set[int] = set()
+    components: list[LabeledGraph] = []
+    for start in sorted(graph.vertices):
+        if start in seen:
+            continue
+        stack = [start]
+        block = set()
+        while stack:
+            vertex = stack.pop()
+            if vertex in block:
+                continue
+            block.add(vertex)
+            stack.extend(adjacency[vertex] - block)
+        seen |= block
+        edges = frozenset(e for e in graph.edges if e[0] in block)
+        basepoint = graph.basepoint if graph.basepoint in block else None
+        components.append(LabeledGraph(frozenset(block), edges, basepoint=basepoint))
+    return components
+
+
+def fiber_product(
+    graph1: LabeledGraph, graph2: LabeledGraph
+) -> tuple[list[LabeledGraph], dict[tuple[int, int], int]]:
+    """Components of the fiber product over the rose, and each vertex pair's id."""
+    table2: dict[int, list[tuple[int, int]]] = {}
+    for source, target, label in graph2.edges:
+        table2.setdefault(label, []).append((source, target))
+    pair_ids: dict[tuple[int, int], int] = {}
+    edges: set[Edge] = set()
+    for source1, target1, label in graph1.edges:
+        for source2, target2 in table2.get(label, []):
+            source = pair_ids.setdefault((source1, source2), len(pair_ids))
+            target = pair_ids.setdefault((target1, target2), len(pair_ids))
+            edges.add((source, target, label))
+    product = LabeledGraph(frozenset(pair_ids.values()), frozenset(edges))
+    return connected_components(product), pair_ids
+
+
+def _rank(graph: LabeledGraph) -> int:
+    return len(graph.edges) - len(graph.vertices) + 1
+
+
+def pullback(graph1: LabeledGraph, graph2: LabeledGraph) -> list[LabeledGraph]:
+    """The library's original pullback: each component folded and cored on its own."""
+    components, _ = fiber_product(graph1, graph2)
+    return [fold_and_core(component, keep_basepoint=False)[0] for component in components]
+
+
+def pullback_ranks(graph1: LabeledGraph, graph2: LabeledGraph) -> list[int]:
+    """The ranks of ``pullback``'s cores, sorted, as the filling check used to read them."""
+    return sorted(_rank(core) for core in pullback(graph1, graph2))
+
+
+def is_malnormal(graph: LabeledGraph) -> bool:
+    """The library's original malnormality test: every non-diagonal core has rank 0."""
+    components, pair_ids = fiber_product(graph, graph)
+    diagonal = {pair_ids[(v, v)] for v in graph.vertices if (v, v) in pair_ids}
+    for component in components:
+        if component.vertices & diagonal:
+            continue
+        core, _ = fold_and_core(component, keep_basepoint=False)
+        if _rank(core) > 0:
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# Cut vertices by removing each vertex in turn
+
+
+def whitehead_connected(graph, removed: Optional[int] = None) -> bool:
+    """Whether ``graph`` (a ``filling.WhiteheadGraph``) minus ``removed`` is connected."""
+    adj: dict[int, set[int]] = {v: set() for v in graph.vertices if v != removed}
+    for x, y in graph.edges:
+        if removed in (x, y):
+            continue
+        adj[x].add(y)
+        adj[y].add(x)
+    if not adj:
+        return True
+    seen = set()
+    stack = [next(iter(sorted(adj, key=letter_sort_key)))]
+    while stack:
+        v = stack.pop()
+        if v in seen:
+            continue
+        seen.add(v)
+        stack.extend(adj[v] - seen)
+    return len(seen) == len(adj)
+
+
+def cut_vertex(graph) -> Optional[int]:
+    """The library's original cut-vertex test: the first vertex, in the order
+    a < A < b < B < ..., whose removal disconnects a connected graph."""
+    if not whitehead_connected(graph):
+        return None
+    for v in graph.vertices:
+        if not whitehead_connected(graph, removed=v):
+            return v
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 import fixtures as fx
 import oracles
 from freevol import filling as fl
-from freevol.splittings import MarkedPair
+from freevol.splittings import MarkedPair, vertex_groups
+from freevol.stallings import subgroup_graph
 from freevol.words import (
     Automorphism,
     Basis,
@@ -61,6 +62,53 @@ def test_two_letters_in_rank3_do_not_fill():
     ok, evidence = fl.cut_vertex_check(classes(B3, ["a", "b"]), 3)
     assert not ok
     assert evidence["connected"] is False
+
+
+@pytest.mark.parametrize(
+    "rank, edges, cut",
+    [
+        # The word aab: the path b - A - a - B, cut at the search's root a and at A.
+        (2, fl.whitehead_graph(classes(B2, ["aab"]), 2).edges, 1),
+        # A star at the root a.
+        (2, ((1, -1), (1, 2), (1, -2)), 1),
+        # The path a - A - b - B: the search confirms b first, but A is less.
+        (2, ((1, -1), (-1, 2), (2, -2)), -1),
+        # Rank 3: the path a - c - B - A - b - C with cuts c, B, A, b; a is the root.
+        (3, ((1, 3), (3, -2), (-2, -1), (-1, 2), (2, -3)), -1),
+        # A cycle through every letter has none; a disconnected graph reports none.
+        (2, ((1, -1), (-1, 2), (2, -2), (-2, 1)), None),
+        (2, fl.whitehead_graph(classes(B2, ["ab"]), 2).edges, None),
+        (3, ((1, -1), (1, 2), (1, -2)), None),
+    ],
+)
+def test_cut_vertex_is_least_in_letter_order(rank, edges, cut):
+    graph = fl.WhiteheadGraph(rank=rank, edges=tuple(edges))
+    assert graph.cut_vertex() == cut
+    assert oracles.cut_vertex(graph) == cut
+
+
+def test_check_f2_equals_oracle_pullbacks():
+    base = fx.amalgam_over_c()
+    pairs = [
+        fx.pair_with_sixth_power(),
+        fx.pair_with_single_step(),
+        fx.certified_filling_pair(),
+        fx.mirror_filling_pair(),
+        MarkedPair(base, base),
+    ]
+    for pair in pairs:
+        cores1, cores2 = (
+            [subgroup_graph(pair.ambient_basis, gens, keep_basepoint=False) for gens in vertex_groups(s)]
+            for s in (pair.first, pair.second)
+        )
+        expected = [
+            {"vertex_group_1": i, "vertex_group_2": j, "component_ranks": oracles.pullback_ranks(core1, core2)}
+            for i, core1 in enumerate(cores1)
+            for j, core2 in enumerate(cores2)
+        ]
+        ok, evidence = fl.check_f2(pair)
+        assert evidence == {"pullbacks": expected}
+        assert ok == all(r == 0 for item in expected for r in item["component_ranks"])
 
 
 def test_check_f2_on_pulled_back_pair():
@@ -222,3 +270,30 @@ def test_rank_eight_minimize_is_fast():
     _minimized, length, log = fl.whitehead_minimize(found, 8)
     assert time.perf_counter() - start < 1.0
     assert len(log) >= 2 and length <= 21
+
+
+@st.composite
+def whitehead_graphs(draw):
+    """A rank of 1-6 and 0-14 edges between its signed letters."""
+    rank = draw(st.integers(1, 6))
+    letter = st.sampled_from([x for i in range(1, rank + 1) for x in (i, -i)])
+    edges = draw(st.lists(st.tuples(letter, letter).filter(lambda e: e[0] != e[1]), max_size=14))
+    return fl.WhiteheadGraph(rank=rank, edges=tuple(edges))
+
+
+@given(whitehead_graphs())
+@settings(max_examples=300, deadline=None)
+def test_cut_vertex_equals_oracle_on_random_graphs(graph):
+    assert graph.is_connected() == oracles.whitehead_connected(graph)
+    assert graph.cut_vertex() == oracles.cut_vertex(graph)
+
+
+@given(class_lists(ranks=(2, 3, 4, 5, 6), max_len=14))
+@settings(max_examples=100, deadline=None)
+def test_cut_vertex_equals_oracle_on_classes(example):
+    rank, found = example
+    minimized, _, _ = fl.whitehead_minimize(found, rank)
+    for words in (found, minimized):
+        graph = fl.whitehead_graph(words, rank)
+        assert graph.is_connected() == oracles.whitehead_connected(graph)
+        assert graph.cut_vertex() == oracles.cut_vertex(graph)

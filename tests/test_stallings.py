@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -70,6 +71,66 @@ def test_malnormality():
     assert not st_mod.is_malnormal(graph_of(B2, ["a", "baB"], keep_basepoint=False))
 
 
+@pytest.mark.parametrize(
+    "texts1, texts2, ranks",
+    [
+        # <a, b, c^2> and <a, b, c^3> meet in <a, b, c^6>: one component of rank 3.
+        (["a", "b", "cc"], ["a", "b", "ccc"], [3]),
+        # Two components of positive rank: <a, b> itself and a conjugate of <cc>.
+        (["a", "b", "cac"], ["a", "b", "cc"], [1, 2]),
+        # Two trees, and no product at all.
+        (["ab"], ["aB"], [0, 0]),
+        (["a"], ["b"], []),
+    ],
+)
+def test_pullback_ranks_of_components_of_positive_rank(texts1, texts2, ranks):
+    core1 = graph_of(B3, texts1, keep_basepoint=False)
+    core2 = graph_of(B3, texts2, keep_basepoint=False)
+    assert st_mod.pullback_ranks(core1, core2) == ranks
+    assert sorted(st_mod.rank(c) for c in st_mod.pullback(core1, core2)) == ranks
+    assert oracles.pullback_ranks(core1, core2) == ranks
+
+
+@st.composite
+def subgroup_pairs(draw):
+    """A rank of 2-6 and two cores of 1-3 nonempty generators, some conjugated by a common word."""
+    rank = draw(st.integers(2, 6))
+    letter = st.sampled_from([x for x in range(-rank, rank + 1) if x])
+    word = st.lists(letter, min_size=1, max_size=7).map(reduce_word).filter(bool)
+    conjugator = draw(st.lists(letter, max_size=3).map(tuple))
+
+    def core():
+        gens = draw(st.lists(word, min_size=1, max_size=3))
+        if draw(st.booleans()):
+            gens = [reduce_word(conjugator + g + invert_word(conjugator)) for g in gens]
+        return st_mod.subgroup_graph(Basis.standard(rank), gens, keep_basepoint=False)
+
+    return core(), core()
+
+
+@given(subgroup_pairs())
+@settings(max_examples=150, deadline=None)
+def test_pullback_and_malnormality_equal_oracle(cores):
+    core1, core2 = cores
+    assert st_mod.pullback_ranks(core1, core2) == oracles.pullback_ranks(core1, core2)
+    got, expected = st_mod.pullback(core1, core2), oracles.pullback(core1, core2)
+    assert sorted(map(st_mod.canonical_form, got)) == sorted(map(st_mod.canonical_form, expected))
+    for core in cores:
+        assert st_mod.is_malnormal(core) == oracles.is_malnormal(core)
+
+
+@given(subgroup_pairs())
+@settings(max_examples=50, deadline=None)
+def test_fiber_product_of_folded_graphs_needs_no_fold(cores):
+    # The ground for reading ranks off the partition: coring a component
+    # merges nothing and keeps E - V + 1.
+    components, _ = oracles.fiber_product(*cores)
+    for component in components:
+        core, merges = st_mod.fold_and_core(component, keep_basepoint=False)
+        assert merges == 0
+        assert st_mod.rank(core) == st_mod.rank(component)
+
+
 def test_isomorphism_via_canonical_form():
     g1 = graph_of(B2, ["ab", "ba"], keep_basepoint=False)
     g2 = graph_of(B2, ["ba", "ab"], keep_basepoint=False)
@@ -111,9 +172,10 @@ def generator_sets(draw):
 
 def assert_folds_like_oracle(graph):
     for keep_basepoint in (True, False):
-        folded, _ = st_mod.fold_and_core(graph, keep_basepoint)
-        expected, _ = oracles.fold_and_core(graph, keep_basepoint)
+        folded, merges = st_mod.fold_and_core(graph, keep_basepoint)
+        expected, trace = oracles.fold_and_core(graph, keep_basepoint)
         assert folded == expected
+        assert merges == len(trace.folds)
 
 
 @given(generator_sets())
@@ -142,8 +204,9 @@ def test_fold_equals_oracle_on_raw_graphs(graph):
 def test_fold_keeps_tree_center():
     # The path 0 - 1 - 2 - 3 shrinks to its central edge's larger end, 2.
     path = st_mod.LabeledGraph(frozenset(range(4)), frozenset({(0, 1, 1), (1, 2, 2), (2, 3, 1)}))
-    folded, _ = st_mod.fold_and_core(path, keep_basepoint=False)
+    folded, merges = st_mod.fold_and_core(path, keep_basepoint=False)
     assert folded == st_mod.LabeledGraph(frozenset({2}), frozenset())
+    assert merges == 0
     assert folded == oracles.fold_and_core(path, keep_basepoint=False)[0]
 
 
