@@ -21,9 +21,9 @@ Finding the move takes O(k) max-flows on the 2k letters per step, instead
 of applying all 2k * 2^(2k-2) moves.  Each max-flow copies G' as plain
 dictionaries and runs at most ``deg(a)`` augmenting depth-first searches.
 
-The cut vertex of the minimized Whitehead graph is found by one
-depth-first search for articulation points over an adjacency built once,
-and the least one in the letter order is reported.
+One depth-first search for articulation points tells whether the
+minimized Whitehead graph is connected, and finds its least cut vertex in
+the letter order.
 
 The combined verdict is conservative: a failed free-factor check only
 downgrades the answer to "unknown", because the pair may still separate
@@ -73,39 +73,21 @@ class WhiteheadGraph:
         return tuple(sorted(signed, key=letter_sort_key))
 
     @cached_property
-    def _adjacency(self) -> dict[int, set[int]]:
+    def _search(self) -> tuple[int, Optional[int]]:
+        """How many letters one depth-first search from ``a`` reaches, and
+        the least cut vertex among them in the order a < A < b < B < ....
+
+        The search finds every cut vertex of the component of ``a`` (Hopcroft
+        and Tarjan 1973): the root when it has two or more children, and any
+        other vertex ``u`` with a child whose subtree has no edge to a vertex
+        discovered before ``u``.
+        """
         adj: dict[int, set[int]] = {v: set() for v in self.vertices}
         for x, y in self.edges:
             adj[x].add(y)
             adj[y].add(x)
-        return adj
-
-    def is_connected(self) -> bool:
-        adj = self._adjacency
         if not adj:
-            return True
-        start = self.vertices[0]
-        seen = {start}
-        stack = [start]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(adj)
-
-    def cut_vertex(self) -> Optional[int]:
-        """The least vertex, in the order a < A < b < B < ..., whose removal
-        disconnects the graph; None if there is none or the graph is not connected.
-
-        One depth-first search from ``a`` finds every cut vertex (Hopcroft and
-        Tarjan 1973): the root when it has two or more children, and any other
-        vertex ``u`` with a child whose subtree has no edge to a vertex
-        discovered before ``u``.
-        """
-        if not self.is_connected():
-            return None
-        adj = self._adjacency
+            return 0, None
         root = self.vertices[0]
         order = {root: 0}  # discovery index
         low = {root: 0}  # least index an edge from the vertex's subtree reaches
@@ -131,7 +113,15 @@ class WhiteheadGraph:
                         cuts.add(parent)
         if root_children > 1:
             cuts.add(root)
-        return min(cuts, key=letter_sort_key, default=None)
+        return len(order), min(cuts, key=letter_sort_key, default=None)
+
+    def is_connected(self) -> bool:
+        return self._search[0] == 2 * self.rank
+
+    def cut_vertex(self) -> Optional[int]:
+        """The least vertex, in the order a < A < b < B < ..., whose removal
+        disconnects the graph; None if there is none or the graph is not connected."""
+        return self._search[1] if self.is_connected() else None
 
 
 def whitehead_graph(classes: Sequence[CyclicWord], rank: int) -> WhiteheadGraph:
@@ -196,13 +186,20 @@ def _cut_below(cap: dict[int, dict[int, int]], sources: set[int], sinks: set[int
 def _least_improving_move(cap: dict[int, dict[int, int]]) -> Optional[tuple[int, list[int]]]:
     """The least strictly shortening move ``(a, sorted A)``, if there is one.
 
-    Multipliers are tried in letter order.  For the first with a shortening
-    side, the least side is built letter by letter: a letter joins when some
-    shortening side still exists with it, and the walk stops once the side
-    so far shortens on its own past ``a``, as a proper prefix sorts first.
+    Only the positive multipliers ``a`` are tried, in letter order.  Each
+    occurrence of a or a^-1 in a class gives one edge end in G' to each of
+    them, so deg(a) = deg(a^-1), and a min cut of the undirected G' between
+    a and a^-1 is one between a^-1 and a.  So a^-1 has a shortening side
+    exactly when a does, and then a move of a sorts first.  For the first
+    multiplier with a shortening side, the least side is built letter by
+    letter: a letter joins when some shortening side still exists with it,
+    and the walk stops once the side so far shortens on its own past ``a``,
+    as a proper prefix sorts first.
     """
     order = list(cap)
     for i, a in enumerate(order):
+        if a < 0:
+            continue
         degree = sum(cap[a].values())
         side, out = {a}, {-a}
         if not _cut_below(cap, side, out, degree):
@@ -281,7 +278,7 @@ def cut_vertex_check(
     minimized, total, log = whitehead_minimize(classes, rank)
     graph = whitehead_graph(minimized, rank)
     connected = graph.is_connected()
-    cut = graph.cut_vertex() if connected else None
+    cut = graph.cut_vertex()
     ok = connected and cut is None
     evidence = {
         "criterion": WHITEHEAD_CRITERION,

@@ -540,7 +540,6 @@ def empirical_no_periodic_orbit(
         pairs.append((p, -(-p // 2), -(p // 2)))
     hi_max = max(hi for _, hi, _ in pairs)
     lo_min = min(lo for _, _, lo in pairs)
-    powers = range(lo_min, hi_max + 1)
 
     # Abelianization matrices of phi^j for every needed j.
     letters = list(range(1, rank + 1))
@@ -559,7 +558,7 @@ def empirical_no_periodic_orbit(
         ab[j] = _mat_mul(mat_down, ab[j + 1])
 
     def track(base: Sequence, table, evaluate) -> dict:
-        """Generator values of rho . phi^j, j in ``powers``, from those of rho."""
+        """Generator values of rho . phi^j, lo_min <= j <= hi_max, from those of rho."""
         values = {0: list(base)}
         for j in range(1, hi_max + 1):
             values[j] = _through(values[j - 1], forward, table, evaluate)

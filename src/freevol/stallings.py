@@ -9,15 +9,19 @@ The pullback of two folded graphs is their fiber product over the rose, and
 the cores of its components are the intersections of the conjugates of the
 two subgroups (Stallings 1983, "Topology of finite graphs").  That product
 is folded too, and pruning keeps E - V + 1, so the components' ranks come
-from one union-find pass over the product's edges (``_FiberProduct``).
+from one pass over the product's edges (``_fiber_product``).
 ``pullback_ranks`` and ``is_malnormal`` read them there, and only
 ``pullback`` builds and cores a graph per component.
+
+``Forest``, the library's one union-find, counts each component's
+E - V + 1.  It merges vertex classes in ``fold_and_core``, splits fiber
+products, and finds the vertex orbits of ``volume``'s quotient graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import TrivialSubgroup
 from .words import Basis, Word
@@ -47,6 +51,49 @@ class LabeledGraph:
             table[(source, label)] = target
             table[(target, -label)] = source
         return table
+
+
+class Forest:
+    """Union-find over int nodes that counts each component's E - V + 1.
+
+    Each component's root is its least node, so the roots do not depend on
+    the order of the joins, and ``root`` halves the path it walks.
+    ``join(u, w)`` links two nodes, adding either one if it is new.  It
+    returns the two roots it merged, least first, or None when u and w were
+    already joined; such a link closes a cycle, and ``ranks`` counts it.
+    """
+
+    __slots__ = ("_parent", "_cycles")
+
+    def __init__(self, nodes: Iterable[int] = ()):
+        self._parent = {node: node for node in nodes}
+        self._cycles: dict[int, int] = {}  # root -> E - V + 1, when positive
+
+    def root(self, node: int) -> int:
+        parent = self._parent
+        up = parent[node]
+        while up != node:
+            parent[node] = node = parent[up]  # point at the grandparent and step there
+            up = parent[node]
+        return node
+
+    def join(self, u: int, w: int) -> Optional[tuple[int, int]]:
+        parent, cycles = self._parent, self._cycles
+        # setdefault adds a new node, and a node's parent has the node's root.
+        first, second = self.root(parent.setdefault(u, u)), self.root(parent.setdefault(w, w))
+        if first == second:
+            cycles[first] = cycles.get(first, 0) + 1
+            return None
+        if second < first:
+            first, second = second, first
+        parent[second] = first
+        if second in cycles:
+            cycles[first] = cycles.get(first, 0) + cycles.pop(second)
+        return first, second
+
+    def ranks(self) -> dict[int, int]:
+        """E - V + 1 of each component, keyed by its root."""
+        return {node: self._cycles.get(node, 0) for node, up in self._parent.items() if node == up}
 
 
 def spell_path(
@@ -107,22 +154,17 @@ def fold_and_core(graph: LabeledGraph, keep_basepoint: bool) -> tuple[LabeledGra
     Returns the core and the number of vertex merges, which is 0 exactly
     when ``graph`` was already folded.
 
-    A union-find worklist fold (Touikan 2006): every class of vertices
-    keeps one (signed label -> neighbor) table, two tables merge smaller
-    into larger, and each clash of a label found while merging goes onto a
-    stack of pending merges.  Folding costs O(E log E) dictionary
-    operations for E input edges, and pruning is linear after one sort per
-    round.  Each folded vertex is named by the least input vertex id in its
-    class, so the result does not depend on the order of the merges.
+    A union-find worklist fold (Touikan 2006): the classes of vertices are
+    the components of a ``Forest``, every class keeps one (signed label ->
+    neighbor) table, two tables merge smaller into larger, and each clash
+    of a label found while merging goes onto a stack of pending merges.
+    Folding costs O(E log E) dictionary operations for E input edges, and
+    pruning is linear after one sort per round.  Each folded vertex is
+    named by the least input vertex id in its class, the class's root, so
+    the result does not depend on the order of the merges.
     """
-    parent: dict[int, int] = {v: v for v in graph.vertices}
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
+    forest = Forest(graph.vertices)
+    join, root = forest.join, forest.root
     links: dict[int, dict[int, int]] = {v: {} for v in graph.vertices}
     pending: list[tuple[int, int]] = []
     for source, target, label in graph.edges:
@@ -132,11 +174,10 @@ def fold_and_core(graph: LabeledGraph, keep_basepoint: bool) -> tuple[LabeledGra
                 pending.append((known, other))
     merges = 0
     while pending:
-        first, second = pending.pop()
-        keep_vertex, merge_vertex = sorted((find(first), find(second)))
-        if keep_vertex == merge_vertex:
+        joined = join(*pending.pop())
+        if joined is None:
             continue
-        parent[merge_vertex] = keep_vertex
+        keep_vertex, merge_vertex = joined
         merges += 1
         kept, moved = links[keep_vertex], links.pop(merge_vertex)
         if len(kept) < len(moved):
@@ -148,8 +189,8 @@ def fold_and_core(graph: LabeledGraph, keep_basepoint: bool) -> tuple[LabeledGra
                 pending.append((known, other))
     for out in links.values():
         for key, other in out.items():
-            out[key] = find(other)
-    basepoint = find(graph.basepoint) if graph.basepoint is not None and keep_basepoint else None
+            out[key] = root(other)
+    basepoint = root(graph.basepoint) if graph.basepoint is not None and keep_basepoint else None
     _prune(links, basepoint)
     edges = frozenset((v, w, key) for v, out in links.items() for key, w in out.items() if key > 0)
     return LabeledGraph(frozenset(links), edges, basepoint=basepoint), merges
@@ -207,75 +248,53 @@ def cycle_word(graph: LabeledGraph) -> Word:
     return tuple(word)
 
 
-class _FiberProduct:
-    """Union-find partition of the fiber product of two folded graphs over the rose.
+def _fiber_product(
+    graph1: LabeledGraph, graph2: LabeledGraph, edges: Optional[list[Edge]] = None
+) -> tuple[Forest, Callable[[int, int], int]]:
+    """The components of the fiber product of two folded graphs over the rose.
 
     The product's vertices are the pairs (v1, v2) that an edge of each graph
     with the same label leaves or enters, so the full V1 x V2 product is
-    never materialized.  Each pair is named by one int, ``vertex(v1, v2)``.
-    One pass over the label coincidences joins the ends of every product
-    edge and counts, per component, the edges that close a cycle: E - V + 1
-    of that component.  Each component's root is its least vertex.
+    never materialized.  Each pair is named by one int, ``vertex(v1, v2)``,
+    and one pass over the label coincidences joins the ends of every product
+    edge in a ``Forest``, which is returned with ``vertex``.
 
     When both graphs are folded, so is the product, and pruning keeps
-    E - V + 1, so each count is the rank of the component's core.  If
-    ``edges`` is given, every product edge is appended to it.
+    E - V + 1, so the forest's ranks are those of the components' cores.
+    If ``edges`` is given, every product edge is appended to it.
     """
+    low = min(graph2.vertices, default=0)
+    span = max(graph2.vertices, default=0) - low + 1
 
-    __slots__ = ("_low", "_span", "_parent", "_cycles")
+    def vertex(v1: int, v2: int) -> int:
+        return v1 * span + v2 - low
 
-    def __init__(self, graph1: LabeledGraph, graph2: LabeledGraph, edges: Optional[list[Edge]] = None):
-        self._low = min(graph2.vertices, default=0)
-        self._span = max(graph2.vertices, default=0) - self._low + 1
-        self._parent: dict[int, int] = {}
-        self._cycles: dict[int, int] = {}  # root -> E - V + 1, when positive
-        ends2: dict[int, list[tuple[int, int]]] = {}  # label -> [(source, target)] of graph2
-        for source2, target2, label in graph2.edges:
-            ends2.setdefault(label, []).append((source2, target2))
-        parent, cycles, vertex, root = self._parent, self._cycles, self.vertex, self.root
-        for source1, target1, label in graph1.edges:
-            for source2, target2 in ends2.get(label, ()):
-                source, target = vertex(source1, source2), vertex(target1, target2)
-                if edges is not None:
-                    edges.append((source, target, label))
-                parent.setdefault(source, source)
-                parent.setdefault(target, target)
-                first, second = root(source), root(target)
-                if first == second:
-                    cycles[first] = cycles.get(first, 0) + 1
-                    continue
-                if second < first:
-                    first, second = second, first
-                parent[second] = first
-                if second in cycles:
-                    cycles[first] = cycles.get(first, 0) + cycles.pop(second)
-
-    def vertex(self, v1: int, v2: int) -> int:
-        return v1 * self._span + v2 - self._low
-
-    def root(self, vertex: int) -> int:
-        parent = self._parent
-        while parent[vertex] != vertex:
-            parent[vertex] = parent[parent[vertex]]
-            vertex = parent[vertex]
-        return vertex
-
-    def ranks(self) -> dict[int, int]:
-        """The rank of each component, keyed by its root."""
-        return {v: self._cycles.get(v, 0) for v, up in self._parent.items() if v == up}
+    ends2: dict[int, list[tuple[int, int]]] = {}  # label -> [(source - low, target - low)] of graph2
+    for source2, target2, label in graph2.edges:
+        ends2.setdefault(label, []).append((source2 - low, target2 - low))
+    forest = Forest()
+    join = forest.join
+    for source1, target1, label in graph1.edges:
+        source1, target1 = source1 * span, target1 * span
+        for source2, target2 in ends2.get(label, ()):
+            source, target = source1 + source2, target1 + target2  # vertex(v1, v2)
+            if edges is not None:
+                edges.append((source, target, label))
+            join(source, target)
+    return forest, vertex
 
 
 def pullback(graph1: LabeledGraph, graph2: LabeledGraph) -> list[LabeledGraph]:
     """Cores of all components of the fiber product over the rose.
 
-    The product's edges are split by the union-find partition in one pass,
+    The product's edges are split by its components in one pass,
     and each component is cored by ``fold_and_core``; the components come
     in the order of their least vertex.  For folded graphs the cores are
     the intersections of conjugates of the two subgroups (Stallings 1983),
     and when only their ranks are needed ``pullback_ranks`` builds none.
     """
     edges: list[Edge] = []
-    product = _FiberProduct(graph1, graph2, edges)
+    product, _ = _fiber_product(graph1, graph2, edges)
     blocks: dict[int, list[Edge]] = {root: [] for root in sorted(product.ranks())}
     for edge in edges:
         blocks[product.root(edge[0])].append(edge)
@@ -292,9 +311,10 @@ def pullback_ranks(graph1: LabeledGraph, graph2: LabeledGraph) -> list[int]:
     """Ranks of the components of the fiber product of two folded graphs, sorted.
 
     Equal to ``sorted(rank(c) for c in pullback(graph1, graph2))``, read off
-    the union-find partition without building a graph per component.
+    the product's ``Forest`` without building a graph per component.
     """
-    return sorted(_FiberProduct(graph1, graph2).ranks().values())
+    product, _ = _fiber_product(graph1, graph2)
+    return sorted(product.ranks().values())
 
 
 def is_malnormal(graph: LabeledGraph) -> bool:
@@ -303,10 +323,10 @@ def is_malnormal(graph: LabeledGraph) -> bool:
     ``graph`` must be folded.  The diagonal of its self fiber product is
     then a union of whole components, each holding a pair (v, v) for some
     vertex v that an edge leaves; those components are skipped, and the
-    others' ranks are read off the union-find partition.
+    others' ranks are read off the product's ``Forest``.
     """
-    product = _FiberProduct(graph, graph)
-    diagonal = {product.root(product.vertex(v, v)) for v, _, _ in graph.edges}
+    product, vertex = _fiber_product(graph, graph)
+    diagonal = {product.root(vertex(v, v)) for v, _, _ in graph.edges}
     return all(r == 0 or root in diagonal for root, r in product.ranks().items())
 
 

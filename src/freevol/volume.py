@@ -14,7 +14,8 @@ vertex Hg of Gamma stands for the tree edge g<c>.  The lift map sends a
 vertex to the end of the path reading c from it; its orbits, the chains,
 are the H-orbits of tree edges that Gamma meets.  A cyclic chain has
 stabilizer Z, every other chain a trivial one.  Vertex orbits are the
-components of the graphs below, each with group rank E - V + 1:
+components of the graphs below, joined in one ``stallings.Forest``, which
+also counts each one's group rank E - V + 1:
 
 * amalgam A *_<c> B with B = <c> * B0: the A-orbits are the components of
   Gamma's A-edges, the B-orbits those of its B0-edges together with one
@@ -37,7 +38,7 @@ from typing import Sequence
 
 from .errors import TrivialSubgroup
 from .splittings import HNN, CyclicSplitting, require_valid, to_relative
-from .stallings import LabeledGraph, read_path, subgroup_graph
+from .stallings import Forest, LabeledGraph, read_path, subgroup_graph
 from .words import Word, cyclically_reduce, render_word
 
 
@@ -114,29 +115,6 @@ def _chains(graph: LabeledGraph, edge_word: Word) -> list[tuple[int, ...]]:
     return orbits
 
 
-def _component_ranks(
-    nodes: Sequence[int], links: Sequence[tuple[int, int]]
-) -> tuple[dict[int, int], dict[int, int]]:
-    """Each node's component, and each component's rank E - V + 1."""
-    parent = {node: node for node in nodes}
-
-    def find(node: int) -> int:
-        while parent[node] != node:
-            parent[node] = parent[parent[node]]
-            node = parent[node]
-        return node
-
-    for u, w in links:
-        parent[find(u)] = find(w)
-    root = {node: find(node) for node in nodes}
-    ranks = dict.fromkeys(root.values(), 1)
-    for component in root.values():
-        ranks[component] -= 1
-    for u, _ in links:
-        ranks[root[u]] += 1
-    return root, ranks
-
-
 def _prune(
     ranks: dict[int, int], ends: dict[int, tuple[int, int]], cyclic: list[bool]
 ) -> set[int]:
@@ -168,24 +146,27 @@ def _quotient(
     cyclic = [len(orbit) > 1 and orbit[-1] == orbit[0] for orbit in orbits]
     in_a = set(splitting.a_part)
     a_links = [(u, w) for u, w, label in graph.edges if label in in_a]
-    vertices = list(graph.vertices)
     if splitting.kind == HNN:
         # Node ~i stands for the i-th chain; it joins the heads of its t-edges.
         chain_of = {v: index for index, orbit in enumerate(orbits) for v in orbit}
         heads = [(~chain_of[u], w) for u, w, label in graph.edges if label not in in_a]
         nodes = {node for node, _ in heads}
         loops = [(node, node) for node in nodes if cyclic[~node]]
-        root, ranks = _component_ranks(vertices + list(nodes), a_links + heads + loops)
-        ends = {~node: (root[orbits[~node][0]], root[node]) for node in nodes}
+        forest = Forest(graph.vertices)
+        links = a_links + heads + loops
+        sides = {~node: (orbits[~node][0], node) for node in nodes}
     else:
         # Node ~v stands for vertex v on the B-side.
         lifts = [(~orbit[i], ~orbit[i + 1]) for orbit in orbits for i in range(len(orbit) - 1)]
         b_links = [(~u, ~w) for u, w, label in graph.edges if label not in in_a]
-        root, ranks = _component_ranks(
-            vertices + [~v for v in vertices], a_links + b_links + lifts
-        )
-        ends = {index: (root[orbit[0]], root[~orbit[0]]) for index, orbit in enumerate(orbits)}
-    alive = _prune(ranks, ends, cyclic)
+        forest = Forest([*graph.vertices, *(~v for v in graph.vertices)])
+        links = a_links + b_links + lifts
+        sides = {index: (orbit[0], ~orbit[0]) for index, orbit in enumerate(orbits)}
+    for u, w in links:
+        forest.join(u, w)
+    root = forest.root
+    ends = {index: (root(u), root(w)) for index, (u, w) in sides.items()}
+    alive = _prune(forest.ranks(), ends, cyclic)
     return orbits, cyclic, [index in alive for index in range(len(orbits))]
 
 

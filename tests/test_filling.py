@@ -254,6 +254,9 @@ def test_improving_side_exists_iff_min_cut_below_degree(example):
         degree = sum(cap[a].values())
         below = nx.minimum_cut_value(graph, a, -a) < degree
         assert fl._cut_below(cap, {a}, {-a}, degree) == below
+        # Why only positive multipliers are tried: a and a^-1 agree on both.
+        assert sum(cap[-a].values()) == degree
+        assert fl._cut_below(cap, {-a}, {a}, degree) == below
 
 
 def test_rank_eight_minimize_is_fast():

@@ -1,3 +1,4 @@
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -129,6 +130,37 @@ def test_fiber_product_of_folded_graphs_needs_no_fold(cores):
         core, merges = st_mod.fold_and_core(component, keep_basepoint=False)
         assert merges == 0
         assert st_mod.rank(core) == st_mod.rank(component)
+
+
+@st.composite
+def multigraphs(draw):
+    """Nodes, some given up front, and links between them, loops and repeats included."""
+    nodes = draw(st.lists(st.integers(-6, 6), max_size=8, unique=True))
+    node = st.integers(-6, 6)
+    return nodes, draw(st.lists(st.tuples(node, node), max_size=16))
+
+
+@given(multigraphs())
+@settings(max_examples=300, deadline=None)
+def test_forest_equals_networkx_components(case):
+    nodes, links = case
+    forest = st_mod.Forest(nodes)
+    graph = nx.MultiGraph()
+    graph.add_nodes_from(nodes)
+    for u, w in links:
+        graph.add_nodes_from((u, w))
+        closes_cycle = nx.has_path(graph, u, w)
+        joined = forest.join(u, w)
+        assert (joined is None) == closes_cycle
+        if joined is not None:
+            assert joined[0] < joined[1]
+        graph.add_edge(u, w)
+    expected = {}
+    for component in nx.connected_components(graph):
+        edges = graph.subgraph(component).number_of_edges()
+        expected[min(component)] = edges - len(component) + 1
+        assert {forest.root(v) for v in component} == {min(component)}
+    assert forest.ranks() == expected
 
 
 def test_isomorphism_via_canonical_form():
