@@ -46,7 +46,7 @@ from .words import (
     CyclicWord,
     Word,
     apply_cyclic,
-    letter_sort_key,
+    letter_rank,
     render_word,
 )
 
@@ -70,7 +70,7 @@ class WhiteheadGraph:
         signed = [i for i in range(1, self.rank + 1)] + [
             -i for i in range(1, self.rank + 1)
         ]
-        return tuple(sorted(signed, key=letter_sort_key))
+        return tuple(sorted(signed, key=letter_rank))
 
     @cached_property
     def _search(self) -> tuple[int, Optional[int]]:
@@ -113,7 +113,7 @@ class WhiteheadGraph:
                         cuts.add(parent)
         if root_children > 1:
             cuts.add(root)
-        return len(order), min(cuts, key=letter_sort_key, default=None)
+        return len(order), min(cuts, key=letter_rank, default=None)
 
     def is_connected(self) -> bool:
         return self._search[0] == 2 * self.rank
@@ -132,7 +132,7 @@ def whitehead_graph(classes: Sequence[CyclicWord], rank: int) -> WhiteheadGraph:
         for i in range(n):
             x = letters[i]
             y = letters[(i + 1) % n]
-            pair = tuple(sorted((-x, y), key=letter_sort_key))
+            pair = tuple(sorted((-x, y), key=letter_rank))
             edges.append(pair)  # type: ignore[arg-type]
     return WhiteheadGraph(rank=rank, edges=tuple(sorted(edges)))
 
@@ -213,7 +213,7 @@ def _least_improving_move(cap: dict[int, dict[int, int]]) -> Optional[tuple[int,
                 side.add(v)
             else:
                 out.add(v)
-        return a, sorted(side, key=letter_sort_key)
+        return a, sorted(side, key=letter_rank)
     return None
 
 

@@ -16,10 +16,12 @@ than silently broken.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter, mul, sub
-from typing import Optional, Sequence
+from functools import cached_property
+from operator import itemgetter, mul, neg, sub
+from typing import Callable, Optional, Sequence
 
 from . import stallings
 from . import volume as volume_mod
@@ -47,6 +49,7 @@ from .words import (
     enumerate_cyclic_classes_with,
     invert,
     is_proper_power,
+    letter_rank,
     letters_needed,
     render_word,
 )
@@ -334,22 +337,6 @@ def twist_factors(
     return forward, backward
 
 
-def _abelianization_matrix(images: Sequence[Word], rank: int) -> list[list[int]]:
-    matrix = [[0] * rank for _ in range(rank)]
-    for j, image in enumerate(images):
-        for letter in image:
-            matrix[abs(letter) - 1][j] += 1 if letter > 0 else -1
-    return matrix
-
-
-def _mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    n = len(a)
-    return [
-        [sum(a[i][t] * b[t][j] for t in range(n)) for j in range(n)]
-        for i in range(n)
-    ]
-
-
 _PERM_DEGREE = 16
 _IDENTITY_PERM = tuple(range(_PERM_DEGREE))
 
@@ -411,11 +398,32 @@ def _matrix_table(matrices: Sequence[tuple[int, int, int, int]]) -> list:
     return _signed_table(matrices, [(d, -b % m, -c % m, a) for a, b, c, d in matrices])
 
 
+def _trace(matrix: tuple[int, int, int, int]) -> int:
+    return (matrix[0] + matrix[3]) % _TRACE_MODULUS
+
+
+def _letter_bytes(word: Word) -> bytes:
+    """One byte per letter, so that bytes methods scan words at C speed."""
+    return array("b", word).tobytes()  # letters -26..26; -i is the byte 256 - i
+
+
+def _exponent_sums(word: Word, rank: int) -> tuple[int, ...]:
+    """The image of ``word`` in Z^k: each generator's exponent sum."""
+    letters = _letter_bytes(word)
+    return tuple(letters.count(i) - letters.count(-i % 256) for i in range(1, rank + 1))
+
+
+def _vector_of_word(word: Word, vectors: list) -> tuple[int, ...]:
+    """The image of ``word`` in Z^k, given the generators' vectors."""
+    sums = _exponent_sums(word, len(vectors))
+    return tuple(sum(map(mul, sums, row)) for row in zip(*vectors))
+
+
 def _through(values: list, factors: Sequence[Automorphism], table, evaluate) -> list:
     """Generator values of ``rho . f_1 . ... . f_m``, given those of ``rho``.
 
-    ``table`` turns generator values into a signed-letter table and
-    ``evaluate(word, table)`` evaluates a word on it.  Each factor's
+    ``table`` turns generator values into the table that
+    ``evaluate(word, table)`` reads to evaluate a word.  Each factor's
     generator images are evaluated under the map so far, so no image of
     the composition is ever built.
     """
@@ -423,6 +431,45 @@ def _through(values: list, factors: Sequence[Automorphism], table, evaluate) -> 
         current = table(values)
         values = [evaluate(image, current) for image in factor.images]
     return values
+
+
+@dataclass
+class _Quotient:
+    """A map ``rho`` from F_k to a group, tracked along the powers of phi.
+
+    ``base`` holds the generators' values under ``rho``, and ``table`` and
+    ``evaluate`` are as in ``_through``.  ``forward`` and ``backward`` are
+    the factors of phi and of its inverse, and ``powers`` the range of
+    exponents ``j`` to track.  ``name`` says where a wrong inverse showed.
+    """
+
+    name: str
+    base: list
+    table: Callable
+    evaluate: Callable
+    forward: Sequence[Automorphism]
+    backward: Sequence[Automorphism]
+    powers: range
+
+    @cached_property
+    def values(self) -> dict[int, list]:
+        """Generator values of ``rho . phi^j`` for each ``j`` in ``powers``."""
+        values = {0: self.base}
+        for j in range(1, self.powers.stop):
+            values[j] = _through(values[j - 1], self.forward, self.table, self.evaluate)
+        for j in range(-1, self.powers.start - 1, -1):
+            values[j] = _through(values[j + 1], self.backward, self.table, self.evaluate)
+        return values
+
+    @cached_property
+    def tables(self) -> dict[int, list]:
+        """The ``table`` of ``rho . phi^j`` for each ``j`` in ``powers``."""
+        return {j: self.table(values) for j, values in self.values.items()}
+
+    def check_inverse(self) -> None:
+        """Raise UsageError unless ``rho . phi . phi^-1 = rho`` on the generators."""
+        if _through(self.values[1], self.backward, self.table, self.evaluate) != self.base:
+            raise UsageError(f"inverse factors do not invert phi {self.name}")
 
 
 def _within_budget(factors: Sequence[Automorphism], word: Word) -> Optional[Word]:
@@ -440,9 +487,7 @@ def _within_budget(factors: Sequence[Automorphism], word: Word) -> Optional[Word
 
 def _is_rotation(u: Word, v: Word) -> bool:
     """Whether two cyclically reduced words spell the same conjugacy class."""
-    if len(u) != len(v):
-        return False
-    return bytes(x + 64 for x in v) in bytes(x + 64 for x in u) * 2  # letters -26..26
+    return len(u) == len(v) and _letter_bytes(v) in _letter_bytes(u) * 2
 
 
 def empirical_no_periodic_orbit(
@@ -463,30 +508,33 @@ def empirical_no_periodic_orbit(
     sampling, not a proof.  Before any work, the number of reduced words of
     length at most ``max_len`` times ``max_power`` is checked against
     ``ORBIT_BUDGET``; past it BudgetExceeded is raised, naming the budget.
+    A negative ``quotient_samples`` raises UsageError.
 
     A class is periodic exactly when its root is, and exactly when its
     inverse is, so proper powers and the larger of a class and its inverse
     are counted as pruned and not checked.  A matching pair must agree on
-    every conjugacy invariant.  The first, equal abelianization images,
-    steers the enumeration: with ``A_j`` the abelianization of phi^j, a
-    class whose exponent-sum vector ``v`` has ``(A_hi - A_lo) v != 0`` for
-    every checked power cannot match.  The necklace tree skips every prefix
-    whose vector is farther in l1 from all vectors that can match than its
-    letters left (``words.enumerate_cyclic_classes_with``), so such classes
-    are never generated.  Two more cheap necessary conditions discard classes
-    before any long word is built: equal cycle types in ``quotient_samples``
-    random quotients to the symmetric group on 16 points, and equal traces
-    in SL(2, Z/p) for two primes p near 2^61.  Each map ``rho . phi^j`` is
-    tracked through the generator images of phi's factors, never on growing
-    words.  The trace is a conjugacy invariant and F_k embeds in SL(2, Z)
-    (Sanov 1947), so random generator matrices tell apart almost every pair
-    that is not conjugate.  Every random map is drawn at the start, but
-    each symmetric-group sample after the first, and the trace maps, are
-    tracked only once some class gets that far.  A pair that passes every
-    filter is compared exactly, building no word longer than
-    ``LETTER_BUDGET`` letters; a class whose comparison would exceed it is
-    listed under ``undecided`` with the power reached, its higher powers go
-    unchecked, and ``ok`` is false.
+    every conjugacy invariant, and three quotients ``rho`` of F_k give
+    cheap ones: Z^k, ``quotient_samples`` random maps to the symmetric
+    group on 16 points, and one random map to SL(2, Z/p) for two primes p
+    near 2^61 at once.  Each map ``rho . phi^j`` is tracked the same way,
+    through the generator images of phi's factors (``_Quotient``), never
+    on growing words.  The first invariant, equal images in Z^k, steers the
+    enumeration: with ``A_j`` the abelianization of phi^j, a class whose
+    exponent-sum vector ``v`` has ``(A_hi - A_lo) v != 0`` for every checked
+    power cannot match.  The necklace tree skips every prefix whose vector
+    is farther in l1 from all vectors that can match than its letters left
+    (``words.enumerate_cyclic_classes_with``), so such classes are never
+    generated.  The other two are filters, tried in turn before any long
+    word is built: equal cycle types in each symmetric-group sample, then
+    equal traces in SL(2).  The trace is a conjugacy invariant and F_k
+    embeds in SL(2, Z) (Sanov 1947), so random generator matrices tell
+    apart almost every pair that is not conjugate.  Every random map is
+    drawn at the start, the SL(2) one right after the samples, but each
+    filter after the first is tracked only once some class gets that far.
+    A pair that passes every filter is compared exactly, building no word
+    longer than ``LETTER_BUDGET`` letters; a class whose comparison would
+    exceed it is listed under ``undecided`` with the power reached, its
+    higher powers go unchecked, and ``ok`` is false.
 
     ``classes_checked`` counts every class up to the first violation, all
     of them when there is none, and ``classes_pruned`` those among them
@@ -502,16 +550,18 @@ def empirical_no_periodic_orbit(
     realized.  An empty ``factors``, or neither ``phi`` nor ``factors``,
     names no map to check and raises UsageError; maps over different bases
     raise BasisMismatch.  ``inverse_factors`` presents ``phi^-1`` likewise.
-    It must pass two necessary checks, or UsageError is raised: the
-    abelianizations of ``phi`` and of it multiply to the identity, and
-    ``rho . phi . phi^-1 = rho`` on the generators in the first quotient
-    sample.  They refute a wrong inverse; they do not prove a right one.
+    It must pass two necessary checks, or UsageError is raised naming the
+    quotient: ``rho . phi . phi^-1 = rho`` on the generators, for ``rho``
+    the abelianization and for the first filter's map, which is the first
+    symmetric-group sample, or the SL(2) map when ``quotient_samples`` is
+    0.  They refute a wrong inverse; they do not prove a right one.
     """
     import random as _random
 
-    if max_power < 1 or max_len < 1:
+    if max_power < 1 or max_len < 1 or quotient_samples < 0:
         raise UsageError(
-            f"orbit sample needs max_power and max_len of at least 1, got {max_power} and {max_len}"
+            "orbit sample needs max_power and max_len of at least 1 and quotient_samples of "
+            f"at least 0, got {max_power}, {max_len} and {quotient_samples}"
         )
     if factors is None:
         factors = [] if phi is None else [phi]
@@ -538,70 +588,36 @@ def empirical_no_periodic_orbit(
     pairs = []  # (p, hi, lo) with hi - lo = p
     for p in range(1, max_power + 1):
         pairs.append((p, -(-p // 2), -(p // 2)))
-    hi_max = max(hi for _, hi, _ in pairs)
-    lo_min = min(lo for _, _, lo in pairs)
+    powers = range(min(lo for _, _, lo in pairs), max(hi for _, hi, _ in pairs) + 1)
 
-    # Abelianization matrices of phi^j for every needed j.
-    letters = list(range(1, rank + 1))
-    identity = [[1 if i == j else 0 for j in range(rank)] for i in range(rank)]
-    mat_up, mat_down = identity, identity
-    for factor in forward:
-        mat_up = _mat_mul(mat_up, _abelianization_matrix(factor.images, rank))
-    for factor in backward:
-        mat_down = _mat_mul(mat_down, _abelianization_matrix(factor.images, rank))
-    if _mat_mul(mat_up, mat_down) != identity:
-        raise UsageError("inverse factors do not invert phi on the abelianization")
-    ab: dict[int, list[list[int]]] = {0: identity}
-    for j in range(1, hi_max + 1):
-        ab[j] = _mat_mul(mat_up, ab[j - 1])
-    for j in range(-1, lo_min - 1, -1):
-        ab[j] = _mat_mul(mat_down, ab[j + 1])
+    def tracked(name: str, base: list, table: Callable, evaluate: Callable) -> _Quotient:
+        return _Quotient(name, base, table, evaluate, forward, backward, powers)
 
-    def track(base: Sequence, table, evaluate) -> dict:
-        """Generator values of rho . phi^j, lo_min <= j <= hi_max, from those of rho."""
-        values = {0: list(base)}
-        for j in range(1, hi_max + 1):
-            values[j] = _through(values[j - 1], forward, table, evaluate)
-        for j in range(-1, lo_min - 1, -1):
-            values[j] = _through(values[j + 1], backward, table, evaluate)
-        return values
+    units = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    abelianization = tracked("on the abelianization", units, list, _vector_of_word)
+    abelianization.check_inverse()
+    ab = abelianization.values  # ab[j][i] is the image of generator i under phi^j
 
+    # Each filter is a quotient and a conjugacy invariant of its elements:
+    # the symmetric-group samples in order, then SL(2, Z/m).
     rng = _random.Random(seed)
-    bases = []  # per sample: the generators' permutations under rho
+    filters = []
     for _ in range(quotient_samples):
         base = []
         for _ in range(rank):
             perm = list(range(_PERM_DEGREE))
             rng.shuffle(perm)
             base.append(tuple(perm))
-        bases.append(base)
-    quotients: dict[int, dict] = {}  # sample -> {j: perm getters of rho . phi^j}
-
-    def quotient(sample: int) -> dict:
-        """Sample ``sample``'s maps, tracked when a class first reaches it."""
-        if sample not in quotients:
-            values = track(bases[sample], _perm_getters, _perm_of_word)
-            if sample == 0 and _through(values[1], backward, _perm_getters, _perm_of_word) != bases[0]:
-                raise UsageError("inverse factors do not invert phi in a permutation quotient")
-            quotients[sample] = {j: _perm_getters(v) for j, v in values.items()}
-        return quotients[sample]
-
-    if quotient_samples:
-        quotient(0)  # checks the inverse factors before any class is enumerated
-
-    traces: list = []  # {j: matrix table of rho . phi^j}, built on first use
-
-    def trace_maps() -> dict:
-        if not traces:
-            # Generic matrices [[1, s], [0, 1]] [[1, 0], [t, 1]] [[1, u], [0, 1]].
-            base = []
-            for _ in range(rank):
-                s, t, u = (rng.randrange(_TRACE_MODULUS) for _ in range(3))
-                entries = (1 + s * t, (1 + s * t) * u + s, t, t * u + 1)
-                base.append(tuple(x % _TRACE_MODULUS for x in entries))
-            values = track(base, _matrix_table, _matrix_of_word)
-            traces.append({j: _matrix_table(v) for j, v in values.items()})
-        return traces[0]
+        quotient = tracked("in a permutation quotient", base, _perm_getters, _perm_of_word)
+        filters.append((quotient, _cycle_type))
+    # Generic matrices [[1, s], [0, 1]] [[1, 0], [t, 1]] [[1, u], [0, 1]].
+    base = []
+    for _ in range(rank):
+        s, t, u = (rng.randrange(_TRACE_MODULUS) for _ in range(3))
+        entries = (1 + s * t, (1 + s * t) * u + s, t, t * u + 1)
+        base.append(tuple(x % _TRACE_MODULUS for x in entries))
+    filters.append((tracked("in SL(2) over Z/m", base, _matrix_table, _matrix_of_word), _trace))
+    filters[0][0].check_inverse()  # before any class is enumerated
 
     # The images of a vector v under phi^hi and phi^lo agree exactly when
     # D v = 0 for D = ab[hi] - ab[lo].  Packing each column of D into one
@@ -610,9 +626,9 @@ def empirical_no_periodic_orbit(
     packed_differences = []
     for _, hi, lo in pairs:
         difference = [list(map(sub, upper, lower)) for upper, lower in zip(ab[hi], ab[lo])]
-        radix = 2 * max_len * max(abs(x) for row in difference for x in row) + 1
+        radix = 2 * max_len * max(abs(x) for column in difference for x in column) + 1
         packed_differences.append(
-            [sum(row[i] * radix**j for j, row in enumerate(difference)) for i in range(rank)]
+            [sum(x * radix**i for i, x in enumerate(column)) for column in difference]
         )
 
     def passes(vector: tuple[int, ...]) -> list:
@@ -623,26 +639,14 @@ def empirical_no_periodic_orbit(
             if not sum(map(mul, packed, vector))
         ]
 
-    inverse_letters = [-x for x in letters]
-    # Rank of each signed letter, and of its inverse, in a < A < b < B < ...
-    rank_of = _signed_table(range(0, 2 * rank, 2), range(1, 2 * rank, 2))
-    inverse_rank_of = _signed_table(range(1, 2 * rank, 2), range(0, 2 * rank, 2))
-
     def kept(cyc: CyclicWord) -> bool:
-        # Classes come as least rotations; prune a proper power, and a class
-        # whose inverse has a smaller rotation (one starting at its least
-        # letter, which must not be below the class's first letter).
-        if is_proper_power(cyc)[0]:
-            return False
+        # Classes come as least rotations; prune a class that some rotation
+        # of its inverse precedes, and a proper power.
         word = cyc.letters
-        inverse = tuple(map(inverse_rank_of.__getitem__, reversed(word)))
-        least, first = min(inverse), rank_of[word[0]]
-        if least != first:
-            return least > first
+        ranks = tuple(map(letter_rank, word))
+        doubled = tuple(map(letter_rank, map(neg, reversed(word)))) * 2
         n = len(word)
-        ranks = tuple(map(rank_of.__getitem__, word))
-        doubled = inverse * 2
-        return not any(doubled[i : i + n] < ranks for i in range(n) if inverse[i] == least)
+        return not any(doubled[i : i + n] < ranks for i in range(n)) and not is_proper_power(cyc)[0]
 
     filtered_exact = 0
     violation: Optional[dict] = None
@@ -651,13 +655,15 @@ def empirical_no_periodic_orbit(
         if not kept(cyc):
             continue
         word = cyc.letters
-        vector = tuple(map(sub, map(word.count, letters), map(word.count, inverse_letters)))
-        cycle_types: dict = {}
+        vector = _exponent_sums(word, rank)
+        invariants: dict = {}
 
-        def cycle_type(sample: int, j: int) -> tuple[int, ...]:
-            if (sample, j) not in cycle_types:
-                cycle_types[sample, j] = _cycle_type(_perm_of_word(word, quotient(sample)[j]))
-            return cycle_types[sample, j]
+        def invariant(f: int, j: int):
+            """Filter ``f``'s invariant of the class's image under ``rho . phi^j``."""
+            if (f, j) not in invariants:
+                quotient, invariant_of = filters[f]
+                invariants[f, j] = invariant_of(quotient.evaluate(word, quotient.tables[j]))
+            return invariants[f, j]
 
         exact: dict[int, Optional[Word]] = {0: word}
 
@@ -670,15 +676,8 @@ def empirical_no_periodic_orbit(
             return exact[j]
 
         for p, hi, lo in passes(vector):
-            if any(
-                cycle_type(sample, hi) != cycle_type(sample, lo)
-                for sample in range(quotient_samples)
-            ):
+            if any(invariant(f, hi) != invariant(f, lo) for f in range(len(filters))):
                 continue
-            maps = trace_maps()
-            upper, lower = _matrix_of_word(word, maps[hi]), _matrix_of_word(word, maps[lo])
-            if (upper[0] + upper[3] - lower[0] - lower[3]) % _TRACE_MODULUS:
-                continue  # traces differ
             filtered_exact += 1
             upper, lower = exact_image(hi), exact_image(lo)
             if upper is None or lower is None:

@@ -71,7 +71,8 @@ and compares every class those quotients cannot tell apart by building
 both images in full, without a budget.  The library adds an SL(2) trace
 filter and a letter budget, so its report must agree on the classes
 checked and pruned, on the violation and on ``ok``, with no more exact
-comparisons.
+comparisons.  Its abelianization matrices (``_abelianization_matrix``,
+``_mat_mul``) are also the reference for the library's tracked Z^k values.
 """
 
 import random
@@ -81,7 +82,7 @@ from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
 from freevol.errors import HypothesisViolated, NotAnAutomorphism, UsageError
-from freevol.pingpong import _PERM_DEGREE, _abelianization_matrix, _cycle_type, _mat_mul
+from freevol.pingpong import _PERM_DEGREE, _cycle_type
 from freevol.splittings import AMALGAM, HNN, CyclicSplitting, require_valid, to_relative
 from freevol.stallings import Edge, LabeledGraph, spell_path
 from freevol.volume import lambda_graph, translation_length as library_translation_length
@@ -99,7 +100,7 @@ from freevol.words import (
     invert,
     invert_word,
     is_proper_power,
-    letter_sort_key,
+    letter_rank,
     reduce_word,
     render_word,
 )
@@ -517,7 +518,7 @@ def whitehead_connected(graph, removed: Optional[int] = None) -> bool:
     if not adj:
         return True
     seen = set()
-    stack = [next(iter(sorted(adj, key=letter_sort_key)))]
+    stack = [next(iter(sorted(adj, key=letter_rank)))]
     while stack:
         v = stack.pop()
         if v in seen:
@@ -1103,7 +1104,7 @@ def whitehead_moves(rank: int) -> tuple[tuple[int, tuple[int, ...], Automorphism
     basis = Basis.standard(rank)
     signed = sorted(
         [i for i in range(1, rank + 1)] + [-i for i in range(1, rank + 1)],
-        key=letter_sort_key,
+        key=letter_rank,
     )
     moves: list[tuple[int, tuple[int, ...], Automorphism]] = []
     for a in signed:
@@ -1126,7 +1127,7 @@ def whitehead_moves(rank: int) -> tuple[tuple[int, tuple[int, ...], Automorphism
                 else:
                     images.append((g,))
             moves.append(
-                (a, tuple(sorted(side, key=letter_sort_key)), Automorphism(basis, tuple(images)))
+                (a, tuple(sorted(side, key=letter_rank)), Automorphism(basis, tuple(images)))
             )
     return tuple(moves)
 
@@ -1150,7 +1151,7 @@ def exhaustive_whitehead_minimize(
             candidate = tuple(apply_cyclic(phi, c) for c in current)
             length = sum(len(c.letters) for c in candidate)
             if length < total:
-                key = (letter_sort_key(a), tuple(letter_sort_key(x) for x in side))
+                key = (letter_rank(a), tuple(letter_rank(x) for x in side))
                 if best is None or key < best_key:
                     best = (a, side, candidate, length)
                     best_key = key
@@ -1163,7 +1164,7 @@ def exhaustive_whitehead_minimize(
 def enumerate_reduced_words(rank: int, length: int) -> Iterator[Word]:
     """All freely reduced words of exactly the given length."""
     letters = [i for i in range(1, rank + 1)] + [-i for i in range(1, rank + 1)]
-    letters.sort(key=letter_sort_key)
+    letters.sort(key=letter_rank)
 
     def extend(prefix: list[int], remaining: int) -> Iterator[Word]:
         if remaining == 0:
@@ -1208,8 +1209,24 @@ def _perm_of_word(word: Word, gen_perms: Sequence[tuple[int, ...]]) -> tuple[int
     return perm
 
 
-def _word_sort_key(word: Sequence[int]) -> tuple[tuple[int, int], ...]:
-    return tuple(letter_sort_key(x) for x in word)
+def _abelianization_matrix(images: Sequence[Word], rank: int) -> list[list[int]]:
+    matrix = [[0] * rank for _ in range(rank)]
+    for j, image in enumerate(images):
+        for letter in image:
+            matrix[abs(letter) - 1][j] += 1 if letter > 0 else -1
+    return matrix
+
+
+def _mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    n = len(a)
+    return [
+        [sum(a[i][t] * b[t][j] for t in range(n)) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def _word_sort_key(word: Sequence[int]) -> tuple[int, ...]:
+    return tuple(letter_rank(x) for x in word)
 
 
 def empirical_no_periodic_orbit(

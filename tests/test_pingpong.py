@@ -1,3 +1,4 @@
+import re
 import time
 
 import pytest
@@ -17,7 +18,7 @@ from freevol.errors import (
 from freevol import twisting as tw
 from freevol.splittings import MarkedPair, dehn_twist, transform
 from freevol.twisting import TwistConstants
-from freevol.words import Automorphism, Basis, power, reduce_word
+from freevol.words import Automorphism, Basis, invert, invert_word, power, reduce_word
 
 B3 = fx.B3
 P = fx.w3
@@ -126,10 +127,21 @@ def test_orbit_check_reports_identity():
     assert report["violation"]["power"] == 1
 
 
-@pytest.mark.parametrize("max_len, max_power", [(0, 2), (3, 0), (-1, -1)])
-def test_orbit_check_rejects_empty_samples(max_len, max_power):
-    with pytest.raises(UsageError, match="at least 1"):
-        pp.empirical_no_periodic_orbit(Automorphism.identity(B3), max_len, max_power)
+@pytest.mark.parametrize(
+    "max_len, max_power, samples, match",
+    [
+        (0, 2, 4, "at least 1"),
+        (3, 0, 4, "at least 1"),
+        (-1, -1, 4, "at least 1"),
+        (3, 2, -2, "at least 0"),
+    ],
+    ids=["0-2", "3-0", "-1--1", "negative-samples"],
+)
+def test_orbit_check_rejects_empty_samples(max_len, max_power, samples, match):
+    with pytest.raises(UsageError, match=match):
+        pp.empirical_no_periodic_orbit(
+            Automorphism.identity(B3), max_len, max_power, quotient_samples=samples
+        )
 
 
 @pytest.mark.parametrize(
@@ -308,12 +320,56 @@ def test_orbit_check_refutes_wrong_inverse_on_abelianization(config):
         pp.empirical_no_periodic_orbit(None, 3, 2, factors=forward, inverse_factors=forward)
 
 
-def test_orbit_check_refutes_wrong_inverse_in_a_quotient(config):
+@pytest.mark.parametrize(
+    "samples, quotient", [(4, "permutation quotient"), (0, "SL(2)")], ids=["4-samples", "0-samples"]
+)
+def test_orbit_check_refutes_wrong_inverse_in_a_quotient(config, samples, quotient):
     """A twist over a commutator is invisible on the abelianization."""
     forward, backward = pp.twist_factors(config, pp.parse_twist_word("1:+N 2:+N", config.threshold))
     wrong = backward + [dehn_twist(fx.hnn_over_commutator())]
-    with pytest.raises(UsageError, match="permutation quotient"):
-        pp.empirical_no_periodic_orbit(None, 3, 2, factors=forward, inverse_factors=wrong)
+    with pytest.raises(UsageError, match=re.escape(quotient)):
+        pp.empirical_no_periodic_orbit(
+            None, 3, 2, factors=forward, inverse_factors=wrong, quotient_samples=samples
+        )
+
+
+@st.composite
+def factor_lists(draw):
+    """Whitehead moves and twists x -> x c^n or c^n x at ranks 2-4, the first one long."""
+    rank = draw(st.integers(2, 4))
+    factors = []
+    exponents = draw(st.lists(st.sampled_from([1, 2, -3]), max_size=3))
+    for n in [draw(st.integers(100, 300)), *exponents]:
+        x = draw(st.integers(1, rank))
+        others = [y for i in range(1, rank + 1) if i != x for y in (i, -i)]
+        c = reduce_word(draw(st.lists(st.sampled_from(others), min_size=1, max_size=3)))
+        twisted = (c or (others[0],)) * abs(n)
+        if n < 0:
+            twisted = invert_word(twisted)
+        images = [(i,) for i in range(1, rank + 1)]
+        images[x - 1] = twisted + (x,) if draw(st.booleans()) else (x,) + twisted
+        factors.append(Automorphism(Basis.standard(rank), tuple(images)))
+    return factors
+
+
+@settings(max_examples=50, deadline=None)
+@given(factor_lists())
+def test_tracked_abelianization_agrees_with_matrices(forward):
+    backward = [invert(f) for f in reversed(forward)]
+    rank = forward[0].basis.rank
+    identity = [[int(i == j) for j in range(rank)] for i in range(rank)]
+    units = [tuple(row) for row in identity]
+    tracked = pp._Quotient("", units, list, pp._vector_of_word, forward, backward, range(-2, 3))
+    tracked.check_inverse()
+    expected = {0: identity}
+    for sign, chain in ((1, forward), (-1, backward)):
+        step = identity
+        for factor in chain:
+            step = oracles._mat_mul(step, oracles._abelianization_matrix(factor.images, rank))
+        for j in (1, 2):
+            expected[sign * j] = oracles._mat_mul(step, expected[sign * (j - 1)])
+    for j, matrix in expected.items():
+        assert tracked.values[j] == [tuple(column) for column in zip(*matrix)]
 
 
 def test_orbit_check_rejects_mixed_bases(config):
@@ -342,11 +398,7 @@ def test_trace_is_a_conjugacy_invariant(word, conjugator):
     table = pp._matrix_table(generators)
     word = reduce_word(word)
     conjugate = reduce_word([*conjugator, *word, *(-x for x in reversed(conjugator))])
-
-    def trace(w):
-        a, _, _, d = pp._matrix_of_word(w, table)
-        return (a + d) % pp._TRACE_MODULUS
-
-    assert trace(conjugate) == trace(word)
+    traces = [pp._trace(pp._matrix_of_word(w, table)) for w in (conjugate, word)]
+    assert traces[0] == traces[1]
     inverse = tuple(-x for x in reversed(word))
     assert pp._matrix_of_word(word + inverse, table) == (1, 0, 0, 1)

@@ -63,13 +63,13 @@ def test_cyclically_reduce_decomposition(word):
 
 @given(words3)
 def test_canonical_rotation_is_least(word):
-    from freevol.words import _letter_rank
+    from freevol.words import letter_rank
 
     w = tuple(word)
     got = canonical_rotation(w)
     rotations = {w[i:] + w[:i] for i in range(len(w))} or {w}
     assert got in rotations
-    key = lambda rot: [_letter_rank(x) for x in rot]
+    key = lambda rot: [letter_rank(x) for x in rot]
     assert key(got) == min(key(rot) for rot in rotations)
 
 
