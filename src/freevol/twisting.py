@@ -21,7 +21,7 @@ from .splittings import (
     to_relative,
 )
 from .stallings import cycle_word, is_malnormal, rank, subgroup_graph
-from .volume import free_volume, translation_length
+from .volume import free_volume, relative_length, translation_length
 from .words import (
     Automorphism,
     Word,
@@ -30,6 +30,7 @@ from .words import (
     concat,
     cyclically_reduce,
     invert_word,
+    is_power_of,
     reduce_word,
 )
 
@@ -202,12 +203,6 @@ def constants(
 # Growth certificates for cyclic subgroups
 
 
-def _is_power_of(word: Word, root: Word) -> bool:
-    """Whether the reduced ``word`` is ``root^j`` for some j, 0 included."""
-    count, rest = divmod(len(word), len(root))
-    return not rest and word in (root * count, invert_word(root) * count)
-
-
 def _twist_blocks(splitting: CyclicSplitting, x: Word) -> Optional[list[tuple[int, Word]]]:
     """The twist powers of a cyclically reduced relative word, in block form.
 
@@ -236,7 +231,7 @@ def _twist_blocks(splitting: CyclicSplitting, x: Word) -> Optional[list[tuple[in
     while i < len(blocks):
         k, w = blocks[i][0], reduce_word(blocks[i][1])
         blocks[i][1] = w
-        if not _is_power_of(w, c):
+        if not is_power_of(w, c):
             i += 1
             continue
         j = (i + 1) % len(blocks)
@@ -302,7 +297,10 @@ def _certificate(
             cuts.append(cut)
         eaten = max((cuts[i - 1][1] + cuts[i][0] for i in range(m)), default=None)
         n0 = 1 if eaten is None else -(-eaten // len(u)) + 2
-        at_n0 = free_volume(splitting2, [apply(dehn_twist(splitting1, sign * n0), g)])
+        # l2 at n0, counted on the block word of step 1.  With no block, T1
+        # moves g only by a conjugation.
+        word = concat(*(period * n0 + z for period, z in zip(periods, zs)))
+        at_n0 = relative_length(splitting2, word) if blocks else translation_length(splitting2, g)
         certificate[key] = {"slope": slope, "intercept": at_n0 - slope * n0, "n0": n0}
     return certificate
 
@@ -318,8 +316,9 @@ def growth_certificate(
         free_volume(splitting2, [T1^(+-n)(g)]) == slope * n + intercept,
 
     T1 = ``dehn_twist(splitting1)``, with ``slope = l1(g) * l2(c1)`` (l the
-    translation length, c1 the first edge word).  The intercept comes
-    from one refold at +-n0.  Returns None, so that the caller refolds,
+    translation length, c1 the first edge word).  The intercept is l2 at
+    +-n0, counted as in step 3 on the block word of step 1, so nothing is
+    twisted or folded.  Returns None, so that the caller refolds,
     when l2(c1) = 0; also if two blocks of one sign meet around a power
     of c1 or a junction cancels without end, which step 1 rules out.
 
@@ -350,9 +349,9 @@ def growth_certificate(
        relative word with a separator, l2 is a sum over the gaps between
        cyclically consecutive separators: an amalgam's gap adds 2 unless
        it is a power of c2, and for an HNN splitting l2 = #t minus 2 per
-       gap t^-1 c2^j t, since such pinches cannot nest (the edge groups
-       are malnormal in the vertex groups).  As l2(u) = l2(c1) > 0, u has
-       a separator, so every |u| letters of S_i(n) hold one.  If
+       gap t^-1 c2^j t, since such pinches cannot nest
+       (``volume.translation_length`` proves it).  As l2(u) = l2(c1) > 0,
+       u has a separator, so every |u| letters of S_i(n) hold one.  If
        S_i(n) has at least 2|u| letters, insert the new period right after
        a separator in its first period: the gaps of one period of u are
        added, l2(u) in all, and no other gap changes.
@@ -388,9 +387,10 @@ def check_volume_growth_bounds(
     ``"certificate"``, with ``all_n_ok``: the two-sided bound for every
     |n| >= n0 at once.  However many generators it is given by, its folded
     core is one cycle, and the certificate is for the word read around it,
-    which generates a conjugate of the subgroup.  Both bounds have slope
-    vol1 * l2(c1), so ``all_n_ok`` holds exactly when the certified slope
-    equals it and |intercept| <= vol1 * C + M * vol2.  For |n| >= n0 the
+    which generates a conjugate of the subgroup; vol1 and vol2 are that
+    word's translation lengths, counted without folding.  Both bounds have
+    slope vol1 * l2(c1), so ``all_n_ok`` holds exactly when the certified
+    slope equals it and |intercept| <= vol1 * C + M * vol2.  For |n| >= n0 the
     observed volume is read off the certificate; otherwise, and for every
     subgroup of rank 2 or more, the generators are twisted and refolded.
     """
@@ -404,11 +404,15 @@ def check_volume_growth_bounds(
         raise HypothesisViolated("subgroup rank exceeds the bound used for the constants")
     c1_ambient = splitting1.edge_word_ambient()
     length_c1 = translation_length(splitting2, c1_ambient)
-    vol1 = free_volume(splitting1, gens)
-    vol2 = free_volume(splitting2, gens)
-    certificate = None
     if subgroup_rank == 1:
-        certificate = _certificate(splitting1, splitting2, cycle_word(ambient_core), length_c1)
+        cycle = cycle_word(ambient_core)
+        vol1 = translation_length(splitting1, cycle)
+        vol2 = translation_length(splitting2, cycle)
+        certificate = _certificate(splitting1, splitting2, cycle, length_c1)
+    else:
+        vol1 = free_volume(splitting1, gens)
+        vol2 = free_volume(splitting2, gens)
+        certificate = None
     results = {}
     all_ok = True
     for sign in (+1, -1):

@@ -6,7 +6,9 @@ Bass-Serre tree.  A finitely generated subgroup H acts on T, and T_H is its
 minimal subtree.  The free volume of H is the number of edges of the
 quotient graph of groups T_H/H with trivial stabilizer (Clay-Pettet).  For
 H = <g> with g hyperbolic, T_H is the axis of g, so the free volume is the
-translation length of g.
+translation length of g.  ``translation_length`` counts it in one pass over
+the relative word, with no graph; ``free_volume`` below is the general
+algorithm, and on cyclic subgroups it cross-checks that count.
 
 The quotient is read off Gamma, the folded core graph of H over the
 relative rose (Bestvina-Feighn 1991; Kapovich-Weidmann-Miasnikov 2005).  A
@@ -39,7 +41,7 @@ from typing import Sequence
 from .errors import TrivialSubgroup
 from .splittings import HNN, CyclicSplitting, require_valid, to_relative
 from .stallings import Forest, LabeledGraph, read_path, subgroup_graph
-from .words import Word, cyclically_reduce, render_word
+from .words import Word, cyclically_reduce, is_power_of, render_word
 
 
 @dataclass(frozen=True)
@@ -188,11 +190,64 @@ def free_volume(splitting: CyclicSplitting, gens: Sequence[Word]) -> int:
 
 
 def translation_length(splitting: CyclicSplitting, word: Word) -> int:
-    """Translation length of a single element; zero for elliptic elements."""
-    core, _ = cyclically_reduce(word)
-    if not core:
+    """Translation length of ``word`` on the Bass-Serre tree; zero for elliptic elements.
+
+    Let x be the cyclic reduction of the word in relative letters.  Call
+    the B0 letters (amalgam) or t^+-1, t the stable letter (HNN), the
+    separators, and the letters between two cyclically consecutive
+    separators a gap.  A gap is a reduced word in A-part letters, and such
+    a word lies in the edge group <c> exactly when it is c^j letter for
+    letter, since c is cyclically reduced.  Without a separator x lies in
+    the vertex group <A> and the length is 0.  Otherwise:
+
+    * Amalgam A *_<c> B, B = <c> * B0.  Join every gap that is a power of
+      c, the empty gap included, to the separators around it.  What is
+      left alternates between the other gaps, which lie in A but not in
+      <c>, and maximal runs of separators and c-power gaps, which lie in B
+      and, holding a B0 letter, not in <c> (normal form in a free product).
+      If r gaps are left, r >= 1, that is a cyclically reduced normal form
+      of length 2r, so g translates by 2r (Serre, Trees); if r = 0,
+      x lies in B.  So the length is 2 r in every case.
+    * HNN extension of G = <A, d>, free on A and d = t^-1 c t.  By Britton's
+      lemma a cyclic word in G and t^+-1 with no pinch, t^-1 h t with h in
+      <c> or t h t^-1 with h in <d>, translates by its number of t letters.
+      In x a gap t h t^-1 is no pinch: h lies in <A>, which meets <d>
+      trivially, and h is not empty, as x is cyclically reduced.  So the
+      pinches of x are its gaps t^-1 c^j t, j != 0.  They are disjoint: a
+      t^-1 can only open the gap after it, and a t only close the one
+      before it.  Replace each by d^j.  Pinches cannot nest: a new one
+      would be t^e h t^-e with h = u_0 d^(j_1) u_1 ... d^(j_r) u_r, r >= 1,
+      the u_i gaps of x.  The gaps u_1, ..., u_(r-1) lie between t and
+      t^-1, so they are not empty, and h is reduced in G.  It holds d, so
+      it is not in <c>; it would be in <d> only with u_0 empty, but for
+      e = 1 the gap u_0 too lies between t and t^-1.  So what is left has
+      no pinch, even cyclically, and the length is #t - 2 (number of gaps
+      t^-1 c^j t).
+
+    The splitting is checked first; an invalid one raises InvalidSplitting.
+    """
+    require_valid(splitting)
+    return relative_length(splitting, to_relative(splitting, word))
+
+
+def relative_length(splitting: CyclicSplitting, word: Word) -> int:
+    """``translation_length`` of a word given in the splitting's relative letters.
+
+    The splitting is not checked; it must be valid.
+    """
+    x, _ = cyclically_reduce(word)
+    hnn = splitting.kind == HNN
+    separators = {splitting.stable_index} if hnn else set(splitting.b0_part)
+    cuts = [i for i, letter in enumerate(x) if abs(letter) in separators]
+    if not cuts:
         return 0
-    return free_volume(splitting, [core])
+    doubled = x + x
+    ends = zip(cuts, [*cuts[1:], cuts[0] + len(x)])
+    c = splitting.edge_word
+    if hnn:
+        pinches = [x[i] < 0 < doubled[j] and is_power_of(doubled[i + 1 : j], c) for i, j in ends]
+        return len(cuts) - 2 * sum(pinches)
+    return 2 * sum(not is_power_of(doubled[i + 1 : j], c) for i, j in ends)
 
 
 def to_dot(report: VolumeReport, splitting: CyclicSplitting) -> str:

@@ -24,6 +24,11 @@ Word = tuple[int, ...]
 letter_rank = {x: 2 * (abs(x) - 1) + (x < 0) for x in range(-26, 27) if x}.__getitem__
 
 
+def ranked_letters(rank: int) -> list[int]:
+    """The letters of F_rank in ``letter_rank`` order, which ranks them 0 .. 2 rank - 1."""
+    return sorted((x for x in range(-rank, rank + 1) if x), key=letter_rank)
+
+
 @dataclass(frozen=True)
 class Basis:
     """An ordered basis of F_k with printable single-character names."""
@@ -180,6 +185,16 @@ def is_proper_power(cyclic: CyclicWord) -> tuple[bool, Word, int]:
         if w == w[:period] * (n // period):
             return (period < n, w[:period], n // period)
     raise AssertionError("unreachable: the full period always matches")
+
+
+def is_power_of(word: Word, root: Word) -> bool:
+    """Whether the reduced ``word`` is ``root^j`` for some j, 0 included.
+
+    ``root`` must be cyclically reduced, so that ``root^j`` is spelled as
+    ``root`` repeated |j| times.
+    """
+    count, rest = divmod(len(word), len(root))
+    return not rest and word in (root * count, invert_word(root) * count)
 
 
 @dataclass(frozen=True)
@@ -356,25 +371,26 @@ def _cyclic_necklaces(rank: int, length: int, constraint: Constraint) -> Iterato
     """Cyclically reduced necklaces of the given length, in lexicographic order.
 
     The Fredricksen-Kessler-Maiorana tree (Ruskey, Savage and Wang 1992)
-    over the letter ranks of a < A < b < B < ...: each prenecklace
-    ``a[1..t]`` whose longest Lyndon prefix has length ``p`` extends by
-    ``a[t-p]`` (keeping ``p``) or by any larger rank (making ``p = t``),
-    and a full-length prenecklace is a necklace exactly when ``p`` divides
-    the length.  Every prefix of a freely reduced word is freely reduced,
-    so pruning a prefix that ends in ``x x^-1`` (ranks ``r, r ^ 1``) loses
-    no necklace; the wrap-around pair is checked at the leaves.  Pruning by
-    the ``constraint`` keeps the order of the necklaces it keeps.
+    over the letters' ``letter_rank``: each prenecklace ``a[1..t]`` whose
+    longest Lyndon prefix has length ``p`` extends by ``a[t-p]`` (keeping
+    ``p``) or by any larger rank (making ``p = t``), and a full-length
+    prenecklace is a necklace exactly when ``p`` divides the length.  Every
+    prefix of a freely reduced word is freely reduced, so pruning a prefix
+    that ends in ``x x^-1`` loses no necklace; the wrap-around pair is
+    checked at the leaves.  Pruning by the ``constraint`` keeps the order of
+    the necklaces it keeps.
     """
     steps, distance = constraint
-    letter_of = [i // 2 + 1 if i % 2 == 0 else -(i // 2 + 1) for i in range(2 * rank)]
+    letter_of = ranked_letters(rank)
+    inverse = [letter_rank(-x) for x in letter_of]
     a = [0] * (length + 1)  # 1-based; a[0] is the FKM sentinel
 
     def extend(t: int, p: int, prefix: Word, key: int) -> Iterator[Word]:
         # Fills a[t] .. a[length] after the prefix a[1 .. t-1], spelled ``prefix``.
         repeat = a[t - p]
-        banned = a[t - 1] ^ 1 if t > 1 else -1
+        banned = inverse[a[t - 1]] if t > 1 else -1
         if t == length:
-            wrap = a[1] ^ 1 if t > 1 else -1
+            wrap = inverse[a[1]] if t > 1 else -1
             for c in range(repeat, 2 * rank):
                 if (
                     c != banned
@@ -455,7 +471,7 @@ def enumerate_cyclic_classes_with(
     """
     base = 2 * max_len + 3
     units = [base**i for i in range(rank)]
-    steps = [units[r // 2] if r % 2 == 0 else -units[r // 2] for r in range(2 * rank)]
+    steps = [units[x - 1] if x > 0 else -units[-x - 1] for x in ranked_letters(rank)]
     radius = 0
     for length in range(1, max_len + 1):
         if length > radius:

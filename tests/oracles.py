@@ -2,9 +2,11 @@
 
 The translation-length oracle works directly on normal forms for the two
 splitting shapes: syllable reduction for an amalgam and pinch (Britton)
-reduction for an HNN extension.  It shares only word/coordinate plumbing
-with the library; the volume machinery itself (graphs, chains) is never
-touched by it.
+reduction for an HNN extension, each repeated until nothing changes.  It
+shares only word/coordinate plumbing with the library.  The library's
+``translation_length`` counts the same length in one pass over the gaps
+between separators, so the oracle checks that count, and the folding
+``free_volume`` on the cyclic subgroup is its second cross-check.
 
 The reference folder ``fold_and_core`` is the library's original folding
 loop, kept as it was: it rebuilds and sorts the whole conflict table after

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,12 +9,14 @@ import oracles
 from freevol import stallings as st_mod
 from freevol import twisting as tw
 from freevol import volume as vol
-from freevol.splittings import dehn_twist
+from freevol.errors import InvalidSplitting
+from freevol.splittings import HNN, dehn_twist, from_relative, vertex_groups
 from freevol.words import (
     Automorphism,
     apply,
     concat,
     conjugate,
+    cyclically_reduce,
     enumerate_cyclic_classes,
     invert_word,
     reduce_word,
@@ -130,6 +134,75 @@ def test_oracle_agreement_on_sample():
             ) == oracles.translation_length(splitting, cyclic.letters)
 
 
+def _power(word, n):
+    return word * n if n >= 0 else invert_word(word) * -n
+
+
+@st.composite
+def planted_words(draw, splitting):
+    """Separators with gaps x c^j y between them, x and y short A-words, often empty.
+
+    Half the gaps open with the inverse separator and close with the
+    separator, so for an HNN splitting they are pinches t^-1 c^j t when x
+    and y are empty.  The word comes back in ambient letters.
+    """
+    c = splitting.edge_word
+    a_word = st.lists(st.sampled_from([x for i in splitting.a_part for x in (i, -i)]), max_size=2)
+    separators = [splitting.stable_index] if splitting.kind == HNN else list(splitting.b0_part)
+    letters = []
+    for _ in range(draw(st.integers(1, 5))):
+        s = draw(st.sampled_from(separators))
+        j = draw(st.integers(-2, 2))
+        gap = [*draw(a_word), *_power(c, j), *draw(a_word)]
+        if draw(st.booleans()):
+            letters += [-s, *gap, s]
+        else:
+            letters += [draw(st.sampled_from((s, -s))), *gap]
+    return from_relative(splitting, reduce_word(letters))
+
+
+@st.composite
+def twisted_words(draw):
+    """T^n(g) for a random word g, a fixture splitting's twist T and |n| <= 64."""
+    twist = dehn_twist(draw(st.sampled_from(list(SPLITTINGS.values()))), draw(st.integers(-64, 64)))
+    return apply(twist, draw(reduced))
+
+
+@pytest.mark.parametrize("name", SPLITTINGS)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_translation_length_equals_the_fold_and_the_oracle(name, data):
+    splitting = SPLITTINGS[name]
+    word = data.draw(st.one_of(reduced, planted_words(splitting), twisted_words()))
+    core, _ = cyclically_reduce(word)
+    folded = vol.free_volume(splitting, [core]) if core else 0
+    assert vol.translation_length(splitting, word) == folded == oracles.translation_length(splitting, word)
+
+
+@pytest.mark.parametrize("name", SPLITTINGS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_elliptic_words_have_translation_length_zero(name, data):
+    splitting = SPLITTINGS[name]
+    conjugator = data.draw(words.map(reduce_word))
+    for group in vertex_groups(splitting):
+        pieces = data.draw(st.lists(st.sampled_from([*group, *map(invert_word, group)]), max_size=4))
+        word = conjugate(concat(*pieces), conjugator)
+        assert vol.translation_length(splitting, word) == 0
+        assert oracles.translation_length(splitting, word) == 0
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [{"edge_word": (2, 2)}, {"relative_basis": (P("a"), P("a"), P("b"))}, {"b0_part": ()}],
+)
+@pytest.mark.parametrize("text", ["ab", ""])
+def test_translation_length_refuses_an_invalid_splitting(changes, text):
+    splitting = replace(fx.amalgam_over_c(), **changes)
+    with pytest.raises(InvalidSplitting):
+        vol.translation_length(splitting, P(text))
+
+
 @pytest.mark.parametrize("name", SPLITTINGS)
 def test_chain_oracle_agrees_on_cyclic_classes(name):
     splitting = SPLITTINGS[name]
@@ -169,10 +242,6 @@ def test_free_volume_is_invariant_under_the_splittings_twist(name, gens, n, sign
     splitting = SPLITTINGS[name]
     twist = dehn_twist(splitting, sign * n)
     _assert_same_volume(splitting, gens, [apply(twist, g) for g in gens])
-
-
-def _power(word, n):
-    return word * n if n >= 0 else invert_word(word) * -n
 
 
 @pytest.mark.parametrize("name", ["amalgam_over_c", "amalgam_over_ab"])
