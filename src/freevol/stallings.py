@@ -11,7 +11,9 @@ two subgroups (Stallings 1983, "Topology of finite graphs").  That product
 is folded too, and pruning keeps E - V + 1, so the components' ranks come
 from one pass over the product's edges (``_fiber_product``).
 ``pullback_ranks`` and ``is_malnormal`` read them there, and only
-``pullback`` builds and cores a graph per component.
+``pullback`` builds and cores a graph per component.  No library caller
+needs those graphs, but ``pullback`` stays public API: it is exported by
+``freevol``, and the benchmark's traced run times it by name.
 
 ``Forest``, the library's one union-find, counts each component's
 E - V + 1.  It merges vertex classes in ``fold_and_core``, splits fiber

@@ -9,20 +9,22 @@ resulting two-sided linear growth bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
-from .errors import HypothesisViolated, NotAnAutomorphism, TrivialSubgroup, UsageError
+from .errors import BudgetExceeded, HypothesisViolated, NotAnAutomorphism, TrivialSubgroup, UsageError
 from .splittings import (
     AMALGAM,
     CyclicSplitting,
     dehn_twist,
-    from_relative,
     relative_inverse,
+    require_valid,
     to_relative,
 )
 from .stallings import cycle_word, is_malnormal, rank, subgroup_graph
-from .volume import free_volume, relative_length, translation_length
+from .volume import cyclic_length, free_volume, relative_length
 from .words import (
+    LETTER_BUDGET,
     Automorphism,
     Word,
     apply,
@@ -31,7 +33,6 @@ from .words import (
     cyclically_reduce,
     invert_word,
     is_power_of,
-    reduce_word,
 )
 
 
@@ -155,8 +156,9 @@ def bcc(nu: Automorphism) -> int:
     return max((depth[start] for start in starts), default=0)
 
 
+@lru_cache(maxsize=256)
 def basis_change(splitting1: CyclicSplitting, splitting2: CyclicSplitting) -> Automorphism:
-    """Automorphism rewriting splitting-1 relative coordinates in splitting-2's."""
+    """Automorphism rewriting splitting-1 relative coordinates in splitting-2's; cached."""
     return compose(relative_inverse(splitting2), splitting1.relative_automorphism())
 
 
@@ -203,106 +205,100 @@ def constants(
 # Growth certificates for cyclic subgroups
 
 
-def _twist_blocks(splitting: CyclicSplitting, x: Word) -> Optional[list[tuple[int, Word]]]:
-    """The twist powers of a cyclically reduced relative word, in block form.
+@lru_cache(maxsize=256)
+def _edge_word_image(
+    splitting1: CyclicSplitting, splitting2: CyclicSplitting
+) -> tuple[int, Word, Word, Word, Automorphism]:
+    """``(l2(c1), u, q, q^-1, nu = basis_change)``, nu(c1) = q u q^-1; checks splitting 2, then 1."""
+    require_valid(splitting2)
+    require_valid(splitting1)
+    nu = basis_change(splitting1, splitting2)
+    u, q = cyclically_reduce(apply(nu, splitting1.edge_word))
+    return cyclic_length(splitting2, u), u, q, invert_word(q), nu
 
-    Returns ``[(k_1, w_1), ..., (k_m, w_m)]``, each k_i = +-1, such that
-    ``relative_twist(splitting, n)`` maps ``x`` to a conjugate of the
-    cyclic product ``c^(k_1 n) w_1 ... c^(k_m n) w_m`` for every n, with
-    ``c`` the edge word; no w_i is a power of c.  A w_i that is a power of
-    c between blocks of opposite signs is merged away, as
-    ``c^(kn) w c^(-kn) = w``; between blocks of one sign it gives None.
-    """
-    c = splitting.edge_word
+
+def _twist_blocks(splitting: CyclicSplitting, x: Word) -> list[tuple[int, Word]]:
+    """Step 1 of ``growth_certificate``: the pairs (k_i, w_i) for a cyclically reduced relative x."""
     amalgam = splitting.kind == AMALGAM
-    blocks: list[list] = []  # [k, letters after the block]
-    head: list[int] = []  # letters before the first block
-    for letter in x:
-        twisted = abs(letter) in splitting.b0_part if amalgam else abs(letter) == splitting.stable_index
-        if twisted and (amalgam or letter > 0):
-            blocks.append([1, []])
-        (blocks[-1][1] if blocks else head).append(letter)
-        if twisted and (amalgam or letter < 0):
-            blocks.append([-1, []])
-    if not blocks:
+    separators = set(splitting.b0_part) if amalgam else {splitting.stable_index}
+    cuts = [i for i, letter in enumerate(x) if abs(letter) in separators]
+    if not cuts:
         return []
-    blocks[-1][1] += head
-    i = 0
-    while i < len(blocks):
-        k, w = blocks[i][0], reduce_word(blocks[i][1])
-        blocks[i][1] = w
-        if not is_power_of(w, c):
-            i += 1
-            continue
-        j = (i + 1) % len(blocks)
-        if blocks[j][0] != -k:
-            return None
-        if len(blocks) == 2:
-            return []
-        blocks[i - 1][1] = (*blocks[i - 1][1], *w, *blocks[j][1])
-        del blocks[max(i, j)], blocks[min(i, j)]
-        i = 0
-    return [(k, tuple(w)) for k, w in blocks]
+    x = x[cuts[0] :] + x[: cuts[0]]
+    cuts = [i - cuts[0] for i in cuts]
+    doubled = x + x
+    marks = []  # (where a block goes, its k), in order along x
+    for i, j in zip(cuts, [*cuts[1:], len(x)]):
+        after, before = amalgam or x[i] < 0, amalgam or doubled[j] > 0
+        if not (after and before and is_power_of(doubled[i + 1 : j], splitting.edge_word)):
+            marks += [(i + 1, -1)] * after + [(j, 1)] * before
+    ends = [p for p, _ in marks[1:]] + [marks[0][0] + len(x)] if marks else []
+    return [(k, doubled[p:end]) for (p, k), end in zip(marks, ends)]
 
 
-def _junction(left: Word, z: Word, right: Word) -> Optional[tuple[int, int]]:
-    """How many letters reducing ``left z right`` removes from ``left`` and from ``right``.
+def _cut(left: Word, z: Word, right: Word) -> tuple[int, int, Word]:
+    """Reduce z between the rays ``... left left`` and ``right right ...`` (step 2).
 
-    All three words are reduced.  None if ``left`` or ``right`` is used up.
+    Returns the letters it removes from each ray, and what is left of z.
+    Past z the rays cancel fewer than ``len(left)`` letters (step 2).
     """
-    word = (*left, *z, *right)
-    stack: list[int] = []  # positions in word of the letters kept so far
-    for position, letter in enumerate(word):
-        if stack and word[stack[-1]] == -letter:
-            stack.pop()
-        else:
-            stack.append(position)
-    removed_left = len(left) - sum(1 for p in stack if p < len(left))
-    removed_right = len(right) - sum(1 for p in stack if p >= len(left) + len(z))
-    if removed_left == len(left) or removed_right == len(right):
-        return None
-    return removed_left, removed_right
+    r = len(left)
+    a = 0
+    while a < len(z) and z[a] == -left[~a % r]:
+        a += 1
+    b = 0
+    while a + b < len(z) and z[~b] == -right[b % r]:
+        b += 1
+    k = 0
+    while a + b == len(z) and k < r and left[~(a + k) % r] == -right[(b + k) % r]:
+        k += 1
+    return a + k, b + k, z[a : len(z) - b]
 
 
-def _certificate(
-    splitting1: CyclicSplitting, splitting2: CyclicSplitting, g: Word, length_c1: int
-) -> Optional[dict]:
-    """``growth_certificate`` with the edge word's length in splitting 2 given."""
-    if length_c1 == 0:
-        return None
-    x, _ = cyclically_reduce(to_relative(splitting1, g))
-    if not x:
-        raise TrivialSubgroup("the generator is trivial")
-    blocks = _twist_blocks(splitting1, x)
-    if blocks is None:
-        return None
-    # Splitting-2 relative coordinates, through nu = basis_change(splitting1,
-    # splitting2) without composing it.
-    u, q = cyclically_reduce(to_relative(splitting2, splitting1.edge_word_ambient()))
-    q_inverse = invert_word(q)
-    zs = [concat(q_inverse, to_relative(splitting2, from_relative(splitting1, w)), q) for _, w in blocks]
-    m = len(blocks)
-    slope = m * length_c1
-    certificate = {}
-    for sign, key in ((1, "plus"), (-1, "minus")):
-        periods = [u if sign * k > 0 else invert_word(u) for k, _ in blocks]
-        # cuts[i]: letters removed from the end of block i and from the
-        # start of block i + 1 at the junction through z_i.
-        cuts = []
-        for i, z in enumerate(zs):
-            reps = len(z) // len(u) + 2
-            cut = _junction(periods[i] * reps, z, periods[(i + 1) % m] * reps)
-            if cut is None:
-                return None
-            cuts.append(cut)
-        eaten = max((cuts[i - 1][1] + cuts[i][0] for i in range(m)), default=None)
-        n0 = 1 if eaten is None else -(-eaten // len(u)) + 2
-        # l2 at n0, counted on the block word of step 1.  With no block, T1
-        # moves g only by a conjugation.
-        word = concat(*(period * n0 + z for period, z in zip(periods, zs)))
-        at_n0 = relative_length(splitting2, word) if blocks else translation_length(splitting2, g)
-        certificate[key] = {"slope": slope, "intercept": at_n0 - slope * n0, "n0": n0}
-    return certificate
+class _TwistedCycle:
+    """T1^n(g) for every n, as the cyclic block word of step 1 in splitting-2 letters."""
+
+    def __init__(self, splitting1: CyclicSplitting, splitting2: CyclicSplitting, g: Word) -> None:
+        self.splitting2 = splitting2
+        self.length_c1, self.u, q, q_inverse, nu = _edge_word_image(splitting1, splitting2)
+        x, _ = cyclically_reduce(to_relative(splitting1, g))
+        if not x:
+            raise TrivialSubgroup("the generator is trivial")
+        self.vol2 = relative_length(splitting2, apply(nu, x))
+        blocks = _twist_blocks(splitting1, x)
+        self.zs = [concat(q_inverse, apply(nu, w), q) for _, w in blocks]
+        u, u_inverse = self.u, invert_word(self.u)
+        self.periods = {sign: [u if k == sign else u_inverse for k, _ in blocks] for sign in (1, -1)}
+        self.certificate = {"plus": self._line(1), "minus": self._line(-1)} if self.length_c1 else None
+
+    def _line(self, sign: int) -> dict:
+        """Steps 2 and 3 for the powers sign * n: the line, its intercept counted at n0."""
+        periods, m = self.periods[sign], len(self.zs)
+        if not m:
+            return {"slope": 0, "intercept": self.vol2, "n0": 1}
+        cuts = [_cut(periods[i], z, periods[(i + 1) % m]) for i, z in enumerate(self.zs)]
+        n0 = -(-max(cuts[i - 1][1] + cuts[i][0] for i in range(m)) // len(self.u)) + 2
+        word: list[int] = []  # the cyclic reduction at n0: middles and remainders
+        for i, period in enumerate(periods):
+            word += (period * n0)[cuts[i - 1][1] : n0 * len(self.u) - cuts[i][0]]
+            word += cuts[i][2]
+        slope = m * self.length_c1
+        return {"slope": slope, "intercept": cyclic_length(self.splitting2, tuple(word)) - slope * n0, "n0": n0}
+
+    def length(self, n: int) -> int:
+        """l2(T1^n g), n != 0: off the line from n0 on, else ``count(n)``."""
+        line = self.certificate and self.certificate["plus" if n > 0 else "minus"]
+        if line and abs(n) >= line["n0"]:
+            return line["slope"] * abs(n) + line["intercept"]
+        return self.count(n)
+
+    def count(self, n: int) -> int:
+        """l2(T1^n g), n != 0, counted on the block word at n."""
+        needed = sum(abs(n) * len(self.u) + len(z) for z in self.zs)
+        if needed > LETTER_BUDGET:
+            raise BudgetExceeded(f"the twisted word needs {needed} letters, over the budget of {LETTER_BUDGET}")
+        word = concat(*(p * abs(n) + z for p, z in zip(self.periods[1 if n > 0 else -1], self.zs)))
+        return relative_length(self.splitting2, word) if self.zs else self.vol2
 
 
 def growth_certificate(
@@ -316,34 +312,43 @@ def growth_certificate(
         free_volume(splitting2, [T1^(+-n)(g)]) == slope * n + intercept,
 
     T1 = ``dehn_twist(splitting1)``, with ``slope = l1(g) * l2(c1)`` (l the
-    translation length, c1 the first edge word).  The intercept is l2 at
-    +-n0, counted as in step 3 on the block word of step 1, so nothing is
-    twisted or folded.  Returns None, so that the caller refolds,
-    when l2(c1) = 0; also if two blocks of one sign meet around a power
-    of c1 or a junction cancels without end, which step 1 rules out.
+    translation length, c1 the first edge word); None when l2(c1) = 0.
+    The intercept is l2 at +-n0, counted as in step 3 on the word that
+    step 2 leaves at n0, which is cyclically reduced: nothing is twisted,
+    folded or reduced again.
 
     Proof of n0, in three steps.
 
     1. Block form.  Let x be the cyclic reduction of g in splitting-1
        relative coordinates.  The relative twist puts c^n before each B0
        letter and c^-n after it (amalgam), or c^n before t and c^-n after
-       t^-1 (HNN), with c = c1 relative.  So T1^n(g) is conjugate to the
-       cyclic word c^(k_1 n) w_1 ... c^(k_m n) w_m, k_i = +-1
-       (``_twist_blocks``), once c^(kn) w c^(-kn) = w is merged wherever
-       w is a power of c.  The merges fall exactly on the gaps that the
-       count of step 3, read in splitting 1, does not count, so m = l1(g).
-       With nu = ``basis_change(splitting1, splitting2)`` and
-       nu(c) = q u q^-1, u cyclically reduced, the splitting-2 relative
-       word is the cyclic product of u^(k_i n) z_i, z_i = q^-1 nu(w_i) q.
-    2. Free pumping.  Reducing u^(k_i R) z_i u^(k_(i+1) R), for R periods
-       longer than z_i and u together, removes a_i letters from the left
-       block and b_i from the right one (``_junction``).  If neither block
-       is used up, longer blocks change nothing: the cut depends only on
-       z_i and on the periodic rays around it.  So once every block
-       u^(k_i n) is longer than the b_(i-1) + a_i letters its two
-       junctions remove, the cyclic reduction of the word is the product
-       of the junction remainders and the surviving middles S_i(n) of the
-       blocks, and S_i(n + 1) is S_i(n) with one period of u inserted.
+       t^-1 (HNN), with c = c1 relative.  The word between two of these
+       blocks holds a B0 letter or t^+-1, unless it runs from a c^-n to a
+       c^n: then it is a gap of step 3 read in splitting 1, and if it is
+       a power w of c, c^-n w c^n = w merges both blocks away.  What a
+       merge joins holds B0 letters or t^+-1, so merges never chain, and
+       T1^n(g) is conjugate to the cyclic word c^(k_1 n) w_1 ... c^(k_m n)
+       w_m, k_i = +-1, no w_i a power of c (``_twist_blocks``).  The
+       merges fall exactly on the gaps that step 3 does not count, so
+       m = l1(g).
+    2. Free pumping.  With nu = ``basis_change(splitting1, splitting2)``
+       and nu(c) = q u q^-1, u cyclically reduced, the splitting-2
+       relative word is the cyclic product of u^(k_i n) z_i,
+       z_i = q^-1 nu(w_i) q.  As c is not a proper power and w_i no power
+       of c, u is not a proper power and z_i no power of u.  Reduce z_i
+       between the periodic rays of its two blocks (``_cut``).  The rays
+       meet only once z_i is used up, and then cancel fewer than |u|
+       letters.  Else a rotation of u^(-k_i) equals one of u^(k_(i+1)):
+       for equal signs u is conjugate to u^-1, which no element != 1 of a
+       free group is; for opposite ones the rays, as the rotations of u
+       differ, agree in phase and cancel until one ends, on a period
+       boundary, so u^(kR) z_i u^(-kR), and so z_i, is a power of u.  So
+       the reduction removes a_i letters from the left ray and b_i from
+       the right one, and once every block u^(k_i n) is longer than the
+       b_(i-1) + a_i letters its two junctions remove, the cyclic
+       reduction of the word is the product of the junction remainders
+       and the surviving middles S_i(n) of the blocks, and S_i(n + 1) is
+       S_i(n) with one period of u inserted.
     3. l2 is a local count.  Call the B0 letters (amalgam) or the stable
        letter t (HNN) of splitting 2 separators.  On a cyclically reduced
        relative word with a separator, l2 is a sum over the gaps between
@@ -361,8 +366,7 @@ def growth_certificate(
     the word does not depend on n and n0 = 1.  The negative powers are
     the same argument with every k_i negated.
     """
-    c1_ambient = splitting1.edge_word_ambient()
-    return _certificate(splitting1, splitting2, g, translation_length(splitting2, c1_ambient))
+    return _TwistedCycle(splitting1, splitting2, g).certificate
 
 
 # ---------------------------------------------------------------------------
@@ -387,12 +391,14 @@ def check_volume_growth_bounds(
     ``"certificate"``, with ``all_n_ok``: the two-sided bound for every
     |n| >= n0 at once.  However many generators it is given by, its folded
     core is one cycle, and the certificate is for the word read around it,
-    which generates a conjugate of the subgroup; vol1 and vol2 are that
-    word's translation lengths, counted without folding.  Both bounds have
-    slope vol1 * l2(c1), so ``all_n_ok`` holds exactly when the certified
-    slope equals it and |intercept| <= vol1 * C + M * vol2.  For |n| >= n0 the
-    observed volume is read off the certificate; otherwise, and for every
-    subgroup of rank 2 or more, the generators are twisted and refolded.
+    which generates a conjugate of the subgroup.  Nothing of it is twisted
+    or folded: vol1 is its number of blocks (step 1), vol2 its length in
+    splitting 2, and the observed volume is read off the certificate for
+    |n| >= n0 and counted on the block word at n otherwise, also when
+    l2(c1) = 0 and there is no certificate.  Both bounds have slope
+    vol1 * l2(c1), so ``all_n_ok`` holds exactly when the certified slope
+    equals it and |intercept| <= vol1 * C + M * vol2.  A subgroup of rank
+    2 or more is twisted and refolded.
     """
     if isinstance(n, bool) or not isinstance(n, int) or n == 0:
         raise UsageError(f"the twist power must be a nonzero int, got {n!r}")
@@ -402,24 +408,17 @@ def check_volume_growth_bounds(
         raise HypothesisViolated("subgroup is neither cyclic nor malnormal")
     if rank_bound is not None and subgroup_rank > rank_bound:
         raise HypothesisViolated("subgroup rank exceeds the bound used for the constants")
-    c1_ambient = splitting1.edge_word_ambient()
-    length_c1 = translation_length(splitting2, c1_ambient)
-    if subgroup_rank == 1:
-        cycle = cycle_word(ambient_core)
-        vol1 = translation_length(splitting1, cycle)
-        vol2 = translation_length(splitting2, cycle)
-        certificate = _certificate(splitting1, splitting2, cycle, length_c1)
+    length_c1 = _edge_word_image(splitting1, splitting2)[0]
+    cycle = subgroup_rank == 1 and _TwistedCycle(splitting1, splitting2, cycle_word(ambient_core))
+    if cycle:
+        vol1, vol2, certificate = len(cycle.zs), cycle.vol2, cycle.certificate
     else:
-        vol1 = free_volume(splitting1, gens)
-        vol2 = free_volume(splitting2, gens)
-        certificate = None
+        vol1, vol2, certificate = free_volume(splitting1, gens), free_volume(splitting2, gens), None
     results = {}
     all_ok = True
-    for sign in (+1, -1):
-        power = sign * n
-        line = certificate and certificate["plus" if power > 0 else "minus"]
-        if line and abs(n) >= line["n0"]:
-            observed = line["slope"] * abs(n) + line["intercept"]
+    for power in (n, -n):
+        if cycle:
+            observed = cycle.length(power)
         else:
             phi = dehn_twist(splitting1, power)
             observed = free_volume(splitting2, [apply(phi, g) for g in gens])

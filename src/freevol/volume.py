@@ -235,7 +235,11 @@ def relative_length(splitting: CyclicSplitting, word: Word) -> int:
 
     The splitting is not checked; it must be valid.
     """
-    x, _ = cyclically_reduce(word)
+    return cyclic_length(splitting, cyclically_reduce(word)[0])
+
+
+def cyclic_length(splitting: CyclicSplitting, x: Word) -> int:
+    """``relative_length`` of a relative word ``x`` that is already cyclically reduced."""
     hnn = splitting.kind == HNN
     separators = {splitting.stable_index} if hnn else set(splitting.b0_part)
     cuts = [i for i, letter in enumerate(x) if abs(letter) in separators]

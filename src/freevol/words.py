@@ -191,10 +191,22 @@ def is_power_of(word: Word, root: Word) -> bool:
     """Whether the reduced ``word`` is ``root^j`` for some j, 0 included.
 
     ``root`` must be cyclically reduced, so that ``root^j`` is spelled as
-    ``root`` repeated |j| times.
+    ``root`` repeated |j| times and starts with ``root[0]`` exactly when
+    j > 0.  Letter i of ``root^-j`` is ``-root[-1 - i % len(root)]``, so
+    the letters are compared in place and nothing is built.
     """
-    count, rest = divmod(len(word), len(root))
-    return not rest and word in (root * count, invert_word(root) * count)
+    r = len(root)
+    if len(word) % r:
+        return False
+    if word and word[0] != root[0]:
+        for i, letter in enumerate(word):
+            if letter != -root[~i % r]:
+                return False
+        return True
+    for i, letter in enumerate(word):
+        if letter != root[i % r]:
+            return False
+    return True
 
 
 @dataclass(frozen=True)

@@ -10,11 +10,16 @@ from freevol import splittings as sp
 from freevol import stallings as st_mod
 from freevol import twisting as tw
 from freevol import volume as vol
-from freevol.errors import NotAnAutomorphism, UsageError
+from freevol.errors import BudgetExceeded, NotAnAutomorphism, UsageError
 from freevol.words import (
     Automorphism,
+    CyclicWord,
     apply,
+    cyclically_reduce,
     invert,
+    invert_word,
+    is_power_of,
+    is_proper_power,
     parse_word,
     power,
     reduce_word,
@@ -270,7 +275,15 @@ def test_growth_certificate_of_merged_and_elliptic_words(text, blocks):
     _assert_certificate_matches_refolding(pair, g, certificate)
 
 
-def test_no_certificate_when_the_edge_word_is_elliptic():
+def _forbid_twisting_and_folding(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cyclic subgroup was twisted or refolded")
+
+    for module, name in ((sp, "dehn_twist"), (tw, "dehn_twist"), (vol, "free_volume"), (tw, "free_volume")):
+        monkeypatch.setattr(module, name, refuse)
+
+
+def test_no_certificate_when_the_edge_word_is_elliptic(monkeypatch):
     # Swapped, the single-step pair's first edge word is elliptic in the second.
     pair = fx.pair_with_single_step()
     first, second = pair.second, pair.first
@@ -278,11 +291,88 @@ def test_no_certificate_when_the_edge_word_is_elliptic():
     g = P("aCCbc")
     assert tw.growth_certificate(first, second, g) is None
     consts = tw.constants(1, first, second)
-    report = tw.check_volume_growth_bounds(first, second, [g], 40, consts)
-    assert report["certificate"] is None
-    assert report["bounds"]["twist_power_40"]["observed"] == oracles.translation_length(
-        second, apply(sp.dehn_twist(first, 40), g)
+    powers = (1, 2, 40)
+    expected = {
+        power: oracles.translation_length(second, apply(sp.dehn_twist(first, power), g))
+        for n in powers
+        for power in (n, -n)
+    }
+    _forbid_twisting_and_folding(monkeypatch)
+    for n in powers:
+        report = tw.check_volume_growth_bounds(first, second, [g], n, consts)
+        assert report["certificate"] is None
+        for power in (n, -n):
+            assert report["bounds"][f"twist_power_{power}"]["observed"] == expected[power]
+    with pytest.raises(BudgetExceeded):
+        tw.check_volume_growth_bounds(first, second, [g], 10**9, consts)
+
+
+def test_cyclic_subgroup_below_n0_is_counted_without_twisting_or_folding(monkeypatch):
+    pair = fx.certified_filling_pair()
+    consts = tw.constants(1, pair.first, pair.second)
+    g = P("abCacBBc")
+    certificate = tw.growth_certificate(pair.first, pair.second, g)
+    assert (certificate["plus"]["n0"], certificate["minus"]["n0"]) == (3, 2)
+    expected = {power: _refolded(pair, g, power) for power in (1, -1, 2, -2)}
+    _forbid_twisting_and_folding(monkeypatch)
+    for n in (1, 2):
+        report = tw.check_volume_growth_bounds(pair.first, pair.second, [g], n, consts)
+        assert report["certificate"] == {**certificate, "all_n_ok": True}
+        for power in (n, -n):
+            assert report["bounds"][f"twist_power_{power}"]["observed"] == expected[power]
+
+
+def _window_cut(left, z, right):
+    """``twisting._cut`` by reducing z between windows of the rays that are longer than z."""
+    reps = len(z) // len(left) + 2
+    word = left * reps + z + right * reps
+    kept = []  # positions in word of the letters left after reduction
+    for position, letter in enumerate(word):
+        if kept and word[kept[-1]] == -letter:
+            kept.pop()
+        else:
+            kept.append(position)
+    start, stop = len(left) * reps, len(left) * reps + len(z)
+    assert kept[0] == 0 and kept[-1] == len(word) - 1, "a window was used up"
+    return (
+        start - sum(p < start for p in kept),
+        len(word) - stop - sum(p >= stop for p in kept),
+        tuple(word[p] for p in kept if start <= p < stop),
     )
+
+
+short_words3 = st.lists(st.sampled_from((1, -1, 2, -2, 3, -3)), min_size=1, max_size=8).map(reduce_word)
+
+
+@settings(max_examples=300, deadline=None)
+@given(u=short_words3, z=short_words3, signs=st.tuples(st.booleans(), st.booleans()))
+def test_cut_equals_reducing_windows(u, z, signs):
+    u = cyclically_reduce(u)[0]
+    assume(u and z and not is_proper_power(CyclicWord.of(u))[0] and not is_power_of(z, u))
+    left, right = (u if sign else invert_word(u) for sign in signs)
+    assert tw._cut(left, z, right) == _window_cut(left, z, right)
+
+
+def test_cut_where_the_rays_meet_past_z():
+    # ...abAc C abAc...: C cancels c, then A meets a.
+    assert tw._cut(P("abAc"), P("C"), P("abAc")) == (2, 1, ())
+
+
+DIRECTIONS = [(name, swapped) for name in CERTIFIED_PAIRS for swapped in (False, True)]
+
+
+@pytest.mark.parametrize("name, swapped", DIRECTIONS)
+@settings(max_examples=50, deadline=None)
+@given(g=short_words3.filter(bool), n=st.integers(1, 64), sign=st.sampled_from((1, -1)))
+def test_block_word_count_equals_the_fold_and_the_oracle(name, swapped, g, n, sign):
+    """Both directions of every fixture pair; swapped, the single-step pair has l2(c1) = 0."""
+    pair = getattr(fx, name)()
+    first, second = (pair.second, pair.first) if swapped else (pair.first, pair.second)
+    twisted = apply(sp.dehn_twist(first, sign * n), g)
+    cycle = tw._TwistedCycle(first, second, g)
+    expected = vol.free_volume(second, [twisted])
+    assert cycle.count(sign * n) == cycle.length(sign * n) == expected
+    assert expected == oracles.translation_length(second, twisted)
 
 
 def test_growth_report_reads_large_powers_off_the_certificate():
