@@ -15,9 +15,18 @@ from one pass over the product's edges (``_fiber_product``).
 needs those graphs, but ``pullback`` stays public API: it is exported by
 ``freevol``, and the benchmark's traced run times it by name.
 
+A folded graph is held as a table, ``Links``: each vertex's row maps a
+signed label to the neighbor it leads to.  ``subgroup_graph`` builds the
+table of a subgroup's core with ``fold_generators``, which spells each
+generator only where the graph built so far cannot read it;
+``fold_and_core`` folds an arbitrary graph and stays for raw graphs and
+``pullback``.  Both hand what is left to fold to one merge loop,
+``_fold``, and prune with one ``_prune`` (Stallings 1983; Touikan 2006).
+``volume`` reads the table of a core as it is, without a graph.
+
 ``Forest``, the library's one union-find, counts each component's
-E - V + 1.  It merges vertex classes in ``fold_and_core``, splits fiber
-products, and finds the vertex orbits of ``volume``'s quotient graph.
+E - V + 1.  It merges vertex classes in ``_fold``, splits fiber products,
+and finds the vertex orbits of ``volume``'s quotient graph.
 """
 
 from __future__ import annotations
@@ -29,6 +38,7 @@ from .errors import TrivialSubgroup
 from .words import Basis, Word
 
 Edge = tuple[int, int, int]  # (source, target, label)
+Links = dict[int, dict[int, int]]  # a folded graph's table: vertex -> {signed label: neighbor}
 
 
 @dataclass(frozen=True)
@@ -127,15 +137,15 @@ def from_generators(basis: Basis, gens: Sequence[Word]) -> LabeledGraph:
     return LabeledGraph(frozenset(vertices), frozenset(edges), basepoint=0)
 
 
-def _prune(links: dict[int, dict[int, int]], keep: Optional[int]) -> None:
+def _prune(links: Links, keep: Optional[int]) -> None:
     """Remove valence-<=1 vertices other than ``keep`` in rounds, never the last one.
 
-    ``links`` maps each vertex of a folded graph to its (signed label ->
-    neighbor) table, so a vertex's valence is the size of its table.  Each
-    round removes, in id order, the vertices that had valence at most one
-    when it began; a degree queue finds the next round's vertices among
-    the neighbors of the removed ones.  A tree without ``keep`` therefore
-    shrinks to its center, or to the larger end of its central edge.
+    ``links`` is a folded graph's table, so a vertex's valence is the size
+    of its row.  Each round removes, in id order, the vertices that had
+    valence at most one when it began; a degree queue finds the next
+    round's vertices among the neighbors of the removed ones.  A tree
+    without ``keep`` therefore shrinks to its center, or to the larger end
+    of its central edge.
     """
     layer = sorted(v for v, out in links.items() if len(out) <= 1 and v != keep)
     while layer and len(links) > 1:
@@ -150,30 +160,29 @@ def _prune(links: dict[int, dict[int, int]], keep: Optional[int]) -> None:
         layer = sorted(v for v in exposed if v in links)
 
 
-def fold_and_core(graph: LabeledGraph, keep_basepoint: bool) -> tuple[LabeledGraph, int]:
-    """Fold to an immersion, then prune to a core graph.
-
-    Returns the core and the number of vertex merges, which is 0 exactly
-    when ``graph`` was already folded.
-
-    A union-find worklist fold (Touikan 2006): the classes of vertices are
-    the components of a ``Forest``, every class keeps one (signed label ->
-    neighbor) table, two tables merge smaller into larger, and each clash
-    of a label found while merging goes onto a stack of pending merges.
-    Folding costs O(E log E) dictionary operations for E input edges, and
-    pruning is linear after one sort per round.  Each folded vertex is
-    named by the least input vertex id in its class, the class's root, so
-    the result does not depend on the order of the merges.
-    """
-    forest = Forest(graph.vertices)
-    join, root = forest.join, forest.root
-    links: dict[int, dict[int, int]] = {v: {} for v in graph.vertices}
-    pending: list[tuple[int, int]] = []
-    for source, target, label in graph.edges:
+def _enter(links: Links, edges: Iterable[Edge], pending: list[tuple[int, int]]) -> None:
+    """Enter each edge, its label signed, into the table; each clash of a label goes onto ``pending``."""
+    for source, target, label in edges:
         for vertex, key, other in ((source, label, target), (target, -label, source)):
             known = links[vertex].setdefault(key, other)
             if known != other:
                 pending.append((known, other))
+
+
+def _fold(links: Links, pending: list[tuple[int, int]]) -> tuple[Callable[[int], int], int]:
+    """Merge each pending pair of vertices, and every clash that causes, until ``links`` is folded.
+
+    A union-find worklist fold (Touikan 2006): the classes of vertices are
+    the components of a ``Forest``, every class keeps one row, two rows
+    merge smaller into larger, and each clash of a label found while
+    merging goes onto the stack of pending merges.  That costs O(E log E)
+    dictionary operations for E edges.  Each class is named by its least
+    vertex id, the class's root, so the result does not depend on the order
+    of the merges; every neighbor is rewritten to its root at the end.
+    Returns the root map and the number of merges.
+    """
+    forest = Forest(links)
+    join, root = forest.join, forest.root
     merges = 0
     while pending:
         joined = join(*pending.pop())
@@ -192,19 +201,94 @@ def fold_and_core(graph: LabeledGraph, keep_basepoint: bool) -> tuple[LabeledGra
     for out in links.values():
         for key, other in out.items():
             out[key] = root(other)
+    return root, merges
+
+
+def as_graph(links: Links, basepoint: Optional[int] = None) -> LabeledGraph:
+    """The graph whose table is ``links``."""
+    edges = frozenset((v, w, key) for v, out in links.items() for key, w in out.items() if key > 0)
+    return LabeledGraph(frozenset(links), edges, basepoint=basepoint)
+
+
+def fold_and_core(graph: LabeledGraph, keep_basepoint: bool) -> tuple[LabeledGraph, int]:
+    """Fold to an immersion, then prune to a core graph.
+
+    Returns the core and the number of vertex merges, which is 0 exactly
+    when ``graph`` was already folded.  Every edge enters the table, the
+    clashes go to ``_fold``, and pruning is linear after one sort per
+    round.  Each folded vertex is named by the least input vertex id in its
+    class.
+    """
+    links: Links = {v: {} for v in graph.vertices}
+    pending: list[tuple[int, int]] = []
+    _enter(links, graph.edges, pending)
+    root, merges = _fold(links, pending)
     basepoint = root(graph.basepoint) if graph.basepoint is not None and keep_basepoint else None
     _prune(links, basepoint)
-    edges = frozenset((v, w, key) for v, out in links.items() for key, w in out.items() if key > 0)
-    return LabeledGraph(frozenset(links), edges, basepoint=basepoint), merges
+    return as_graph(links, basepoint), merges
 
 
-def subgroup_graph(basis: Basis, gens: Sequence[Word], keep_basepoint: bool = True) -> LabeledGraph:
-    """Folded (core) graph of the subgroup generated by ``gens``."""
+def fold_generators(gens: Sequence[Word], keep_basepoint: bool) -> Links:
+    """The table of ``fold_and_core(from_generators(basis, gens), keep_basepoint)[0]``.
+
+    Vertex ids, basepoint 0 included, are those of that core.  Each
+    generator is added to the graph folded so far along its path in
+    ``from_generators``, whose vertices at positions 0 .. L are 0, f, f + 1,
+    ..., f + L - 2, 0.  The path is read forward from 0 and backward from 0
+    as far as the graph allows: the positions read lie in the class of the
+    vertex reached, whose least id is older, so none of them is added.
+    While both reads stop at one vertex and leave it by the same missing
+    label, both next positions lie in one class, whose least id is the
+    forward one's: one vertex of that id is added, and both reads step
+    onto it.  Only the middle is then spelled, each vertex with its id in
+    ``from_generators``.  A clash left, from an unreduced word or from
+    the two reads meeting, goes to ``_fold``.
+
+    The classes are those of folding the whole wedge at once, since folds
+    commute and every identification above is one that folding makes; so
+    the names agree, and pruning at the end gives the same core.  A
+    reduced generator whose reads do not meet causes no clash, so neither
+    its hair nor what it shares with the others is spelled and merged.
+    """
     gens = [g for g in gens if g]
     if not gens:
         raise TrivialSubgroup("all generators are trivial")
-    folded, _ = fold_and_core(from_generators(basis, gens), keep_basepoint=keep_basepoint)
-    return folded
+    links: Links = {0: {}}
+    fresh = 1
+    for word in gens:
+        pending: list[tuple[int, int]] = []
+        last = len(word)
+        head, a = 0, 0  # the forward read: at position a, on vertex head
+        while a < last and (step := links[head].get(word[a])) is not None:
+            head, a = step, a + 1
+        tail, b = 0, last  # the backward read: at position b, on vertex tail
+        while b > a and (step := links[tail].get(-word[b - 1])) is not None:
+            tail, b = step, b - 1
+        while head == tail and a + 1 < b - 1 and word[a] == -word[b - 1] and word[a] not in links[head]:
+            links[head][word[a]] = fresh + a
+            links[fresh + a] = {-word[a]: head}
+            head = tail = fresh + a
+            a, b = a + 1, b - 1
+        path = [head, *range(fresh + a, fresh + b - 1), tail]  # the middle's positions a .. b
+        links.update((vertex, {}) for vertex in path[1:-1])
+        _enter(links, zip(path, path[1:], word[a:b]), pending)
+        if a == b and head != tail:
+            pending.append((head, tail))
+        if pending:
+            _fold(links, pending)
+        fresh += last - 1
+    _prune(links, 0 if keep_basepoint else None)
+    return links
+
+
+def subgroup_graph(basis: Basis, gens: Sequence[Word], keep_basepoint: bool = True) -> LabeledGraph:
+    """Folded (core) graph of the subgroup generated by ``gens``, empty words dropped.
+
+    Built by ``fold_generators``; it equals the core of
+    ``fold_and_core(from_generators(basis, gens), keep_basepoint)``, vertex
+    ids and basepoint included.
+    """
+    return as_graph(fold_generators(gens, keep_basepoint), 0 if keep_basepoint else None)
 
 
 def read_path(table: dict[tuple[int, int], int], start: int, word: Word) -> Optional[int]:

@@ -16,13 +16,12 @@ from .errors import BudgetExceeded, HypothesisViolated, NotAnAutomorphism, Trivi
 from .splittings import (
     AMALGAM,
     CyclicSplitting,
-    dehn_twist,
     relative_inverse,
     require_valid,
     to_relative,
 )
 from .stallings import cycle_word, is_malnormal, rank, subgroup_graph
-from .volume import cyclic_length, free_volume, relative_length
+from .volume import cyclic_length, relative_length, relative_volume
 from .words import (
     LETTER_BUDGET,
     Automorphism,
@@ -33,6 +32,7 @@ from .words import (
     cyclically_reduce,
     invert_word,
     is_power_of,
+    letters_needed,
 )
 
 
@@ -369,6 +369,46 @@ def growth_certificate(
     return _TwistedCycle(splitting1, splitting2, g).certificate
 
 
+def _twisted_words(
+    splitting1: CyclicSplitting, splitting2: CyclicSplitting, xs: Sequence[Word], n: int
+) -> list[Word]:
+    """T1^n of the words with splitting-1 relative letters ``xs``, in splitting-2 relative letters.
+
+    Step 1 of ``growth_certificate`` on based words: the relative twist
+    puts c^n before each B0 letter and c^-n after it (amalgam), or c^n
+    before t and c^-n after t^-1 (HNN).  Each letter then goes through
+    nu = ``basis_change(splitting1, splitting2)``, and nu(c^n) is
+    q u^n q^-1, so no automorphism is twisted or composed and no long word
+    is rewritten.  Reduced words are unique, so the result is
+    ``to_relative(splitting2, apply(dehn_twist(splitting1, n), g))`` for
+    the ambient g of each x.  Its letters are bounded before anything is
+    built, as in ``_TwistedCycle.count``; past ``LETTER_BUDGET``
+    BudgetExceeded is raised.
+    """
+    _, u, q, q_inverse, nu = _edge_word_image(splitting1, splitting2)
+    amalgam = splitting1.kind == AMALGAM
+    separators = set(splitting1.b0_part) if amalgam else {splitting1.stable_index}
+    blocks = sum(abs(letter) in separators for x in xs for letter in x) * (2 if amalgam else 1)
+    needed = letters_needed(nu, xs) + blocks * (abs(n) * len(u) + 2 * len(q))
+    if needed > LETTER_BUDGET:
+        raise BudgetExceeded(f"the twisted words need {needed} letters, over the budget of {LETTER_BUDGET}")
+    twist = q + (u if n > 0 else invert_word(u)) * abs(n) + q_inverse  # nu(c^n)
+    untwist = invert_word(twist)
+    words = []
+    for x in xs:
+        pieces = []
+        for letter in x:
+            image = nu.image_of(letter)
+            if abs(letter) not in separators:
+                pieces.append(image)
+            elif amalgam:
+                pieces += (twist, image, untwist)
+            else:
+                pieces += (twist, image) if letter > 0 else (image, untwist)
+        words.append(concat(*pieces))
+    return words
+
+
 # ---------------------------------------------------------------------------
 # Volume growth bounds
 
@@ -397,8 +437,17 @@ def check_volume_growth_bounds(
     |n| >= n0 and counted on the block word at n otherwise, also when
     l2(c1) = 0 and there is no certificate.  Both bounds have slope
     vol1 * l2(c1), so ``all_n_ok`` holds exactly when the certified slope
-    equals it and |intercept| <= vol1 * C + M * vol2.  A subgroup of rank
-    2 or more is twisted and refolded.
+    equals it and |intercept| <= vol1 * C + M * vol2.
+
+    A subgroup of rank 2 or more is refolded at each power, but nothing
+    ambient is twisted: its generators are rewritten once in splitting-1
+    relative letters, and ``_twisted_words`` writes T1^(+-n) of them
+    straight in splitting-2 letters, within ``LETTER_BUDGET``.
+
+    The rank the constants cover is read off them: M = piece_bound(R, B)
+    for their rank bound R, and ``piece_bound`` grows with R, so a
+    subgroup of rank r is covered exactly when piece_bound(r, B) <= M.
+    ``rank_bound``, when given, is checked as well.
     """
     if isinstance(n, bool) or not isinstance(n, int) or n == 0:
         raise UsageError(f"the twist power must be a nonzero int, got {n!r}")
@@ -406,22 +455,24 @@ def check_volume_growth_bounds(
     subgroup_rank = rank(ambient_core)
     if subgroup_rank > 1 and not is_malnormal(ambient_core):
         raise HypothesisViolated("subgroup is neither cyclic nor malnormal")
-    if rank_bound is not None and subgroup_rank > rank_bound:
+    covered = piece_bound(subgroup_rank, bounds.B) <= bounds.M
+    if not covered or (rank_bound is not None and subgroup_rank > rank_bound):
         raise HypothesisViolated("subgroup rank exceeds the bound used for the constants")
-    length_c1 = _edge_word_image(splitting1, splitting2)[0]
+    length_c1, _, _, _, nu = _edge_word_image(splitting1, splitting2)
     cycle = subgroup_rank == 1 and _TwistedCycle(splitting1, splitting2, cycle_word(ambient_core))
     if cycle:
         vol1, vol2, certificate = len(cycle.zs), cycle.vol2, cycle.certificate
     else:
-        vol1, vol2, certificate = free_volume(splitting1, gens), free_volume(splitting2, gens), None
+        xs = [to_relative(splitting1, g) for g in gens]
+        vol1, vol2 = relative_volume(splitting1, xs), relative_volume(splitting2, [apply(nu, x) for x in xs])
+        certificate = None
     results = {}
     all_ok = True
     for power in (n, -n):
         if cycle:
             observed = cycle.length(power)
         else:
-            phi = dehn_twist(splitting1, power)
-            observed = free_volume(splitting2, [apply(phi, g) for g in gens])
+            observed = relative_volume(splitting2, _twisted_words(splitting1, splitting2, xs, power))
         lower = vol1 * (abs(n) * length_c1 - bounds.C) - bounds.M * vol2
         upper = vol1 * (abs(n) * length_c1 + bounds.C) + bounds.M * vol2
         ok_low = lower <= observed

@@ -8,10 +8,14 @@ quotient graph of groups T_H/H with trivial stabilizer (Clay-Pettet).  For
 H = <g> with g hyperbolic, T_H is the axis of g, so the free volume is the
 translation length of g.  ``translation_length`` counts it in one pass over
 the relative word, with no graph; ``free_volume`` below is the general
-algorithm, and on cyclic subgroups it cross-checks that count.
+algorithm, and on cyclic subgroups it cross-checks that count.  Each has
+an entry for words in the splitting's relative letters that skips the
+check of the splitting, ``relative_length`` and ``relative_volume``.
 
 The quotient is read off Gamma, the folded core graph of H over the
-relative rose (Bestvina-Feighn 1991; Kapovich-Weidmann-Miasnikov 2005).  A
+relative rose (Bestvina-Feighn 1991; Kapovich-Weidmann-Miasnikov 2005),
+held as the table ``stallings.fold_generators`` folds it into; only
+``analyze`` and ``lambda_graph`` turn that table into a graph.  A
 vertex Hg of Gamma stands for the tree edge g<c>.  The lift map sends a
 vertex to the end of the path reading c from it; its orbits, the chains,
 are the H-orbits of tree edges that Gamma meets.  A cyclic chain has
@@ -38,9 +42,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import TrivialSubgroup
 from .splittings import HNN, CyclicSplitting, require_valid, to_relative
-from .stallings import Forest, LabeledGraph, read_path, subgroup_graph
+from .stallings import Forest, LabeledGraph, Links, as_graph, fold_generators
 from .words import Word, cyclically_reduce, is_power_of, render_word
 
 
@@ -88,22 +91,21 @@ class VolumeReport:
 def lambda_graph(splitting: CyclicSplitting, gens: Sequence[Word]) -> LabeledGraph:
     """Folded core graph of the subgroup, drawn over the relative rose."""
     require_valid(splitting)
-    relative_gens = [to_relative(splitting, g) for g in gens if g]
-    relative_gens = [g for g in relative_gens if g]
-    if not relative_gens:
-        raise TrivialSubgroup("subgroup generators are all trivial")
-    return subgroup_graph(splitting.ambient_basis, relative_gens, keep_basepoint=False)
+    return as_graph(fold_generators([to_relative(splitting, g) for g in gens], keep_basepoint=False))
 
 
-def _chains(graph: LabeledGraph, edge_word: Word) -> list[tuple[int, ...]]:
+def _chains(links: Links, edge_word: Word) -> list[tuple[int, ...]]:
     """Orbits of the lift map: paths from each vertex without a preimage, then cycles."""
-    table = graph.out_map()
     lift = {}
-    for vertex in graph.vertices:
-        end = read_path(table, vertex, edge_word)
-        if end is not None:
+    for vertex in links:
+        end = vertex
+        for letter in edge_word:
+            end = links[end].get(letter)
+            if end is None:
+                break
+        else:
             lift[vertex] = end
-    starts = sorted(graph.vertices - set(lift.values())) + sorted(lift)
+    starts = sorted(links.keys() - lift.values()) + sorted(lift)
     seen: set[int] = set()
     orbits = []
     for start in starts:
@@ -141,30 +143,34 @@ def _prune(
 
 
 def _quotient(
-    splitting: CyclicSplitting, graph: LabeledGraph
+    splitting: CyclicSplitting, links: Links
 ) -> tuple[list[tuple[int, ...]], list[bool], list[bool]]:
-    """The chains, which of them are cyclic, and which are edges of T_H/H."""
-    orbits = _chains(graph, splitting.edge_word)
+    """The chains of Gamma, given by its table, which are cyclic, and which are edges of T_H/H."""
+    orbits = _chains(links, splitting.edge_word)
     cyclic = [len(orbit) > 1 and orbit[-1] == orbit[0] for orbit in orbits]
     in_a = set(splitting.a_part)
-    a_links = [(u, w) for u, w, label in graph.edges if label in in_a]
+    a_links, other_links = [], []  # Gamma's A-edges, and its B0- or t-edges
+    for u, out in links.items():
+        for label, w in out.items():
+            if label > 0:
+                (a_links if label in in_a else other_links).append((u, w))
     if splitting.kind == HNN:
         # Node ~i stands for the i-th chain; it joins the heads of its t-edges.
         chain_of = {v: index for index, orbit in enumerate(orbits) for v in orbit}
-        heads = [(~chain_of[u], w) for u, w, label in graph.edges if label not in in_a]
+        heads = [(~chain_of[u], w) for u, w in other_links]
         nodes = {node for node, _ in heads}
         loops = [(node, node) for node in nodes if cyclic[~node]]
-        forest = Forest(graph.vertices)
-        links = a_links + heads + loops
+        forest = Forest(links)
+        joins = a_links + heads + loops
         sides = {~node: (orbits[~node][0], node) for node in nodes}
     else:
         # Node ~v stands for vertex v on the B-side.
         lifts = [(~orbit[i], ~orbit[i + 1]) for orbit in orbits for i in range(len(orbit) - 1)]
-        b_links = [(~u, ~w) for u, w, label in graph.edges if label not in in_a]
-        forest = Forest([*graph.vertices, *(~v for v in graph.vertices)])
-        links = a_links + b_links + lifts
+        b_links = [(~u, ~w) for u, w in other_links]
+        forest = Forest([*links, *(~v for v in links)])
+        joins = a_links + b_links + lifts
         sides = {index: (orbit[0], ~orbit[0]) for index, orbit in enumerate(orbits)}
-    for u, w in links:
+    for u, w in joins:
         forest.join(u, w)
     root = forest.root
     ends = {index: (root(u), root(w)) for index, (u, w) in sides.items()}
@@ -173,19 +179,33 @@ def _quotient(
 
 
 def analyze(splitting: CyclicSplitting, gens: Sequence[Word]) -> VolumeReport:
-    graph = lambda_graph(splitting, gens)
-    orbits, cyclic, essential = _quotient(splitting, graph)
+    require_valid(splitting)
+    links = fold_generators([to_relative(splitting, g) for g in gens], keep_basepoint=False)
+    orbits, cyclic, essential = _quotient(splitting, links)
     chains = tuple(
         Chain(orbit, is_cycle, alive)
         for orbit, is_cycle, alive in zip(orbits, cyclic, essential)
         if len(orbit) > 1 or alive
     )
     volume = sum(1 for chain in chains if chain.essential and chain.simply_connected)
-    return VolumeReport(graph=graph, chains=chains, free_volume=volume)
+    return VolumeReport(graph=as_graph(links), chains=chains, free_volume=volume)
 
 
 def free_volume(splitting: CyclicSplitting, gens: Sequence[Word]) -> int:
-    _, cyclic, essential = _quotient(splitting, lambda_graph(splitting, gens))
+    """Free volume of the subgroup generated by the ambient words ``gens``.
+
+    The splitting is checked first; an invalid one raises InvalidSplitting.
+    """
+    require_valid(splitting)
+    return relative_volume(splitting, [to_relative(splitting, g) for g in gens])
+
+
+def relative_volume(splitting: CyclicSplitting, gens: Sequence[Word]) -> int:
+    """``free_volume`` of the subgroup generated by words in the splitting's relative letters.
+
+    The splitting is not checked; it must be valid.
+    """
+    _, cyclic, essential = _quotient(splitting, fold_generators(gens, keep_basepoint=False))
     return sum(1 for is_cycle, alive in zip(cyclic, essential) if alive and not is_cycle)
 
 

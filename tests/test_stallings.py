@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fixtures as fx
 import oracles
 from freevol import stallings as st_mod
-from freevol.words import Basis, CyclicWord, invert_word, parse_word, reduce_word
+from freevol.splittings import dehn_twist, to_relative
+from freevol.words import Basis, CyclicWord, apply, invert_word, parse_word, reduce_word
 
 B2 = Basis.standard(2)
 B3 = Basis.standard(3)
@@ -210,11 +212,20 @@ def assert_folds_like_oracle(graph):
         assert merges == len(trace.folds)
 
 
+def assert_subgroup_graph_folds_the_wedge(rank, gens):
+    """``subgroup_graph`` builds the oracle's fold of ``from_generators``, vertex ids included."""
+    basis = Basis.standard(rank)
+    for keep_basepoint in (True, False):
+        expected, _ = oracles.fold_and_core(st_mod.from_generators(basis, gens), keep_basepoint)
+        assert st_mod.subgroup_graph(basis, gens, keep_basepoint) == expected
+
+
 @given(generator_sets())
 @settings(max_examples=100, deadline=None)
 def test_fold_equals_oracle_on_generator_sets(case):
     rank, gens = case
     assert_folds_like_oracle(st_mod.from_generators(Basis.standard(rank), gens))
+    assert_subgroup_graph_folds_the_wedge(rank, gens)
 
 
 @st.composite
@@ -247,3 +258,21 @@ def test_spell_path():
     assert st_mod.spell_path(edges, parse_word("aBa", B2), 0, 0, 5) == [0, 5, 6, 0]
     assert edges == {(0, 5, 1), (6, 5, 2), (6, 0, 1)}
     assert st_mod.spell_path(set(), parse_word("ab", B2), 3, None, 7) == [3, 7, 8]
+
+
+@given(
+    pair=st.sampled_from(["certified_filling_pair", "mirror_filling_pair", "pair_with_single_step"]),
+    swapped=st.booleans(),
+    gens=st.lists(words3.filter(bool), min_size=2, max_size=2),
+    n=st.integers(1, 128),
+    sign=st.sampled_from((1, -1)),
+)
+@settings(max_examples=10, deadline=None)
+def test_subgroup_graph_equals_folding_the_wedge_of_twisted_words(pair, swapped, gens, n, sign):
+    """Two generators twisted by a fixture pair's twist, in the other splitting's relative
+    letters: the words that ``volume`` folds.  The oracle's fold takes up to seconds per
+    example on these long hairs, and longer on the sixth-power pair's, which is left out."""
+    pair = getattr(fx, pair)()
+    first, second = (pair.second, pair.first) if swapped else (pair.first, pair.second)
+    twisted = [to_relative(second, apply(dehn_twist(first, sign * n), g)) for g in gens]
+    assert_subgroup_graph_folds_the_wedge(3, twisted)

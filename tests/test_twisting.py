@@ -1,11 +1,13 @@
 import random
+import time
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import fixtures as fx
 import oracles
+from freevol import pingpong as pp
 from freevol import splittings as sp
 from freevol import stallings as st_mod
 from freevol import twisting as tw
@@ -279,7 +281,7 @@ def _forbid_twisting_and_folding(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a cyclic subgroup was twisted or refolded")
 
-    for module, name in ((sp, "dehn_twist"), (tw, "dehn_twist"), (vol, "free_volume"), (tw, "free_volume")):
+    for module, name in ((sp, "dehn_twist"), (vol, "free_volume"), (vol, "relative_volume"), (tw, "relative_volume")):
         monkeypatch.setattr(module, name, refuse)
 
 
@@ -393,14 +395,16 @@ def test_growth_check_cost_does_not_grow_with_n(monkeypatch):
     consts = tw.constants(1, pair.first, pair.second)
     g = P("abCacBBc")
     assert max(line["n0"] for line in tw.growth_certificate(pair.first, pair.second, g).values()) <= 16
-    fold = st_mod.fold_and_core
+    fold = st_mod.fold_generators
     largest = []
 
-    def counting_fold(graph, keep_basepoint):
-        largest[-1] = max(largest[-1], len(graph.edges))
-        return fold(graph, keep_basepoint)
+    def counting_fold(gens, keep_basepoint):
+        largest[-1] = max(largest[-1], sum(map(len, gens)))
+        return fold(gens, keep_basepoint)
 
-    monkeypatch.setattr(st_mod, "fold_and_core", counting_fold)
+    # Every fold of generators, the ambient core's and any refold's, goes through it.
+    for module in (st_mod, vol):
+        monkeypatch.setattr(module, "fold_generators", counting_fold)
     for n in (16, 4096):
         largest.append(0)
         report = tw.check_volume_growth_bounds(pair.first, pair.second, [g], n, consts)
@@ -434,3 +438,75 @@ def test_cyclic_subgroup_given_by_several_generators_is_certified(text):
     assert report["certificate"] == reference["certificate"]
     for power in (n, -n):
         assert report["bounds"][f"twist_power_{power}"]["observed"] == _refolded(pair, g, power)
+
+
+def test_constants_for_a_lower_rank_refuse_a_rank_two_subgroup():
+    # Rank-1 constants have M = 1; a malnormal rank-2 subgroup needs M = 6.
+    pair = fx.certified_filling_pair()
+    consts = tw.constants(1, pair.first, pair.second)
+    gens = [P("BABCA"), P("abAbc")]
+    assert st_mod.is_malnormal(st_mod.subgroup_graph(B3, gens, keep_basepoint=False))
+    from freevol.errors import HypothesisViolated
+
+    with pytest.raises(HypothesisViolated, match="rank"):
+        tw.check_volume_growth_bounds(pair.first, pair.second, gens, 64, consts)
+    consts = tw.constants(2, pair.first, pair.second)
+    assert tw.check_volume_growth_bounds(pair.first, pair.second, gens, 64, consts)["all_ok"]
+
+
+def test_rank_two_growth_past_the_letter_budget_raises_before_twisting(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an ambient twist was built")
+
+    monkeypatch.setattr(sp, "dehn_twist", refuse)
+    pair = fx.certified_filling_pair()
+    consts = tw.constants(2, pair.first, pair.second)
+    started = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match=r"need \d+ letters, over the budget of 10000000"):
+        tw.check_volume_growth_bounds(pair.first, pair.second, [P("BABCA"), P("abAbc")], 10**9, consts)
+    assert time.perf_counter() - started < 1
+
+
+@pytest.mark.parametrize("name, swapped", DIRECTIONS)
+@settings(max_examples=40, deadline=None)
+@given(
+    gens=st.lists(short_words3.filter(bool), min_size=1, max_size=3),
+    n=st.integers(1, 64),
+    sign=st.sampled_from((1, -1)),
+)
+def test_twisted_words_equal_rewriting_the_ambient_twist(name, swapped, gens, n, sign):
+    pair = getattr(fx, name)()
+    first, second = (pair.second, pair.first) if swapped else (pair.first, pair.second)
+    xs = [sp.to_relative(first, g) for g in gens]
+    expected = [sp.to_relative(second, apply(sp.dehn_twist(first, sign * n), g)) for g in gens]
+    assert tw._twisted_words(first, second, xs, sign * n) == expected
+
+
+@st.composite
+def rank_two_free_factors(draw):
+    """Images of two basis letters of F3 under a product of 1-6 elementary Nielsen moves."""
+    images = [(1,), (2,), (3,)]
+    for _ in range(draw(st.integers(1, 6))):
+        i, j = draw(st.permutations(range(3)))[:2]
+        letter = images[j] if draw(st.booleans()) else invert_word(images[j])
+        images[i] = reduce_word(images[i] + letter if draw(st.booleans()) else letter + images[i])
+    kept = draw(st.permutations(range(3)))[:2]
+    return [images[i] for i in kept]
+
+
+@pytest.mark.parametrize("name", ["certified_filling_pair", "mirror_filling_pair"])
+@settings(max_examples=40, deadline=None)
+@given(gens=rank_two_free_factors(), double=st.booleans())
+@example(gens=[P("ac"), P("b")], double=False)
+def test_rank_two_free_factors_keep_the_growth_bounds_at_the_threshold(name, gens, double):
+    """At |n| in {N, 2N} the lower bound is positive when vol1 > 0 and vol2 is small
+    (``<ac, b>``: 9 at N), so it can fail; the observed volumes are those of
+    twisting the generators by the ambient automorphism."""
+    config = pp.configure(getattr(fx, name)())
+    first, second = config.pair.first, config.pair.second
+    n = config.threshold * (2 if double else 1)
+    report = tw.check_volume_growth_bounds(first, second, gens, n, config.constants, rank_bound=2)
+    assert report["all_ok"], report
+    for power in (n, -n):
+        old_route = vol.free_volume(second, [apply(sp.dehn_twist(first, power), g) for g in gens])
+        assert report["bounds"][f"twist_power_{power}"]["observed"] == old_route
