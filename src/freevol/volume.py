@@ -35,6 +35,60 @@ These vertices and edges form the quotient Y of an H-invariant subtree that
 contains T_H.  Dropping, while there is one, a valence-1 vertex whose rank
 equals its edge's (0 or 1), that is whose group is its edge's group, leaves
 T_H/H.  The free volume is the number of non-cyclic chains left.
+
+``relative_volume`` shortens Gamma first, so that the quotient's cost does
+not grow with long arcs (``_shorten``); ``analyze`` keeps the full table,
+as it lists every chain.  An arc is a maximal path of Gamma whose interior
+vertices have valence 2.  Its separators and gaps are those of
+``translation_length``: B0 letters or t^+-1, and the A-words between two
+of them.  An arc with m >= 2 separators keeps its word up to and including
+its first separator, and from its last separator on.  Its middle, the
+m - 1 gaps between those two and the separators among them, is replaced
+by a stand-in gap, and what was cut is added to the count:
+
+* amalgam, with r of the middle's gaps not powers of c: if r >= 1 the
+  stand-in is one A-letter x != c^+-1, and 2(r - 1) is added; if r = 0 it
+  is empty, or c when the two kept separators are inverse;
+* HNN, with d = m - 2 (number of middle gaps t^-1 c^j t): if d >= 1 the
+  stand-in is x, and d - 2 is added; if d = 0 it is c.  Then every
+  separator lies in such a pinch, so the first is t^-1 and the last t.
+
+Each new word is reduced and the kept vertices keep their labels, so the
+shortened table is again a folded core graph.  A graph that is one cycle
+has no arc with ends, and a splitting whose A-part is <c> has no x; neither
+is shortened.
+
+Proof that the count is unchanged.  The edges of T_H/H are the H-orbits of
+tree edges that the axis of some element of H crosses, and up to
+conjugacy in H every element of H reads around an immersed loop of Gamma.
+By the proof of ``translation_length``, the axis of the element read around
+a loop crosses, per period, the chains of the ends of its gaps that are
+not powers of c (amalgam), or of the tails of its separators that lie in
+no pinch (HNN), the chain of a t-edge's tail being the one ``_quotient``
+gives that edge.  So the free volume is the number of non-cyclic chains at
+such a vertex of some loop.  Reading c, an A-word, from a middle vertex
+stops at the separators around its gap, and a gap's inner vertices have no
+other edges; so every chain that meets the middle lies in one gap, and
+every other chain is the same in both graphs, as is whether a loop crosses
+it: that depends only on the gaps around it, which lie outside the middle.
+Loops of the two graphs correspond, a loop through the arc running through
+all of it, and in a core graph some loop does.  In the middle:
+
+* amalgam: the two ends of each of the r gaps that are not powers of c
+  lie in two chains of that gap, and every loop through the arc crosses
+  them; no other middle chain is crossed.  That is 2r chains, and 2 for
+  the stand-in x or 0 for a stand-in that is empty or c.
+* HNN: a separator is in no pinch with its neighbours in the middle
+  exactly when it is in no pinch on any loop through the arc, and the
+  first separator, if t, and the last, if t^-1, have kept tails; a pinch
+  could only join them to gaps outside the middle, which are the same in
+  both graphs.  The other d - [first is t] - [last is t^-1] separators in
+  no pinch have middle tails in distinct chains, crossed by every loop
+  through the arc.  The stand-in x has two separators in no pinch and c
+  none, with the same first and last separator.
+
+So the middle holds 2(r - 1) or d - 2 more counted chains than its
+stand-in, and none of them is cyclic, as a chain inside a gap is a path.
 """
 
 from __future__ import annotations
@@ -203,10 +257,79 @@ def free_volume(splitting: CyclicSplitting, gens: Sequence[Word]) -> int:
 def relative_volume(splitting: CyclicSplitting, gens: Sequence[Word]) -> int:
     """``free_volume`` of the subgroup generated by words in the splitting's relative letters.
 
-    The splitting is not checked; it must be valid.
+    The quotient is counted on Gamma shortened by ``_shorten``, plus the
+    free edges that shortening cut: each arc's middle becomes one gap, so a
+    twist's long c^n arcs cost what a short word costs.  The module
+    docstring proves the two counts equal.  The splitting is not checked;
+    it must be valid.
     """
-    _, cyclic, essential = _quotient(splitting, fold_generators(gens, keep_basepoint=False))
-    return sum(1 for is_cycle, alive in zip(cyclic, essential) if alive and not is_cycle)
+    links = fold_generators(gens, keep_basepoint=False)
+    cut = _shorten(splitting, links)
+    _, cyclic, essential = _quotient(splitting, links)
+    return cut + sum(1 for is_cycle, alive in zip(cyclic, essential) if alive and not is_cycle)
+
+
+def _shorten(splitting: CyclicSplitting, links: Links) -> int:
+    """Cut the middle of every arc of Gamma's table down to a stand-in gap; return the free edges cut.
+
+    ``links`` is changed in place.  The stand-ins and the count are those
+    of the module docstring, with x the first A-part letter other than
+    c^+-1.  An arc is rewritten only where its stand-in is shorter than its
+    middle.
+    """
+    c = splitting.edge_word
+    x = next((letter for letter in splitting.a_part if (letter,) != c and (-letter,) != c), None)
+    branches = [vertex for vertex, out in links.items() if len(out) > 2]
+    if x is None or not branches:
+        return 0
+    hnn = splitting.kind == HNN
+    separators = {splitting.stable_index} if hnn else set(splitting.b0_part)
+    starts = (c[0], -c[-1])  # a nonempty gap that starts otherwise is no power of c
+    fresh = max(links) + 1
+    walked: set[tuple[int, int]] = set()  # (branch vertex, signed label) of an arc walked from its other end
+    cut = 0
+    for start in branches:
+        for first, step in list(links[start].items()):
+            if (start, first) in walked:
+                continue
+            path, word, came = [start], [first], -first
+            while len(row := links[step]) == 2:
+                path.append(step)
+                for key in row:
+                    if key != came:
+                        break
+                word.append(key)
+                came = -key
+                step = row[key]
+            path.append(step)
+            walked.add((step, came))
+            cuts = [i for i, letter in enumerate(word) if abs(letter) in separators]
+            if len(cuts) < 2:
+                continue
+            ends = list(zip(cuts, cuts[1:]))
+            i, j = cuts[0], cuts[-1]
+            if hnn:
+                pinches = sum(word[p] < 0 < word[q] and is_power_of(word[p + 1 : q], c) for p, q in ends)
+                d = len(cuts) - 2 * pinches
+                stand_in, gain = ((x,), d - 2) if d else (c, 0)
+            else:
+                r = sum(
+                    q > p + 1 and (word[p + 1] not in starts or not is_power_of(word[p + 1 : q], c))
+                    for p, q in ends
+                )
+                stand_in, gain = ((x,), 2 * r - 2) if r else (c if word[i] == -word[j] else (), 0)
+            if len(stand_in) >= j - i - 1:
+                continue
+            for vertex in path[i + 1 : j + 1]:
+                del links[vertex]
+            spelled = [path[i], *range(fresh, fresh + len(stand_in) + 1), path[j + 1]]
+            fresh += len(stand_in) + 1
+            links.update((vertex, {}) for vertex in spelled[1:-1])
+            for tail, head, letter in zip(spelled, spelled[1:], (word[i], *stand_in, word[j])):
+                links[tail][letter] = head
+                links[head][-letter] = tail
+            cut += gain
+    return cut
 
 
 def translation_length(splitting: CyclicSplitting, word: Word) -> int:

@@ -1,18 +1,21 @@
 """Independent oracles used to cross-check the library.
 
 The translation-length oracle works directly on normal forms for the two
-splitting shapes: syllable reduction for an amalgam and pinch (Britton)
-reduction for an HNN extension, each repeated until nothing changes.  It
-shares only word/coordinate plumbing with the library.  The library's
-``translation_length`` counts the same length in one pass over the gaps
-between separators, so the oracle checks that count, and the folding
-``free_volume`` on the cyclic subgroup is its second cross-check.
+splitting shapes: syllable reduction for an amalgam, in one stack pass that
+merges same-side syllables and hands a syllable in the edge group to its
+neighbour, and pinch (Britton) reduction for an HNN extension, repeated
+until nothing changes.  It shares only word/coordinate plumbing with the
+library.  The library's ``translation_length`` counts the same length in
+one pass over the gaps between separators, so the oracle checks that
+count, and the folding ``free_volume`` on the cyclic subgroup is its
+second cross-check.
 
-The reference folder ``fold_and_core`` is the library's original folding
-loop, kept as it was: it rebuilds and sorts the whole conflict table after
-every fold and prunes in full sweeps, so it is quadratic, but its schedule
-is simple enough to trust.  The library's worklist fold must return an
-equal graph, vertex ids included.
+The reference folder ``fold_and_core`` keeps the library's original
+folding schedule: it always merges at the least conflicting (vertex, label)
+and prunes in full sweeps.  A heap of those conflicts finds the next one,
+so nothing is rebuilt after a merge, but the schedule stays simple enough
+to trust.  The library's worklist fold must return an equal graph, vertex
+ids included.
 
 ``pullback``, ``pullback_ranks`` and ``is_malnormal`` are the library's
 original pullbacks: they split the fiber product into component graphs and
@@ -77,10 +80,12 @@ comparisons.  Its abelianization matrices (``_abelianization_matrix``,
 ``_mat_mul``) are also the reference for the library's tracked Z^k values.
 """
 
+import heapq
 import random
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import groupby
 from typing import Iterator, Optional, Sequence
 
 from freevol.errors import HypothesisViolated, NotAnAutomorphism, UsageError
@@ -128,43 +133,46 @@ def _amalgam_length(splitting: CyclicSplitting, relative: Word) -> int:
         return 0
     a_letters = set(splitting.a_part)
     edge = tuple(splitting.edge_word)
+    inverse_edge = invert_word(edge)
 
-    # Maximal same-side blocks of the cyclic word.
-    syllables: list[list] = []
-    for letter in core:
-        side = "A" if abs(letter) in a_letters else "B"
-        if syllables and syllables[-1][0] == side:
-            syllables[-1][1].append(letter)
-        else:
-            syllables.append([side, [letter]])
+    def syllable(side: str, letters: list) -> list:
+        # [side, reduced letters, whether they spell a power of the edge word]
+        root = edge if letters and letters[0] == edge[0] else inverse_edge
+        power = len(letters) % len(edge) == 0 and all(x == root[i % len(root)] for i, x in enumerate(letters))
+        return [side, letters, power]
 
-    def merge_pass() -> bool:
-        changed = False
-        # Merge cyclically adjacent same-side syllables and drop empty ones.
-        i = 0
-        while len(syllables) > 1 and i < len(syllables):
-            j = (i + 1) % len(syllables)
-            if syllables[i][0] == syllables[j][0] or not syllables[j][1]:
-                merged = reduce_word(tuple(syllables[i][1]) + tuple(syllables[j][1]))
-                syllables[i][1] = list(merged)
-                del syllables[j]
-                changed = True
-            else:
-                i += 1
-        # A syllable lying in the edge group belongs to both sides: hand it
-        # to its neighbour so the blocks on either side of it coalesce.
-        if len(syllables) > 1:
-            for i, (side, letters) in enumerate(syllables):
-                if _edge_power(tuple(letters), edge) is not None:
-                    syllables[i][0] = syllables[(i + 1) % len(syllables)][0]
-                    return True
-        return changed
+    def mergeable(left: list, right: list) -> bool:
+        return left[0] == right[0] or left[2] or right[2]
 
-    while merge_pass():
-        pass
-    if len(syllables) <= 1:
+    def merge(left: list, right: list) -> list:
+        # A syllable lying in the edge group belongs to both sides: it is
+        # handed to its neighbour, so the blocks on either side coalesce.
+        # The letters cancel only where the two syllables meet.
+        side = right[0] if left[2] and not right[2] else left[0]
+        letters, i = left[1], 0
+        while letters and i < len(right[1]) and letters[-1] == -right[1][i]:
+            letters.pop()
+            i += 1
+        letters.extend(right[1][i:])
+        return syllable(side, letters)
+
+    def push(stack: deque, item: list) -> None:
+        stack.append(item)
+        while len(stack) > 1 and mergeable(stack[-2], stack[-1]):
+            right = stack.pop()
+            stack[-1] = merge(stack[-1], right)
+
+    # One stack pass over the maximal same-side blocks of the cyclic word;
+    # then the first syllable moves behind the last while the two meet
+    # cyclically.  Each move merges, so it ends.
+    stack: deque = deque()
+    for side, block in groupby(core, lambda letter: "A" if abs(letter) in a_letters else "B"):
+        push(stack, syllable(side, list(block)))
+    while len(stack) > 1 and mergeable(stack[-1], stack[0]):
+        push(stack, stack.popleft())
+    if len(stack) <= 1:
         return 0
-    return len(syllables)
+    return len(stack)
 
 
 def _hnn_length(splitting: CyclicSplitting, relative: Word) -> int:
@@ -384,47 +392,73 @@ def fold_and_core(graph: LabeledGraph, keep_basepoint: bool) -> tuple[LabeledGra
     """Fold to an immersion, then prune to a core graph.
 
     Fold scheduling is deterministic: among all fold candidates, merge the
-    pair of vertices incident to the lowest (vertex id, label) conflict.
+    two least vertices reached from the lowest (vertex id, label, direction)
+    conflict, into the lesser one.  ``reach`` maps each (vertex, label,
+    direction) to the vertices its edges reach, and a heap holds every key
+    that has reached two or more; a key is looked at again when it is on
+    top, and dropped if it no longer conflicts.  A merge renames only the
+    merged vertex's edges.
     """
-    parent: dict[int, int] = {v: v for v in graph.vertices}
+    merged_into: dict[int, int] = {}
+    edges: set[Edge] = set()
+    incident: dict[int, set[Edge]] = {v: set() for v in graph.vertices}
+    reach: dict[tuple[int, int, int], set[int]] = {}
+    conflicts: list[tuple[int, int, int]] = []
+
+    def add(edge: Edge) -> None:
+        if edge in edges:
+            return  # duplicate edges collapse, as ``edges`` is a set
+        edges.add(edge)
+        source, target, label = edge
+        incident[source].add(edge)
+        incident[target].add(edge)
+        for key, other in (((source, label, +1), target), ((target, label, -1), source)):
+            others = reach.setdefault(key, set())
+            others.add(other)
+            if len(others) > 1:
+                heapq.heappush(conflicts, key)
+
+    def remove(edge: Edge) -> None:
+        edges.remove(edge)
+        source, target, label = edge
+        incident[source].discard(edge)
+        incident[target].discard(edge)
+        reach[(source, label, +1)].discard(target)
+        reach[(target, label, -1)].discard(source)
+
+    for edge in graph.edges:
+        add(edge)
+    trace = FoldTrace()
+    while conflicts:
+        others = reach[conflicts[0]]
+        if len(others) < 2:
+            heapq.heappop(conflicts)
+            continue
+        keep_vertex, merge_vertex = heapq.nsmallest(2, others)
+        merged_into[merge_vertex] = keep_vertex
+        trace.folds.append((keep_vertex, merge_vertex))
+        moved = list(incident[merge_vertex])
+        for edge in moved:
+            remove(edge)
+        del incident[merge_vertex]
+        for source, target, label in moved:
+            source, target = (keep_vertex if v == merge_vertex else v for v in (source, target))
+            add((source, target, label))
 
     def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
+        while v in merged_into:
+            v = merged_into[v]
         return v
 
-    edges = {(find(s), find(t), l) for s, t, l in graph.edges}
-    trace = FoldTrace()
-    while True:
-        conflicts: dict[tuple[int, int, int], list[int]] = {}
-        for source, target, label in edges:
-            conflicts.setdefault((source, label, +1), []).append(target)
-            conflicts.setdefault((target, label, -1), []).append(source)
-        candidates = sorted(
-            (vertex, label, direction, sorted(set(others)))
-            for (vertex, label, direction), others in conflicts.items()
-            if len(set(others)) > 1
-        )
-        if not candidates:
-            # Also collapse duplicate edges (same source, target, label) --
-            # already handled because ``edges`` is a set.
-            break
-        _, _, _, others = candidates[0]
-        keep_vertex, merge_vertex = others[0], others[1]
-        parent[find(merge_vertex)] = find(keep_vertex)
-        trace.folds.append((keep_vertex, merge_vertex))
-        edges = {(find(s), find(t), l) for s, t, l in edges}
-    vertices = {find(v) for v in graph.vertices}
+    vertices = set(incident)
     basepoint = find(graph.basepoint) if graph.basepoint is not None else None
-    edge_set = set(edges)
-    _prune(vertices, edge_set, basepoint if keep_basepoint else None, trace)
+    _prune(vertices, edges, basepoint if keep_basepoint else None, trace)
     if not keep_basepoint:
         basepoint = None
     elif basepoint not in vertices:
         basepoint = None
     return (
-        LabeledGraph(frozenset(vertices), frozenset(edge_set), basepoint=basepoint),
+        LabeledGraph(frozenset(vertices), frozenset(edges), basepoint=basepoint),
         trace,
     )
 

@@ -1,4 +1,6 @@
+import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,7 @@ from freevol import stallings as st_mod
 from freevol import twisting as tw
 from freevol import volume as vol
 from freevol.errors import InvalidSplitting
-from freevol.splittings import HNN, dehn_twist, from_relative, vertex_groups
+from freevol.splittings import HNN, dehn_twist, from_relative, to_relative, vertex_groups
 from freevol.words import (
     Automorphism,
     apply,
@@ -19,6 +21,7 @@ from freevol.words import (
     cyclically_reduce,
     enumerate_cyclic_classes,
     invert_word,
+    parse_word,
     reduce_word,
     render_word,
 )
@@ -139,12 +142,13 @@ def _power(word, n):
 
 
 @st.composite
-def planted_words(draw, splitting):
+def planted_relative_words(draw, splitting):
     """Separators with gaps x c^j y between them, x and y short A-words, often empty.
 
     Half the gaps open with the inverse separator and close with the
     separator, so for an HNN splitting they are pinches t^-1 c^j t when x
-    and y are empty.  The word comes back in ambient letters.
+    and y are empty.  The word is reduced, in the splitting's relative
+    letters.
     """
     c = splitting.edge_word
     a_word = st.lists(st.sampled_from([x for i in splitting.a_part for x in (i, -i)]), max_size=2)
@@ -158,7 +162,12 @@ def planted_words(draw, splitting):
             letters += [-s, *gap, s]
         else:
             letters += [draw(st.sampled_from((s, -s))), *gap]
-    return from_relative(splitting, reduce_word(letters))
+    return reduce_word(letters)
+
+
+def planted_words(splitting):
+    """``planted_relative_words``, in ambient letters."""
+    return planted_relative_words(splitting).map(lambda word: from_relative(splitting, word))
 
 
 @st.composite
@@ -311,3 +320,124 @@ def test_bilipschitz_sample_smoke():
     assert report["samples"] > 0
     assert report["min_ratio"] is not None and report["min_ratio"] > 0
     assert report["max_ratio"] >= report["min_ratio"]
+
+
+# ---------------------------------------------------------------------------
+# relative_volume shortens Gamma's arcs; analyze counts on the full table.
+
+PAIRS = ["certified_filling_pair", "mirror_filling_pair", "pair_with_single_step", "pair_with_sixth_power"]
+# perfbench's rank-2 families, keyed by the index of their pair in its
+# twist_pairs(): the amalgam over c against one cycling step, and the
+# certified HNN filling pair.
+FAMILY_POOL = Path(__file__).resolve().parent.parent / "perfbench" / "twist_families.json"
+FAMILY_PAIRS = {"0": fx.pair_with_single_step, "1": fx.certified_filling_pair}
+
+
+def _full_count(splitting, gens):
+    """The free volume of relative generators, counted by ``analyze`` on the unshortened table."""
+    return vol.analyze(splitting, [from_relative(splitting, g) for g in gens]).free_volume
+
+
+def _twisted(pair, swapped, gens, n):
+    first, second = (pair.second, pair.first) if swapped else (pair.first, pair.second)
+    return second, tw._twisted_words(first, second, [to_relative(first, g) for g in gens], n)
+
+
+@pytest.mark.parametrize("name", SPLITTINGS)
+@settings(deadline=None)
+@given(data=st.data())
+def test_shortened_volume_equals_the_full_count(name, data):
+    """1-4 planted generators, conjugated by a planted word half the time, so that arcs meet
+    at branch vertices in every way."""
+    splitting = SPLITTINGS[name]
+    word = planted_relative_words(splitting).filter(bool)
+    gens = data.draw(st.lists(word, min_size=1, max_size=4))
+    if data.draw(st.booleans()):
+        h = data.draw(word)
+        gens = [reduce_word(h + g + invert_word(h)) for g in gens]
+    assert vol.relative_volume(splitting, gens) == _full_count(splitting, gens)
+
+
+@settings(deadline=None)
+@given(
+    pair=st.sampled_from(PAIRS),
+    swapped=st.booleans(),
+    gens=st.lists(reduced, min_size=1, max_size=3),
+    n=st.integers(1, 128),
+    sign=st.sampled_from((1, -1)),
+)
+def test_shortened_volume_equals_the_full_count_on_twisted_words(pair, swapped, gens, n, sign):
+    """T^(+-n) of 1-3 generators by a fixture pair's twist, in the other splitting's letters."""
+    splitting, words = _twisted(getattr(fx, pair)(), swapped, gens, sign * n)
+    assert vol.relative_volume(splitting, words) == _full_count(splitting, words)
+
+
+# amalgam_over_c's relative letters are a = 1, c = 2 (the edge word) and
+# b = 3 (B0); the HNN splitting over ab has a = 1, b = 2 and t = 3.
+BAR = (3, 1, 3, 1, 3, 1)
+HNN_BAR = (3, 1, -3, 2, 3, 1)
+
+
+@pytest.mark.parametrize(
+    "splitting_name, gens, cut",
+    [
+        # A loop arc b c b c B c at one branch vertex: r = 0, and the kept
+        # separators b, B are inverse, so c stands in for c b c.
+        ("amalgam_over_c", [(1,), (3, 2, 3, 2, -3, 2)], 0),
+        # The same with b, b kept: the stand-in is empty.
+        ("amalgam_over_c", [(1,), (3, 2, 3, 2, 3, 2)], 0),
+        # T ab t a T ab t b: two pinches and nothing else, d = 0, so ab stands in.
+        ("certified_filling_pair().first", [(1,), (-3, 1, 2, 3, 1, -3, 1, 2, 3, 2)], 0),
+        # t a T ab t b: one pinch in three separators, d = 1; x = a stands in
+        # for a T ab, and the arc's one free edge becomes two.
+        ("certified_filling_pair().first", [(1,), (3, 1, -3, 1, 2, 3, 2)], -1),
+        # A barbell: loops at both ends of the bridge b a b a b a, whose
+        # middle a b a holds r = 2 gaps a and becomes one.
+        ("amalgam_over_c", [(1, 3, 1, 3), BAR + (3, 1, 3, 2) + invert_word(BAR)], 2),
+        # The bridge t a T b t a: d = 3 with no pinch.
+        ("certified_filling_pair().first", [(1, 3, 1, 3), HNN_BAR + (3, 2, 3, 2) + invert_word(HNN_BAR)], 1),
+    ],
+)
+def test_shortening_anchors(splitting_name, gens, cut):
+    splitting = SPLITTINGS[splitting_name]
+    links = st_mod.fold_generators(gens, keep_basepoint=False)
+    size = len(links)
+    assert vol._shorten(splitting, links) == cut
+    assert len(links) < size
+    assert vol.relative_volume(splitting, gens) == _full_count(splitting, gens)
+
+
+def _family_sets():
+    stored = json.loads(FAMILY_POOL.read_text())
+    assert sorted(stored) == sorted(FAMILY_PAIRS)
+    for key, families in stored.items():
+        pair = FAMILY_PAIRS[key]()
+        for texts in families:
+            yield pair, [parse_word(text, pair.first.ambient_basis) for text in texts]
+
+
+def test_shortened_volume_equals_the_full_count_on_the_benchmark_families():
+    """``twist_growth`` compares a family's ops only with each other; here each is counted
+    twice, on the shortened and on the full table."""
+    for pair, gens in _family_sets():
+        for n in (16, 32, 64, 128):
+            for power in (n, -n):
+                splitting, words = _twisted(pair, False, gens, power)
+                assert vol.relative_volume(splitting, words) == _full_count(splitting, words)
+
+
+def test_quotient_table_does_not_grow_with_the_twist_power(monkeypatch):
+    quotient = vol._quotient
+    sizes = []
+
+    def measured(splitting, links):
+        sizes[-1] = max(sizes[-1], len(links))
+        return quotient(splitting, links)
+
+    monkeypatch.setattr(vol, "_quotient", measured)
+    for pair, gens in _family_sets():
+        for n in (16, 128):
+            sizes.append(0)
+            for power in (n, -n):
+                vol.relative_volume(*_twisted(pair, False, gens, power))
+        assert sizes[-1] <= sizes[-2]
