@@ -1,17 +1,24 @@
 """Ping-pong certification of hyperbolic fully irreducible automorphisms.
 
-Given a filling pair of cyclic splittings with twist automorphisms
-``delta_1`` and ``delta_2``, conjugacy classes of proper free factors and
-cyclic subgroups split into two sides by comparing their two free volumes.
-High powers of the twists swap the sides while strictly increasing the
-summed volume, so sufficiently spaced alternating twist words act without
-periodic orbits: they are fully irreducible and hyperbolic.  This module
-computes the exponent threshold and checks a candidate twist word against the
-hypotheses without building it; ``realize`` spells it out only on request.
+``configure`` prepares a pair of cyclic splittings, with Dehn twists T1
+and T2: the cross translation lengths l12 = l2(c1) and l21 = l1(c2) of
+the edge words must be positive (else NotFillingEvidence), the pair's
+filling certificate comes from ``check_filling``, the constants B, M and C
+from ``twisting.constants``, and the threshold N is the least N >= 1 with
+N l - C >= 2(M + 1) for both l12 and l21.  ``certify`` decides a twist
+word from its factors alone, never building it: the filling verdict must
+be ``fills``, the word nonempty, and every exponent at least N in absolute
+value, or the hypotheses are not met.  A word of one factor is conjugate
+to a twist power.  A word of both twists is certified fully irreducible
+and hyperbolic when its first and last factors use different twists, and
+only nontrivial otherwise (the endpoint rule).  ``realize`` spells the
+automorphism out on request, within ``LETTER_BUDGET``, and
+``empirical_no_periodic_orbit`` samples short conjugacy classes for a
+periodic orbit, as evidence that no verdict rests on.
 
-The side comparison uses an exact rational slack factor close to 1 in
-place of an irrational one; an exact tie is reported as an error rather
-than silently broken.
+``volumes``, ``size`` and ``classify`` compare a subgroup's two free
+volumes, the last against the exact rational ``SLACK`` with an exact tie
+raising TieDetected; ``certify`` uses none of them.
 """
 
 from __future__ import annotations

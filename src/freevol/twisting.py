@@ -2,8 +2,11 @@
 
 Implements the machinery comparing the free volume of a subgroup before and
 after powers of a Dehn twist: exact bounded cancellation constants between
-the relative bases of two splittings, the constants they give, and the
-resulting two-sided linear growth bounds.
+the relative bases of two splittings, the constants they give, the
+resulting two-sided linear growth bounds, and the exact lines that twisted
+volume follows from a proven power on, for cyclic subgroups
+(``growth_certificate``) and for malnormal ones of rank 2 or more
+(``_TwistedCore``).
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ from .splittings import (
     require_valid,
     to_relative,
 )
-from .stallings import cycle_word, is_malnormal, rank, subgroup_graph
-from .volume import cyclic_length, relative_length, relative_volume
+from .stallings import Links, cycle_word, fold_generators, is_malnormal, rank, subgroup_graph
+from .volume import chains, cyclic_length, relative_length, relative_volume
 from .words import (
     LETTER_BUDGET,
     Automorphism,
@@ -255,7 +258,26 @@ def _cut(left: Word, z: Word, right: Word) -> tuple[int, int, Word]:
     return a + k, b + k, z[a : len(z) - b]
 
 
-class _TwistedCycle:
+class _Twisted:
+    """T1^n(H) for every n != 0: v1 and v2 of H, the certified lines, and ``count`` at one n."""
+
+    length_c1: int
+    vol1: int
+    vol2: int
+    certificate: Optional[dict]
+
+    def length(self, n: int) -> int:
+        """v2(T1^n H), n != 0: off the line from n0 on, else ``count(n)``."""
+        line = self.certificate and self.certificate["plus" if n > 0 else "minus"]
+        if line and abs(n) >= line["n0"]:
+            return line["slope"] * abs(n) + line["intercept"]
+        return self.count(n)
+
+    def count(self, n: int) -> int:
+        raise NotImplementedError
+
+
+class _TwistedCycle(_Twisted):
     """T1^n(g) for every n, as the cyclic block word of step 1 in splitting-2 letters."""
 
     def __init__(self, splitting1: CyclicSplitting, splitting2: CyclicSplitting, g: Word) -> None:
@@ -266,6 +288,7 @@ class _TwistedCycle:
             raise TrivialSubgroup("the generator is trivial")
         self.vol2 = relative_length(splitting2, apply(nu, x))
         blocks = _twist_blocks(splitting1, x)
+        self.vol1 = len(blocks)
         self.zs = [concat(q_inverse, apply(nu, w), q) for _, w in blocks]
         u, u_inverse = self.u, invert_word(self.u)
         self.periods = {sign: [u if k == sign else u_inverse for k, _ in blocks] for sign in (1, -1)}
@@ -284,13 +307,6 @@ class _TwistedCycle:
             word += cuts[i][2]
         slope = m * self.length_c1
         return {"slope": slope, "intercept": cyclic_length(self.splitting2, tuple(word)) - slope * n0, "n0": n0}
-
-    def length(self, n: int) -> int:
-        """l2(T1^n g), n != 0: off the line from n0 on, else ``count(n)``."""
-        line = self.certificate and self.certificate["plus" if n > 0 else "minus"]
-        if line and abs(n) >= line["n0"]:
-            return line["slope"] * abs(n) + line["intercept"]
-        return self.count(n)
 
     def count(self, n: int) -> int:
         """l2(T1^n g), n != 0, counted on the block word at n."""
@@ -410,6 +426,154 @@ def _twisted_words(
 
 
 # ---------------------------------------------------------------------------
+# Growth lines for subgroups of rank 2 or more
+
+
+def _slides(splitting: CyclicSplitting, links: Links) -> tuple[int, int]:
+    """Step 1 of ``_TwistedCore``: (e+, e-) on the folded core whose table is ``links``.
+
+    e+ is 1 plus the most times c can be read from an end on a chain that
+    is not cyclic, e- the same for c^-1; each is 0 when there is no such
+    end.
+    """
+    if splitting.kind == AMALGAM:
+        separators = {x for b in splitting.b0_part for x in (b, -b)}
+        ends = {vertex for vertex, row in links.items() if not separators.isdisjoint(row)}
+    else:
+        ends = {vertex for vertex, row in links.items() if splitting.stable_index in row}
+    plus = minus = 0
+    for orbit in chains(links, splitting.edge_word):
+        marks = [i for i, vertex in enumerate(orbit) if vertex in ends]
+        if marks and not (len(orbit) > 1 and orbit[-1] == orbit[0]):
+            plus, minus = max(plus, len(orbit) - marks[0]), max(minus, marks[-1] + 1)
+    return plus, minus
+
+
+@lru_cache(maxsize=256)
+def _kept_periods(splitting1: CyclicSplitting, splitting2: CyclicSplitting) -> int:
+    """Step 2 of ``_TwistedCore``: the least a >= 0 with |q| + a|u| >= D; cached per pair."""
+    _, u, q, _, nu = _edge_word_image(splitting1, splitting2)
+    reach = max(len(nu.image_of(x)) for x in range(1, splitting1.rank + 1)) // 2
+    depth = bcc_between(splitting1, splitting2) + max(reach, len(q) + len(u) // 2)
+    return max(0, -(-(depth - len(q)) // len(u)))
+
+
+class _TwistedCore(_Twisted):
+    """T1^n(H) for every n, H malnormal of rank >= 2, given by splitting-1 relative generators.
+
+    ``certificate`` is None when l2(c1) = 0, and otherwise ``{"plus":
+    line, "minus": line}`` as in ``growth_certificate``: for every n >= n0
+
+        free_volume(splitting2, T1^(+-n) H) == slope * n + intercept,
+
+    with slope = v1(H) l2(c1), v the free volume.  The intercept is
+    ``count`` at +-n0, a fold of ``_twisted_words`` at +-n0; no larger
+    power is built.  ``count(n)`` also serves |n| < n0 and l2(c1) = 0.
+
+    Proof of n0, with c = c1 and Gamma the folded core of H over the
+    relative rose of splitting 1.  Chains are the orbits of the lift map,
+    which reads c from a vertex (``volume``).  The twist moves the ends
+    of the separator edges: both ends of a B0 edge (amalgam), the tail of
+    a t-edge (HNN).  Call those vertices ends.
+
+    1. Slides.  T1^n writes a B0 edge v -b-> w as c^n b c^-n and a t-edge
+       v -t-> w as c^n t.  The c^n read from an end at position p of a
+       chain v_0, ..., v_L folds along the chain to position p + n, past
+       v_L onto a hair that reads c on from v_L, and the ends of one chain
+       share its hair.  So T1^n H has the folded graph Gamma with every end
+       slid n places along its chain: two ends with one label that land on
+       one vertex started on one, and the hair leaves Gamma where reading
+       c from v_L stops.  A cyclic chain is one vertex with a loop c, as H
+       is malnormal: if c^j, j > 1, lay in a conjugate H' of H, so would
+       c, as c^j lies in H' and c H' c^-1.  So its ends stay.  Let e be 1
+       plus the most times c can be read from an end on a chain that is
+       not cyclic (e+ of ``_slides``).  For n >= e every such end lands on
+       its hair, and the folded graph is the same for all such n but for
+       one arc J per such chain, its connector: the hair from where it
+       leaves Gamma to its first end, with inner vertices of valence 2 and
+       the word c' c^N, c' a suffix of c, N >= n - e.  The core keeps J
+       whole or not at all.
+    2. Junctions.  Let T1, T2 be the Cayley trees of the two relative
+       bases, and f: T1 -> T2 the identity on F that sends each edge to
+       the geodesic reading its nu-image, nu = ``basis_change``.  With
+       K = T1^n H and Min_i the minimal K-subtree of T_i, Min_1/K is the
+       core of step 1, spelling it in nu-images and folding gives
+       f(Min_1)/K, and the core of that is Min_2/K.  bcc(nu) = C says: if
+       E lies on the T1-geodesic [z, P], f(E) lies within C of
+       [f(z), f(P)].  Take a lift s of the part of J that reads c^N;
+       f(s) reads q u^N q^-1, where nu(c) = q u q^-1, and f of each of its
+       vertices g c^j ends a spike q^-1 off the u-line.  Let w be a vertex
+       of the u-line or of a spike with d(w, f(E)) > D = C + max(|nu(x)|/2,
+       |q| + |u|/2) for both ends E of s (halves rounded down, the max over
+       the letters x too), and let w lie on f(e) for an edge e = [z, zx] of
+       Min_1 not in s.  Then d(f(P), w) <= |q| + |u|/2 for a vertex P of
+       s, and d(f(z), w) <= |nu(x)|/2 for the nearer end z of e.  The
+       inner vertices of s have valence 2 in Min_1, so z is none of them,
+       and the geodesic [z, P] enters s through an end E.  Then f(E) lies
+       within C of [f(z), f(P)], which lies within D - C of w: so
+       d(f(E), w) <= D, a contradiction.  So no edge of Min_1 outside s,
+       in particular no other lift of a connector, meets w, and folding
+       puts no other vertex onto w.  Let a be the least a >= 0 with
+       |q| + a|u| >= D (``_kept_periods``), and cut f(s) into q u^a, a
+       middle u^(N - 2a) and u^a q^-1: every inner vertex of the middle,
+       and of its spikes, is such a w.  Fold in this order: each
+       connector's path onto its image tree, by folds at its inner
+       vertices; then all but the middles' inner vertices and spikes,
+       which is one graph for every n > e + 2a, into a graph F.  No
+       middle clashes with F at its ends, as that fold would move an inner
+       vertex.  So the folded graph is F with the middles attached, and its
+       core is the core of F with the bare middles: the spikes are hairs,
+       and the middles stay, as s lies on the axis of some k in K and the
+       part of f(s) farther than C from its ends on the axis of k in T2.
+    3. Count.  As l2(u) = l2(c1) > 0, u holds a separator of splitting 2.
+       Once every middle has two periods, for n >= n0 = e + 2a + 2,
+       inserting a period right after a separator in its first one adds
+       the gaps of one period of u and changes no other gap.  By the
+       ``volume`` module's account of an arc's middle (amalgam: the ends
+       of each gap that is no power of c2; HNN: the separators in no
+       pinch), that adds l2(u) to v2.  The connectors the core keeps are
+       as many as the chains of step 1 that are not cyclic and that some
+       loop crosses, which number v1(T1^n H) = v1(H), as T1 acts on the
+       tree of splitting 1 by an isometry.  A crossed chain holds an end
+       where the crossing gap ends (amalgam: a gap that is no power of c;
+       HNN: beside a t in no pinch).  Read back from there, the gap runs
+       along the hair, where no vertex has another A-edge.  Had the loop
+       left the hair at an end, the gap would be a power of c between two
+       ends, or, all ends on the hair being tails, a pinch.  So the gap
+       runs on through the connector, which lies on a loop.  Conversely,
+       the gap that a loop through a connector runs on is no such power
+       and no pinch, as the chain holds no end before the connector: so
+       that chain is crossed.
+
+    Hence v2(T1^(n+1) H) = v2(T1^n H) + v1(H) l2(c1) for every n >= n0,
+    and n0 = 1 when no chain that is not cyclic holds an end, as then the
+    folded graph does not depend on n.  The negative powers slide the
+    ends backwards along the chains: the same argument with c^-1 and e-.
+    """
+
+    def __init__(self, splitting1: CyclicSplitting, splitting2: CyclicSplitting, xs: Sequence[Word]) -> None:
+        self.splitting1, self.splitting2, self.xs = splitting1, splitting2, xs
+        self.length_c1, _, _, _, nu = _edge_word_image(splitting1, splitting2)
+        self.vol1 = relative_volume(splitting1, xs)
+        self.vol2 = relative_volume(splitting2, [apply(nu, x) for x in xs])
+        self.certificate = None
+        if self.length_c1:
+            kept = 2 * _kept_periods(splitting1, splitting2) + 2
+            slides = _slides(splitting1, fold_generators(xs, keep_basepoint=False))
+            n0s = [e + kept if e else 1 for e in slides]
+            self.certificate = {"plus": self._line(1, n0s[0]), "minus": self._line(-1, n0s[1])}
+
+    def _line(self, sign: int, n0: int) -> dict:
+        """Step 3 for the powers sign * n: the line, its intercept counted at n0."""
+        slope = self.vol1 * self.length_c1
+        return {"slope": slope, "intercept": self.count(sign * n0) - slope * n0, "n0": n0}
+
+    def count(self, n: int) -> int:
+        """v2(T1^n H), n != 0, counted by folding the twisted generators."""
+        return relative_volume(self.splitting2, _twisted_words(self.splitting1, self.splitting2, self.xs, n))
+
+
+# ---------------------------------------------------------------------------
 # Volume growth bounds
 
 
@@ -439,10 +603,15 @@ def check_volume_growth_bounds(
     vol1 * l2(c1), so ``all_n_ok`` holds exactly when the certified slope
     equals it and |intercept| <= vol1 * C + M * vol2.
 
-    A subgroup of rank 2 or more is refolded at each power, but nothing
-    ambient is twisted: its generators are rewritten once in splitting-1
-    relative letters, and ``_twisted_words`` writes T1^(+-n) of them
-    straight in splitting-2 letters, within ``LETTER_BUDGET``.
+    A subgroup of rank 2 or more gets the same keys from ``_TwistedCore``,
+    whose docstring proves its lines, with slope vol1 * l2(c1), so
+    ``all_n_ok`` holds exactly when |intercept| <= vol1 * C + M * vol2.
+    Its generators are rewritten once in splitting-1 relative letters, and
+    ``_twisted_words`` writes T1^(+-n) of them straight in splitting-2
+    letters, within ``LETTER_BUDGET``; nothing ambient is twisted.  They
+    are folded only at +-n0, for the intercepts, and at +-n when
+    |n| < n0; every larger power is read off the lines.  When
+    l2(c1) = 0, ``certificate`` is None and they are folded at +-n.
 
     The rank the constants cover is read off them: M = piece_bound(R, B)
     for their rank bound R, and ``piece_bound`` grows with R, so a
@@ -458,21 +627,15 @@ def check_volume_growth_bounds(
     covered = piece_bound(subgroup_rank, bounds.B) <= bounds.M
     if not covered or (rank_bound is not None and subgroup_rank > rank_bound):
         raise HypothesisViolated("subgroup rank exceeds the bound used for the constants")
-    length_c1, _, _, _, nu = _edge_word_image(splitting1, splitting2)
-    cycle = subgroup_rank == 1 and _TwistedCycle(splitting1, splitting2, cycle_word(ambient_core))
-    if cycle:
-        vol1, vol2, certificate = len(cycle.zs), cycle.vol2, cycle.certificate
+    if subgroup_rank == 1:
+        twisted: _Twisted = _TwistedCycle(splitting1, splitting2, cycle_word(ambient_core))
     else:
-        xs = [to_relative(splitting1, g) for g in gens]
-        vol1, vol2 = relative_volume(splitting1, xs), relative_volume(splitting2, [apply(nu, x) for x in xs])
-        certificate = None
+        twisted = _TwistedCore(splitting1, splitting2, [to_relative(splitting1, g) for g in gens])
+    length_c1, vol1, vol2, certificate = twisted.length_c1, twisted.vol1, twisted.vol2, twisted.certificate
     results = {}
     all_ok = True
     for power in (n, -n):
-        if cycle:
-            observed = cycle.length(power)
-        else:
-            observed = relative_volume(splitting2, _twisted_words(splitting1, splitting2, xs, power))
+        observed = twisted.length(power)
         lower = vol1 * (abs(n) * length_c1 - bounds.C) - bounds.M * vol2
         upper = vol1 * (abs(n) * length_c1 + bounds.C) + bounds.M * vol2
         ok_low = lower <= observed

@@ -148,7 +148,7 @@ def lambda_graph(splitting: CyclicSplitting, gens: Sequence[Word]) -> LabeledGra
     return as_graph(fold_generators([to_relative(splitting, g) for g in gens], keep_basepoint=False))
 
 
-def _chains(links: Links, edge_word: Word) -> list[tuple[int, ...]]:
+def chains(links: Links, edge_word: Word) -> list[tuple[int, ...]]:
     """Orbits of the lift map: paths from each vertex without a preimage, then cycles."""
     lift = {}
     for vertex in links:
@@ -200,7 +200,7 @@ def _quotient(
     splitting: CyclicSplitting, links: Links
 ) -> tuple[list[tuple[int, ...]], list[bool], list[bool]]:
     """The chains of Gamma, given by its table, which are cyclic, and which are edges of T_H/H."""
-    orbits = _chains(links, splitting.edge_word)
+    orbits = chains(links, splitting.edge_word)
     cyclic = [len(orbit) > 1 and orbit[-1] == orbit[0] for orbit in orbits]
     in_a = set(splitting.a_part)
     a_links, other_links = [], []  # Gamma's A-edges, and its B0- or t-edges

@@ -1,6 +1,8 @@
 """Shared splittings, automorphisms, and pairs used across the test suite."""
 
+import json
 import random
+from pathlib import Path
 
 from freevol.splittings import (
     AMALGAM,
@@ -132,3 +134,20 @@ def nielsen_products(seed: int = 5, count: int = 60) -> list[Automorphism]:
             nu = compose(nu, Automorphism(basis, tuple(images)))
         samples.append(nu)
     return samples
+
+
+# perfbench's rank-2 families, keyed by the index of their pair in its
+# twist_pairs(): the amalgam over c against one cycling step, and the
+# certified HNN filling pair.
+FAMILY_POOL = Path(__file__).resolve().parent.parent / "perfbench" / "twist_families.json"
+FAMILY_PAIRS = {"0": pair_with_single_step, "1": certified_filling_pair}
+
+
+def benchmark_families():
+    """Each of perfbench's rank-2 generating sets, with its pair: (pair, ambient generators)."""
+    stored = json.loads(FAMILY_POOL.read_text())
+    assert sorted(stored) == sorted(FAMILY_PAIRS)
+    for key, families in stored.items():
+        pair = FAMILY_PAIRS[key]()
+        for texts in families:
+            yield pair, [parse_word(text, pair.first.ambient_basis) for text in texts]

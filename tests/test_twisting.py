@@ -454,17 +454,115 @@ def test_constants_for_a_lower_rank_refuse_a_rank_two_subgroup():
     assert tw.check_volume_growth_bounds(pair.first, pair.second, gens, 64, consts)["all_ok"]
 
 
+# A malnormal rank-2 subgroup: on certified_filling_pair its lines start at n0 = 5.
+RANK_TWO_GENS = [P("BABCA"), P("abAbc")]
+
+
 def test_rank_two_growth_past_the_letter_budget_raises_before_twisting(monkeypatch):
+    """With l2(c1) = 0 there is no line, and a rank-2 subgroup is counted at n itself."""
+
     def refuse(*args, **kwargs):
         raise AssertionError("an ambient twist was built")
 
     monkeypatch.setattr(sp, "dehn_twist", refuse)
-    pair = fx.certified_filling_pair()
-    consts = tw.constants(2, pair.first, pair.second)
+    pair = fx.pair_with_single_step()
+    first, second = pair.second, pair.first
+    consts = tw.constants(2, first, second)
     started = time.perf_counter()
     with pytest.raises(BudgetExceeded, match=r"need \d+ letters, over the budget of 10000000"):
-        tw.check_volume_growth_bounds(pair.first, pair.second, [P("BABCA"), P("abAbc")], 10**9, consts)
+        tw.check_volume_growth_bounds(first, second, RANK_TWO_GENS, 10**9, consts)
     assert time.perf_counter() - started < 1
+
+
+def test_rank_two_growth_reads_any_power_off_the_line():
+    pair = fx.certified_filling_pair()
+    consts = tw.constants(2, pair.first, pair.second)
+    xs = [sp.to_relative(pair.first, g) for g in RANK_TWO_GENS]
+    small = tw.check_volume_growth_bounds(pair.first, pair.second, RANK_TWO_GENS, 16, consts)
+    huge = tw.check_volume_growth_bounds(pair.first, pair.second, RANK_TWO_GENS, 10**9, consts)
+    assert huge["certificate"] == small["certificate"]
+    assert small["certificate"]["all_n_ok"] and huge["all_ok"]
+    for key, sign in (("plus", 1), ("minus", -1)):
+        line = small["certificate"][key]
+        assert line["slope"] == small["vol1"] * small["edge_word_length"] == 4
+        refolded = vol.relative_volume(pair.second, tw._twisted_words(pair.first, pair.second, xs, 16 * sign))
+        assert small["bounds"][f"twist_power_{16 * sign}"]["observed"] == refolded
+        assert huge["bounds"][f"twist_power_{10**9 * sign}"]["observed"] == line["slope"] * 10**9 + line["intercept"]
+
+
+def test_rank_two_growth_check_cost_does_not_grow_with_n(monkeypatch):
+    pair = fx.certified_filling_pair()
+    consts = tw.constants(2, pair.first, pair.second)
+    certificate = tw.check_volume_growth_bounds(pair.first, pair.second, RANK_TWO_GENS, 16, consts)["certificate"]
+    assert max(certificate["plus"]["n0"], certificate["minus"]["n0"]) <= 16
+    count = tw.relative_volume
+    lengths: list[list[list[int]]] = []
+
+    def recording(splitting, gens):
+        lengths[-1].append(sorted(map(len, gens)))
+        return count(splitting, gens)
+
+    # Every volume the check counts, of H and of any twisted H, goes through it.
+    monkeypatch.setattr(tw, "relative_volume", recording)
+    best = []
+    for n in (16, 8192):
+        lengths.append([])
+        times = []
+        for _ in range(7):
+            started = time.perf_counter()
+            assert tw.check_volume_growth_bounds(pair.first, pair.second, RANK_TWO_GENS, n, consts)["all_ok"]
+            times.append(time.perf_counter() - started)
+        best.append(min(times))
+    assert lengths[0] == lengths[1] and lengths[0]
+    assert best[1] <= 1.5 * best[0], best
+
+
+def test_non_malnormal_anchor_is_refused_in_both_directions():
+    """<BcA, BCA> holds c^2 but not c: its twisted volume is no line, so no line may be read for it."""
+    pair = fx.pair_with_sixth_power()
+    gens = [P("BcA"), P("BCA")]
+    assert not st_mod.is_malnormal(st_mod.subgroup_graph(B3, gens, keep_basepoint=False))
+    xs = [sp.to_relative(pair.first, g) for g in gens]
+    volumes = [vol.relative_volume(pair.second, tw._twisted_words(pair.first, pair.second, xs, n)) for n in range(1, 10)]
+    assert [b - a for a, b in zip(volumes, volumes[1:])] == [6, -2] * 4
+    from freevol.errors import HypothesisViolated
+
+    for first, second in ((pair.first, pair.second), (pair.second, pair.first)):
+        consts = tw.constants(2, first, second)
+        for n in (1, 64):
+            with pytest.raises(HypothesisViolated, match="neither cyclic nor malnormal"):
+                tw.check_volume_growth_bounds(first, second, gens, n, consts)
+
+
+def _assert_line_equals_refolding(first, second, gens, sign):
+    """Both sides of the rank-2 line at every n0 <= n <= n0 + 64, for T1^(sign n)."""
+    report = tw.check_volume_growth_bounds(first, second, gens, 1, tw.constants(2, first, second))
+    if report["edge_word_length"] == 0:
+        assert report["certificate"] is None
+        return
+    line = report["certificate"]["plus" if sign > 0 else "minus"]
+    assert line["slope"] == report["vol1"] * report["edge_word_length"]
+    xs = [sp.to_relative(first, g) for g in gens]
+    for n in range(line["n0"], line["n0"] + 65):
+        refolded = vol.relative_volume(second, tw._twisted_words(first, second, xs, sign * n))
+        assert line["slope"] * n + line["intercept"] == refolded, n
+
+
+BENCHMARK_FAMILIES = list(fx.benchmark_families())
+
+
+@pytest.mark.parametrize(
+    "pair, gens",
+    BENCHMARK_FAMILIES,
+    ids=[f"{pair.first.kind}-{','.join(render_word(g, B3) for g in gens)}" for pair, gens in BENCHMARK_FAMILIES],
+)
+def test_rank_two_line_equals_refolding_on_the_benchmark_families(pair, gens):
+    """perfbench's 64 rank-2 generating sets, both directions, both signs: 256 cases.
+
+    Swapped, the amalgam pair (``pair_with_single_step``) has l2(c1) = 0 and no line."""
+    for first, second in ((pair.first, pair.second), (pair.second, pair.first)):
+        for sign in (1, -1):
+            _assert_line_equals_refolding(first, second, gens, sign)
 
 
 @pytest.mark.parametrize("name, swapped", DIRECTIONS)
@@ -501,12 +599,35 @@ def rank_two_free_factors(draw):
 def test_rank_two_free_factors_keep_the_growth_bounds_at_the_threshold(name, gens, double):
     """At |n| in {N, 2N} the lower bound is positive when vol1 > 0 and vol2 is small
     (``<ac, b>``: 9 at N), so it can fail; the observed volumes are those of
-    twisting the generators by the ambient automorphism."""
+    twisting the generators by the ambient automorphism.  ``all_n_ok`` checks
+    the bounds at every |n| >= n0 at once, off the certified lines."""
     config = pp.configure(getattr(fx, name)())
     first, second = config.pair.first, config.pair.second
     n = config.threshold * (2 if double else 1)
     report = tw.check_volume_growth_bounds(first, second, gens, n, config.constants, rank_bound=2)
     assert report["all_ok"], report
+    assert report["certificate"]["all_n_ok"], report
     for power in (n, -n):
         old_route = vol.free_volume(second, [apply(sp.dehn_twist(first, power), g) for g in gens])
         assert report["bounds"][f"twist_power_{power}"]["observed"] == old_route
+
+
+@st.composite
+def malnormal_rank_two_subgroups(draw):
+    """A Nielsen free factor of rank 2, or two short words whose subgroup is malnormal of rank 2."""
+    gens = draw(st.one_of(rank_two_free_factors(), st.lists(short_words3.filter(bool), min_size=2, max_size=2)))
+    core = st_mod.subgroup_graph(B3, gens, keep_basepoint=False)
+    assume(st_mod.rank(core) == 2 and st_mod.is_malnormal(core))
+    return gens
+
+
+# Each example refolds 65 powers: 5 per direction, and ten times as many
+# under the ``explore`` profile.
+@pytest.mark.parametrize("name, swapped", DIRECTIONS)
+@settings(max_examples=settings.default.max_examples // 20, deadline=None)
+@given(gens=malnormal_rank_two_subgroups(), sign=st.sampled_from((1, -1)))
+def test_rank_two_line_equals_refolding(name, swapped, gens, sign):
+    """Both directions of every fixture pair; swapped, the single-step pair has l2(c1) = 0."""
+    pair = getattr(fx, name)()
+    first, second = (pair.second, pair.first) if swapped else (pair.first, pair.second)
+    _assert_line_equals_refolding(first, second, gens, sign)

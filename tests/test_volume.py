@@ -1,6 +1,4 @@
-import json
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +19,6 @@ from freevol.words import (
     cyclically_reduce,
     enumerate_cyclic_classes,
     invert_word,
-    parse_word,
     reduce_word,
     render_word,
 )
@@ -326,11 +323,6 @@ def test_bilipschitz_sample_smoke():
 # relative_volume shortens Gamma's arcs; analyze counts on the full table.
 
 PAIRS = ["certified_filling_pair", "mirror_filling_pair", "pair_with_single_step", "pair_with_sixth_power"]
-# perfbench's rank-2 families, keyed by the index of their pair in its
-# twist_pairs(): the amalgam over c against one cycling step, and the
-# certified HNN filling pair.
-FAMILY_POOL = Path(__file__).resolve().parent.parent / "perfbench" / "twist_families.json"
-FAMILY_PAIRS = {"0": fx.pair_with_single_step, "1": fx.certified_filling_pair}
 
 
 def _full_count(splitting, gens):
@@ -407,19 +399,10 @@ def test_shortening_anchors(splitting_name, gens, cut):
     assert vol.relative_volume(splitting, gens) == _full_count(splitting, gens)
 
 
-def _family_sets():
-    stored = json.loads(FAMILY_POOL.read_text())
-    assert sorted(stored) == sorted(FAMILY_PAIRS)
-    for key, families in stored.items():
-        pair = FAMILY_PAIRS[key]()
-        for texts in families:
-            yield pair, [parse_word(text, pair.first.ambient_basis) for text in texts]
-
-
 def test_shortened_volume_equals_the_full_count_on_the_benchmark_families():
     """``twist_growth`` compares a family's ops only with each other; here each is counted
     twice, on the shortened and on the full table."""
-    for pair, gens in _family_sets():
+    for pair, gens in fx.benchmark_families():
         for n in (16, 32, 64, 128):
             for power in (n, -n):
                 splitting, words = _twisted(pair, False, gens, power)
@@ -435,7 +418,7 @@ def test_quotient_table_does_not_grow_with_the_twist_power(monkeypatch):
         return quotient(splitting, links)
 
     monkeypatch.setattr(vol, "_quotient", measured)
-    for pair, gens in _family_sets():
+    for pair, gens in fx.benchmark_families():
         for n in (16, 128):
             sizes.append(0)
             for power in (n, -n):
