@@ -46,7 +46,7 @@ class TieDetected(FreevolError):
 
 
 class BudgetExceeded(FreevolError):
-    """A computation would build more letters than its documented budget."""
+    """A computation would exceed a documented budget: letters, word powers or samples."""
 
 
 class UsageError(FreevolError):

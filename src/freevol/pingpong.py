@@ -27,7 +27,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import itemgetter, mul, neg, sub
+from operator import mul, sub
 from typing import Callable, Optional, Sequence
 
 from . import stallings
@@ -46,7 +46,6 @@ from .twisting import TwistConstants, constants as twist_constants
 from .words import (
     LETTER_BUDGET,
     Automorphism,
-    CyclicWord,
     Word,
     apply,
     compose,
@@ -68,6 +67,8 @@ SLACK = Fraction(2**40 + 1, 2**40)
 
 # Word powers one orbit sample may check: reduced words times powers.
 ORBIT_BUDGET = 10_000_000
+# Symmetric-group samples one orbit sample may draw and track.
+QUOTIENT_SAMPLE_BUDGET = 1_000
 
 VERDICT_IWIP = "fully_irreducible_hyperbolic"
 VERDICT_NONTRIVIAL = "nontrivial"
@@ -345,7 +346,9 @@ def twist_factors(
 
 
 _PERM_DEGREE = 16
-_IDENTITY_PERM = tuple(range(_PERM_DEGREE))
+_IDENTITY_PERM = bytes(range(_PERM_DEGREE))
+# Pads a permutation's bytes to a 256-byte table for ``bytes.translate``.
+_PERM_PAD = bytes(256 - _PERM_DEGREE)
 
 #: The trace filter works in SL(2, Z/p) for each of these primes at once,
 #: as SL(2, Z/m) with m their product (Chinese remainder theorem).
@@ -358,22 +361,30 @@ def _signed_table(values: Sequence, inverses: Sequence) -> list:
     return [None, *values, *reversed(inverses)]
 
 
-def _perm_getters(perms: Sequence[tuple[int, ...]]) -> list:
-    """Per signed letter, the C-level map ``perm -> perm o rho(letter)``."""
-    inverses = [sorted(range(_PERM_DEGREE), key=perm.__getitem__) for perm in perms]
+def _perm_tables(perms: Sequence[bytes]) -> list:
+    """Per signed letter, the ``bytes.translate`` table of its permutation.
+
+    A permutation is the bytes of its images of 0 .. 15, and translating
+    ``q`` by the table of ``r`` gives ``r o q``.
+    """
+    inverses = [bytes(sorted(range(_PERM_DEGREE), key=perm.__getitem__)) for perm in perms]
     return _signed_table(
-        [itemgetter(*perm) for perm in perms], [itemgetter(*inv) for inv in inverses]
+        [perm + _PERM_PAD for perm in perms], [inv + _PERM_PAD for inv in inverses]
     )
 
 
-def _perm_of_word(word: Word, getters: list) -> tuple[int, ...]:
+def _perm_of_word(word: Word, tables: list) -> bytes:
+    """The product of the letters' permutations, the first letter outermost.
+
+    The letters are read from the last, each translating the product so far.
+    """
     perm = _IDENTITY_PERM
-    for getter in map(getters.__getitem__, word):
-        perm = getter(perm)
+    for table in map(tables.__getitem__, reversed(word)):
+        perm = perm.translate(table)
     return perm
 
 
-def _cycle_type(perm: tuple[int, ...]) -> tuple[int, ...]:
+def _cycle_type(perm: Sequence[int]) -> tuple[int, ...]:
     seen = [False] * _PERM_DEGREE
     lengths = []
     for start in range(_PERM_DEGREE):
@@ -414,15 +425,33 @@ def _letter_bytes(word: Word) -> bytes:
     return array("b", word).tobytes()  # letters -26..26; -i is the byte 256 - i
 
 
-def _exponent_sums(word: Word, rank: int) -> tuple[int, ...]:
-    """The image of ``word`` in Z^k: each generator's exponent sum."""
-    letters = _letter_bytes(word)
-    return tuple(letters.count(i) - letters.count(-i % 256) for i in range(1, rank + 1))
+#: Per letter byte, the letter's ``letter_rank``; per rank, its inverse's.
+_RANK_OF_BYTE = bytes(
+    letter_rank(b - 256 * (b > 26)) if 0 < b <= 26 or b >= 230 else 0 for b in range(256)
+)
+_INVERSE_RANK = bytes(r ^ 1 for r in range(256))
+
+
+def _inverse_precedes(word: Word) -> bool:
+    """Whether some rotation of the inverse of a necklace precedes it in ``letter_rank`` order.
+
+    A necklace starts with its least letter x.  Unless it also holds x^-1,
+    the inverse's least letter is x^-1, which precedes x exactly when x is
+    an inverse letter; only otherwise are the rotations compared.
+    """
+    first = word[0]
+    if first < 0 or -first not in word:
+        return first < 0
+    n = len(word)
+    ranks = _letter_bytes(word).translate(_RANK_OF_BYTE)
+    doubled = ranks[::-1].translate(_INVERSE_RANK) * 2
+    return min(map(doubled.__getitem__, map(slice, range(n), range(n, 2 * n)))) < ranks
 
 
 def _vector_of_word(word: Word, vectors: list) -> tuple[int, ...]:
     """The image of ``word`` in Z^k, given the generators' vectors."""
-    sums = _exponent_sums(word, len(vectors))
+    letters = _letter_bytes(word)
+    sums = [letters.count(i) - letters.count(256 - i) for i in range(1, len(vectors) + 1)]
     return tuple(sum(map(mul, sums, row)) for row in zip(*vectors))
 
 
@@ -492,6 +521,25 @@ def _within_budget(factors: Sequence[Automorphism], word: Word) -> Optional[Word
     return word
 
 
+def _exact_image(
+    exact: dict[int, Optional[Word]],
+    j: int,
+    forward: Sequence[Automorphism],
+    backward: Sequence[Automorphism],
+) -> Optional[Word]:
+    """The class of ``exact[0]`` under phi^j, or None past the budget.
+
+    ``exact`` holds the images found so far, keyed by power, and gets every
+    image on the way from 0 to ``j``, each by ``_within_budget``.
+    """
+    if j not in exact:
+        step = 1 if j > 0 else -1
+        previous = _exact_image(exact, j - step, forward, backward)
+        chain = forward if j > 0 else backward
+        exact[j] = None if previous is None else _within_budget(chain, previous)
+    return exact[j]
+
+
 def _is_rotation(u: Word, v: Word) -> bool:
     """Whether two cyclically reduced words spell the same conjugacy class."""
     return len(u) == len(v) and _letter_bytes(v) in _letter_bytes(u) * 2
@@ -512,36 +560,44 @@ def empirical_no_periodic_orbit(
     ``max_len`` and every ``1 <= p <= max_power``, in the balanced form
     ``[phi^i(g)] != [phi^(i-p)(g)]`` with ``i`` about ``p/2`` so word
     growth is split between both sides.  Evidence only: a clean report is
-    sampling, not a proof.  Before any work, the number of reduced words of
-    length at most ``max_len`` times ``max_power`` is checked against
-    ``ORBIT_BUDGET``; past it BudgetExceeded is raised, naming the budget.
-    A negative ``quotient_samples`` raises UsageError.
+    sampling, not a proof.  Before any work, ``quotient_samples`` is
+    checked against ``QUOTIENT_SAMPLE_BUDGET`` and the number of reduced
+    words of length at most ``max_len`` times ``max_power`` against
+    ``ORBIT_BUDGET``; past either BudgetExceeded is raised, naming the
+    budget, before any sample is drawn.  A negative ``quotient_samples``
+    raises UsageError.
 
     A class is periodic exactly when its root is, and exactly when its
     inverse is, so proper powers and the larger of a class and its inverse
-    are counted as pruned and not checked.  A matching pair must agree on
-    every conjugacy invariant, and three quotients ``rho`` of F_k give
-    cheap ones: Z^k, ``quotient_samples`` random maps to the symmetric
-    group on 16 points, and one random map to SL(2, Z/p) for two primes p
-    near 2^61 at once.  Each map ``rho . phi^j`` is tracked the same way,
-    through the generator images of phi's factors (``_Quotient``), never
-    on growing words.  The first invariant, equal images in Z^k, steers the
-    enumeration: with ``A_j`` the abelianization of phi^j, a class whose
-    exponent-sum vector ``v`` has ``(A_hi - A_lo) v != 0`` for every checked
-    power cannot match.  The necklace tree skips every prefix whose vector
-    is farther in l1 from all vectors that can match than its letters left
-    (``words.enumerate_cyclic_classes_with``), so such classes are never
-    generated.  The other two are filters, tried in turn before any long
-    word is built: equal cycle types in each symmetric-group sample, then
-    equal traces in SL(2).  The trace is a conjugacy invariant and F_k
-    embeds in SL(2, Z) (Sanov 1947), so random generator matrices tell
-    apart almost every pair that is not conjugate.  Every random map is
-    drawn at the start, the SL(2) one right after the samples, but each
-    filter after the first is tracked only once some class gets that far.
-    A pair that passes every filter is compared exactly, building no word
-    longer than ``LETTER_BUDGET`` letters; a class whose comparison would
-    exceed it is listed under ``undecided`` with the power reached, its
-    higher powers go unchecked, and ``ok`` is false.
+    are counted as pruned and not checked; the walk's Lyndon period tells
+    the proper powers.  A matching pair must agree on every conjugacy
+    invariant, and three quotients ``rho`` of F_k give cheap ones: Z^k,
+    ``quotient_samples`` random maps to the symmetric group on 16 points,
+    and one random map to SL(2, Z/p) for two primes p near 2^61 at once.
+    Each map ``rho . phi^j`` is tracked the same way, through the generator
+    images of phi's factors (``_Quotient``), never on growing words.  The
+    first invariant, equal images in Z^k, steers the enumeration: with
+    ``A_j`` the abelianization of phi^j, a class whose exponent-sum vector
+    ``v`` has ``(A_hi - A_lo) v != 0`` cannot match at that power.  Each
+    power's matrix is packed into one integer linear form that vanishes
+    exactly where the matrix does, and ``words.enumerate_cyclic_classes_with``
+    walks the necklace tree by those forms: it skips every prefix whose
+    vector is farther in l1 from all vectors where a form vanishes than its
+    letters left, so classes that fail every power are never generated, and
+    it yields each class with the indices of its vanishing forms, which are
+    its candidate powers.  The other two are filters, run on the candidate
+    powers before any long word is built: filter by filter, each invariant
+    is computed only at the powers of the pairs still in play, equal cycle
+    types in each symmetric-group sample, then equal traces in SL(2).  The
+    trace is a conjugacy invariant and F_k embeds in SL(2, Z) (Sanov
+    1947), so random generator matrices tell apart almost every pair that
+    is not conjugate.  Every random map is drawn at the start, the SL(2)
+    one right after the samples, but each filter after the first is
+    tracked only once some class gets that far.  A pair that passes every
+    filter is compared exactly, in order of p, building no word longer
+    than ``LETTER_BUDGET`` letters; a class whose comparison would exceed
+    it is listed under ``undecided`` with the power reached, its higher
+    powers go unchecked, and ``ok`` is false.
 
     ``classes_checked`` counts every class up to the first violation, all
     of them when there is none, and ``classes_pruned`` those among them
@@ -569,6 +625,11 @@ def empirical_no_periodic_orbit(
         raise UsageError(
             "orbit sample needs max_power and max_len of at least 1 and quotient_samples of "
             f"at least 0, got {max_power}, {max_len} and {quotient_samples}"
+        )
+    if quotient_samples > QUOTIENT_SAMPLE_BUDGET:
+        raise BudgetExceeded(
+            f"{quotient_samples} quotient samples are over QUOTIENT_SAMPLE_BUDGET, "
+            f"the budget of {QUOTIENT_SAMPLE_BUDGET} samples"
         )
     if factors is None:
         factors = [] if phi is None else [phi]
@@ -614,8 +675,8 @@ def empirical_no_periodic_orbit(
         for _ in range(rank):
             perm = list(range(_PERM_DEGREE))
             rng.shuffle(perm)
-            base.append(tuple(perm))
-        quotient = tracked("in a permutation quotient", base, _perm_getters, _perm_of_word)
+            base.append(bytes(perm))
+        quotient = tracked("in a permutation quotient", base, _perm_tables, _perm_of_word)
         filters.append((quotient, _cycle_type))
     # Generic matrices [[1, s], [0, 1]] [[1, 0], [t, 1]] [[1, u], [0, 1]].
     base = []
@@ -628,65 +689,44 @@ def empirical_no_periodic_orbit(
 
     # The images of a vector v under phi^hi and phi^lo agree exactly when
     # D v = 0 for D = ab[hi] - ab[lo].  Packing each column of D into one
-    # int, in a base past twice any entry of D v, makes that one dot product:
-    # sum(map(mul, packed, v)) == 0.
-    packed_differences = []
+    # int, in a base past twice any entry of D v, makes that one linear form
+    # with one coefficient per generator, which vanishes exactly where D does.
+    forms = []
     for _, hi, lo in pairs:
         difference = [list(map(sub, upper, lower)) for upper, lower in zip(ab[hi], ab[lo])]
         radix = 2 * max_len * max(abs(x) for column in difference for x in column) + 1
-        packed_differences.append(
-            [sum(x * radix**i for i, x in enumerate(column)) for column in difference]
-        )
-
-    def passes(vector: tuple[int, ...]) -> list:
-        """The (p, hi, lo) whose abelianization images of ``vector`` agree."""
-        return [
-            pair
-            for pair, packed in zip(pairs, packed_differences)
-            if not sum(map(mul, packed, vector))
-        ]
-
-    def kept(cyc: CyclicWord) -> bool:
-        # Classes come as least rotations; prune a class that some rotation
-        # of its inverse precedes, and a proper power.
-        word = cyc.letters
-        ranks = tuple(map(letter_rank, word))
-        doubled = tuple(map(letter_rank, map(neg, reversed(word)))) * 2
-        n = len(word)
-        return not any(doubled[i : i + n] < ranks for i in range(n)) and not is_proper_power(cyc)[0]
+        forms.append([sum(x * radix**i for i, x in enumerate(column)) for column in difference])
 
     filtered_exact = 0
     violation: Optional[dict] = None
     undecided: list[dict] = []
-    for cyc in enumerate_cyclic_classes_with(rank, max_len, passes):
-        if not kept(cyc):
-            continue
+    for cyc, period, vanishing in enumerate_cyclic_classes_with(rank, max_len, forms):
         word = cyc.letters
-        vector = _exponent_sums(word, rank)
-        invariants: dict = {}
-
-        def invariant(f: int, j: int):
-            """Filter ``f``'s invariant of the class's image under ``rho . phi^j``."""
-            if (f, j) not in invariants:
-                quotient, invariant_of = filters[f]
-                invariants[f, j] = invariant_of(quotient.evaluate(word, quotient.tables[j]))
-            return invariants[f, j]
-
+        # Classes come as least rotations; prune a proper power, and a class
+        # that some rotation of its inverse precedes.
+        if period < len(word) or _inverse_precedes(word):
+            continue
+        live = list(map(pairs.__getitem__, vanishing))
+        for quotient, invariant_of in filters:
+            evaluate, tables = quotient.evaluate, quotient.tables
+            seen: dict = {}
+            survivors = []
+            for pair in live:
+                _, hi, lo = pair
+                if hi not in seen:
+                    seen[hi] = invariant_of(evaluate(word, tables[hi]))
+                if lo not in seen:
+                    seen[lo] = invariant_of(evaluate(word, tables[lo]))
+                if seen[hi] == seen[lo]:
+                    survivors.append(pair)
+            live = survivors
+            if not live:
+                break
         exact: dict[int, Optional[Word]] = {0: word}
-
-        def exact_image(j: int) -> Optional[Word]:
-            if j not in exact:
-                step = 1 if j > 0 else -1
-                previous = exact_image(j - step)
-                chain = forward if j > 0 else backward
-                exact[j] = None if previous is None else _within_budget(chain, previous)
-            return exact[j]
-
-        for p, hi, lo in passes(vector):
-            if any(invariant(f, hi) != invariant(f, lo) for f in range(len(filters))):
-                continue
+        for p, hi, lo in live:
             filtered_exact += 1
-            upper, lower = exact_image(hi), exact_image(lo)
+            upper = _exact_image(exact, hi, forward, backward)
+            lower = _exact_image(exact, lo, forward, backward)
             if upper is None or lower is None:
                 undecided.append({"word": render_word(word, basis), "power": p})
                 break
@@ -704,7 +744,7 @@ def empirical_no_periodic_orbit(
         checked = pruned = 0
         for cyc in enumerate_cyclic_classes(rank, max_len):
             checked += 1
-            pruned += not kept(cyc)
+            pruned += is_proper_power(cyc)[0] or _inverse_precedes(cyc.letters)
             if cyc.letters == word:  # the violating class
                 break
     return {

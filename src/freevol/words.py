@@ -12,8 +12,7 @@ from __future__ import annotations
 import string
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import mul
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import BasisMismatch, EmptyWord, NotAnAutomorphism
 
@@ -371,15 +370,18 @@ def invert(phi: Automorphism) -> Automorphism:
     return Automorphism(phi.basis, tuple(edges[petal[0]][2] for petal in petals))
 
 
-#: A necklace constraint ``(steps, distance)``.  Each prefix has an int key,
-#: the sum of ``steps[r]`` over its letter ranks ``r``; ``distance[key]`` is a
-#: lower bound on the letters still needed to reach a wanted key, and is 0
-#: exactly at a wanted key.  A prefix farther than its letters left is pruned.
-Constraint = tuple[Sequence[int], Mapping[int, int]]
-_UNCONSTRAINED: Constraint = ((0,) * 52, {0: 0})
+#: A necklace constraint ``(steps, distance, accepted)``.  Each prefix has an
+#: int key, the sum of ``steps[r]`` over its letter ranks ``r``.
+#: ``distance[key]`` is a lower bound on the letters still needed to reach a
+#: key of ``accepted``, and a prefix farther than its letters left is pruned.
+#: A necklace is kept when ``accepted`` has its key, and comes with the value.
+Constraint = tuple[Sequence[int], Mapping[int, int], Mapping[int, tuple[int, ...]]]
+_UNCONSTRAINED: Constraint = ((0,) * 52, {0: 0}, {0: ()})
 
 
-def _cyclic_necklaces(rank: int, length: int, constraint: Constraint) -> Iterator[Word]:
+def _cyclic_necklaces(
+    rank: int, length: int, constraint: Constraint
+) -> Iterator[tuple[Word, int, tuple[int, ...]]]:
     """Cyclically reduced necklaces of the given length, in lexicographic order.
 
     The Fredricksen-Kessler-Maiorana tree (Ruskey, Savage and Wang 1992)
@@ -390,27 +392,26 @@ def _cyclic_necklaces(rank: int, length: int, constraint: Constraint) -> Iterato
     prefix of a freely reduced word is freely reduced, so pruning a prefix
     that ends in ``x x^-1`` loses no necklace; the wrap-around pair is
     checked at the leaves.  Pruning by the ``constraint`` keeps the order of
-    the necklaces it keeps.
+    the necklaces it keeps.  Each necklace comes as ``(letters, p,
+    accepted[key])``: it is ``letters[:p]`` repeated, and a proper power
+    exactly when ``p`` is less than the length.
     """
-    steps, distance = constraint
+    steps, distance, accepted = constraint
     letter_of = ranked_letters(rank)
     inverse = [letter_rank(-x) for x in letter_of]
     a = [0] * (length + 1)  # 1-based; a[0] is the FKM sentinel
 
-    def extend(t: int, p: int, prefix: Word, key: int) -> Iterator[Word]:
+    def extend(t: int, p: int, prefix: Word, key: int) -> Iterator[tuple[Word, int, tuple[int, ...]]]:
         # Fills a[t] .. a[length] after the prefix a[1 .. t-1], spelled ``prefix``.
         repeat = a[t - p]
         banned = inverse[a[t - 1]] if t > 1 else -1
         if t == length:
             wrap = inverse[a[1]] if t > 1 else -1
             for c in range(repeat, 2 * rank):
-                if (
-                    c != banned
-                    and c != wrap
-                    and (c != repeat or length % p == 0)
-                    and not distance[key + steps[c]]
-                ):
-                    yield prefix + (letter_of[c],)
+                if c != banned and c != wrap and (c != repeat or length % p == 0):
+                    tag = accepted.get(key + steps[c])
+                    if tag is not None:
+                        yield prefix + (letter_of[c],), p if c == repeat else length, tag
             return
         left = length - t
         for c in range(repeat, 2 * rank):
@@ -431,54 +432,80 @@ def enumerate_cyclic_classes(rank: int, max_len: int) -> Iterator[CyclicWord]:
     directly as a cyclically reduced necklace, so no rotation is tested.
     """
     for length in range(1, max_len + 1):
-        for letters in _cyclic_necklaces(rank, length, _UNCONSTRAINED):
+        for letters, _, _ in _cyclic_necklaces(rank, length, _UNCONSTRAINED):
             yield CyclicWord(letters)
 
 
-def _ball(dim: int, radius: int) -> Iterator[tuple[int, ...]]:
-    """The integer vectors of the given dimension and l1 norm at most ``radius``."""
-    if dim == 0:
-        yield ()
-        return
-    for x in range(-radius, radius + 1):
-        for rest in _ball(dim - 1, radius - abs(x)):
-            yield (x, *rest)
+def _form_tables(
+    units: Sequence[int], forms: Sequence[Sequence[int]], radius: int
+) -> tuple[dict[int, int], dict[int, tuple[int, ...]]]:
+    """Where the ``forms`` vanish on the vectors of l1 norm at most ``radius``, and how far.
 
-
-def _distances(
-    units: Sequence[int], radius: int, accepts: Callable[[tuple[int, ...]], object]
-) -> dict[int, int]:
-    """The l1 distance of each vector of norm at most ``radius`` to the nearest one ``accepts`` takes.
-
-    Keys are the vectors packed by ``units``; a distance past ``radius`` is
-    given as ``radius + 1``.  It is a breadth-first search from the
-    accepted vectors, since a shortest path between two vectors of the ball
-    stays in it.
+    Keys are the vectors packed by ``units``.  The second table maps each
+    vector on which some form vanishes to the indices of those forms; the
+    first gives each vector's l1 distance to the nearest such vector, or
+    ``radius + 1`` past ``radius``.  One recursion over the coordinates
+    carries the key and every form's value so far.  Along the last
+    coordinate x, a form with coefficient c there and value v so far
+    vanishes only at x = -v/c, or everywhere when c and v are both 0, so no
+    vector is visited one at a time but those where a form vanishes.  The
+    distances are a breadth-first search from those, since a shortest path
+    between two vectors of the ball stays in it.
     """
-    vectors = list(_ball(len(units), radius))
     far = radius + 1
-    table = {sum(map(mul, units, v)): far for v in vectors}
-    frontier = {sum(map(mul, units, v)) for v in vectors if accepts(v)}
+    last = len(units) - 1
+    columns = [[form[i] for form in forms] for i in range(last + 1)]
+    table: dict[int, int] = {}
+    vanishing: dict[int, tuple[int, ...]] = {}
+
+    def fill(i: int, left: int, key: int, values: list[int]) -> None:
+        # The vectors whose coordinates before i are spelled by ``key``,
+        # with ``left`` of the norm still free.
+        unit, column = units[i], columns[i]
+        if i < last:
+            for x in range(-left, left + 1):
+                moved = [v + x * c for v, c in zip(values, column)]
+                fill(i + 1, left - abs(x), key + x * unit, moved)
+            return
+        table.update(dict.fromkeys(range(key - left * unit, key + (left + 1) * unit, unit), far))
+        hits: dict[int, list[int]] = {}
+        for f, (v, c) in enumerate(zip(values, column)):
+            if c:
+                x, r = divmod(-v, c)
+                if not r and abs(x) <= left:
+                    hits.setdefault(x, []).append(f)
+            elif not v:
+                for x in range(-left, left + 1):
+                    hits.setdefault(x, []).append(f)
+        for x, indices in hits.items():
+            vanishing[key + x * unit] = tuple(indices)
+
+    fill(0, radius, 0, [0] * len(forms))
     moves = [*units, *(-u for u in units)]
+    frontier = set(vanishing)
     for distance in range(far):
         table.update(dict.fromkeys(frontier, distance))
         frontier = {k + m for k in frontier for m in moves if table.get(k + m) == far}
-    return table
+    return table, vanishing
 
 
 def enumerate_cyclic_classes_with(
-    rank: int, max_len: int, accepts: Callable[[tuple[int, ...]], object]
-) -> Iterator[CyclicWord]:
-    """The classes of ``enumerate_cyclic_classes`` whose abelianization ``accepts`` takes.
+    rank: int, max_len: int, forms: Sequence[Sequence[int]]
+) -> Iterator[tuple[CyclicWord, int, tuple[int, ...]]]:
+    """The classes of ``enumerate_cyclic_classes`` on whose abelianization some form vanishes.
 
-    They come in the same order.  The abelianization of a class is its
-    vector of exponent sums, one per generator.  A prefix's vector is packed
-    into one int key, in balanced base ``2 max_len + 3`` so that vectors of
-    norm up to ``max_len + 1`` get distinct keys, and each letter adds its
-    step to the key.  The necklace tree skips a prefix whose distance to the
-    accepted vectors exceeds its letters left: each letter moves the vector
-    by one in l1.  Distances come from a table over the ball of some radius
-    at least the length, whose radius doubles when the length passes it, so
+    They come in the same order, as ``(cyclic, period, vanishing)``: the
+    class is its first ``period`` letters repeated, and ``vanishing`` lists,
+    in order, the indices of the ``forms`` that vanish on it.  The
+    abelianization of a class is its vector of exponent sums, one per
+    generator, and a form is a sequence of ``rank`` integer coefficients.  A
+    prefix's vector is packed into one int key, in balanced base ``2 max_len
+    + 3`` so that vectors of norm up to ``max_len + 1`` get distinct keys,
+    and each letter adds its step to the key.  The necklace tree skips a
+    prefix whose distance to the vectors where a form vanishes exceeds its
+    letters left: each letter moves the vector by one in l1.  Distances
+    come from a table over the ball of some radius at least the length
+    (``_form_tables``), whose radius doubles when the length passes it, so
     a walk that stops at a short class builds only small tables.
     """
     base = 2 * max_len + 3
@@ -488,9 +515,9 @@ def enumerate_cyclic_classes_with(
     for length in range(1, max_len + 1):
         if length > radius:
             radius = min(max(2 * radius, length), max_len)
-            constraint = (steps, _distances(units, radius, accepts))
-        for letters in _cyclic_necklaces(rank, length, constraint):
-            yield CyclicWord(letters)
+            constraint = (steps, *_form_tables(units, forms, radius))
+        for letters, period, vanishing in _cyclic_necklaces(rank, length, constraint):
+            yield CyclicWord(letters), period, vanishing
 
 
 def count_cyclic_classes(rank: int, max_len: int) -> tuple[int, int]:

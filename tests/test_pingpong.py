@@ -244,12 +244,24 @@ REPORT_KEYS = ("classes_checked", "classes_pruned", "violation", "ok")
         # Opposite equal exponents: the classes whose abelianization can be
         # periodic form a 2-dimensional lattice.
         ("1:-N 2:+N", 6, 2, 2),
+        # The same at the benchmark's sizes, where a class passes all four
+        # powers' forms at once.
+        ("1:-N 2:+N", 7, 4, 8),
         # Periodic, first at the class aabc, so the classes up to it are
         # counted by walking them.
         ("1:+1 2:+1 1:-1", 5, 2, 2),
     ],
 )
 def test_orbit_check_agrees_with_oracle(config, text, max_len, max_power, samples):
+    _assert_orbit_check_agrees_with_oracle(config, text, max_len, max_power, samples)
+
+
+def test_orbit_check_agrees_with_oracle_on_the_mirror_pair():
+    config = pp.configure(fx.mirror_filling_pair())
+    _assert_orbit_check_agrees_with_oracle(config, "1:-N 2:+N", 7, 4, 8)
+
+
+def _assert_orbit_check_agrees_with_oracle(config, text, max_len, max_power, samples):
     forward, backward = pp.twist_factors(config, pp.parse_twist_word(text, config.threshold))
     args = (None, max_len, max_power)
     kwargs = dict(factors=forward, inverse_factors=backward, quotient_samples=samples, seed=1)
@@ -303,6 +315,21 @@ def test_orbit_check_over_the_work_budget_names_it(max_len, max_power):
     # the largest size in use, needs 2 343 744 word powers and (8, 18) 10 546 848.
     with pytest.raises(BudgetExceeded, match=f"over the budget of {pp.ORBIT_BUDGET} word powers"):
         pp.empirical_no_periodic_orbit(Automorphism.identity(B3), max_len, max_power)
+
+
+def test_orbit_check_over_the_sample_budget_names_it_before_drawing(config):
+    forward, backward = pp.twist_factors(config, pp.parse_twist_word("1:+N 2:+N", config.threshold))
+    started = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="QUOTIENT_SAMPLE_BUDGET"):
+        pp.empirical_no_periodic_orbit(
+            None, 2, 1, factors=forward, inverse_factors=backward, quotient_samples=10**12
+        )
+    assert time.perf_counter() - started < 1
+    report = pp.empirical_no_periodic_orbit(
+        None, 2, 1, factors=forward, inverse_factors=backward,
+        quotient_samples=pp.QUOTIENT_SAMPLE_BUDGET,
+    )
+    assert report["ok"]
 
 
 def test_orbit_report_always_lists_undecided(config):

@@ -200,19 +200,32 @@ def _abelianization(word, rank):
     return tuple(word.count(i) - word.count(-i) for i in range(1, rank + 1))
 
 
-@settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_classes_steered_by_abelianization_are_the_filtered_classes(data):
-    rank = data.draw(st.integers(1, 4))
+@st.composite
+def ranked_forms(draw):
+    """A rank, and up to five integer linear forms on Z^rank, the zero form often among them."""
+    rank = draw(st.integers(1, 4))
+    coefficients = st.lists(st.integers(-3, 3), min_size=rank, max_size=rank)
+    zero = [0] * rank
+    return rank, draw(st.lists(st.one_of(st.just(zero), coefficients), max_size=5))
+
+
+@settings(deadline=None)
+@given(ranked_forms(), st.data())
+def test_classes_steered_by_abelianization_are_the_filtered_classes(rank_forms, data):
+    rank, forms = rank_forms
     max_len = data.draw(st.integers(1, 7 - rank))
-    vectors = st.tuples(*[st.integers(-4, 4)] * rank)
-    targets = data.draw(st.sets(vectors, max_size=6))
-    got = [c.letters for c in enumerate_cyclic_classes_with(rank, max_len, targets.__contains__)]
-    expected = [
-        c.letters
-        for c in enumerate_cyclic_classes(rank, max_len)
-        if _abelianization(c.letters, rank) in targets
+    got = [
+        (c.letters, period, vanishing)
+        for c, period, vanishing in enumerate_cyclic_classes_with(rank, max_len, forms)
     ]
+    expected = []
+    for c in enumerate_cyclic_classes(rank, max_len):
+        vector = _abelianization(c.letters, rank)
+        vanishing = tuple(
+            i for i, form in enumerate(forms) if sum(a * v for a, v in zip(form, vector)) == 0
+        )
+        if vanishing:
+            expected.append((c.letters, len(is_proper_power(c)[1]), vanishing))
     assert got == expected
 
 
