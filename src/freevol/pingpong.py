@@ -347,8 +347,14 @@ def twist_factors(
 
 _PERM_DEGREE = 16
 _IDENTITY_PERM = bytes(range(_PERM_DEGREE))
-# Pads a permutation's bytes to a 256-byte table for ``bytes.translate``.
-_PERM_PAD = bytes(256 - _PERM_DEGREE)
+#: Points per ``bytes.translate`` table, and so powers per packed permutation.
+_PACKED_POWERS = 256 // _PERM_DEGREE
+# Reads each point of a packed permutation as its place in its block.
+_IN_BLOCK = bytes(i % _PERM_DEGREE for i in range(256))
+# Maps the byte 0 to 0 and every other byte to 1.
+_NONZERO = bytes(1) + bytes([1]) * 255
+# Multiplying by it sums each block's bytes into the block's last byte.
+_BLOCK_SUM = int.from_bytes(bytes([1]) * _PERM_DEGREE, "little")
 
 #: The trace filter works in SL(2, Z/p) for each of these primes at once,
 #: as SL(2, Z/m) with m their product (Chinese remainder theorem).
@@ -364,21 +370,22 @@ def _signed_table(values: Sequence, inverses: Sequence) -> list:
 def _perm_tables(perms: Sequence[bytes]) -> list:
     """Per signed letter, the ``bytes.translate`` table of its permutation.
 
-    A permutation is the bytes of its images of 0 .. 15, and translating
-    ``q`` by the table of ``r`` gives ``r o q``.
+    A permutation of 0 .. n - 1, n <= 256, is the bytes of its images, and
+    translating ``q`` by the table of ``r`` gives ``r o q``.
     """
-    inverses = [bytes(sorted(range(_PERM_DEGREE), key=perm.__getitem__)) for perm in perms]
+    inverses = [bytes(sorted(range(len(perm)), key=perm.__getitem__)) for perm in perms]
     return _signed_table(
-        [perm + _PERM_PAD for perm in perms], [inv + _PERM_PAD for inv in inverses]
+        [perm.ljust(256, b"\0") for perm in perms], [inv.ljust(256, b"\0") for inv in inverses]
     )
 
 
-def _perm_of_word(word: Word, tables: list) -> bytes:
+def _perm_of_word(word: Word, tables: list, perm: bytes = _IDENTITY_PERM) -> bytes:
     """The product of the letters' permutations, the first letter outermost.
 
-    The letters are read from the last, each translating the product so far.
+    The letters are read from the last, each translating the product so
+    far; ``perm``, the identity on as many points as the tables move,
+    starts it.
     """
-    perm = _IDENTITY_PERM
     for table in map(tables.__getitem__, reversed(word)):
         perm = perm.translate(table)
     return perm
@@ -508,6 +515,111 @@ class _Quotient:
             raise UsageError(f"inverse factors do not invert phi {self.name}")
 
 
+def _moved_points(perms: bytes, identity: int) -> bytes:
+    """Per block of 16 bytes of packed permutations, how many points it moves.
+
+    ``identity`` is the identity on the same blocks, read as one
+    little-endian int.  Exclusive or with it zeroes exactly the fixed
+    points' bytes, every other byte becomes 1, and one product sums each
+    block's bytes into its last byte, with no carry past a byte since a
+    block holds at most 16 ones.
+    """
+    moved = (int.from_bytes(perms, "little") ^ identity).to_bytes(len(perms), "little")
+    sums = int.from_bytes(moved.translate(_NONZERO), "little") * _BLOCK_SUM
+    return sums.to_bytes(len(perms) + _PERM_DEGREE - 1, "little")[_PERM_DEGREE - 1 :: _PERM_DEGREE]
+
+
+@dataclass
+class _PermScreen:
+    """A symmetric-group sample at every tracked power, in one packed permutation.
+
+    Block b of a chunk, its points 16 b .. 16 b + 15, carries ``rho .
+    phi^j`` for the chunk's b-th power j.  A 256-byte table holds 16
+    blocks, so the tracked powers come in chunks of up to 16, and one
+    ``bytes.translate`` chain per chunk evaluates a word at all of them.  A
+    pair of powers survives when its two blocks have the same cycle type.
+    Equal cycle types fix, and so move, equally many points under sigma
+    and under sigma^2; those counts, read off the packed bytes for every
+    block at once, screen the pairs first, and the cycle type is computed
+    only for the blocks of pairs whose counts agree.
+    """
+
+    quotient: _Quotient
+
+    @cached_property
+    def chunks(self) -> list[tuple[list, bytes]]:
+        """Per chunk of up to 16 powers, its letters' ``_perm_tables`` and its identity."""
+        values = self.quotient.values
+        powers = list(self.quotient.powers)
+        chunks = []
+        for start in range(0, len(powers), _PACKED_POWERS):
+            run = powers[start : start + _PACKED_POWERS]
+            # Generator i acts on block b as it does at the b-th power of the run.
+            packed = [
+                bytes(_PERM_DEGREE * b + x for b, j in enumerate(run) for x in values[j][i])
+                for i in range(len(values[0]))
+            ]
+            chunks.append((_perm_tables(packed), bytes(range(_PERM_DEGREE * len(run)))))
+        return chunks
+
+    @cached_property
+    def identities(self) -> int:
+        """The identity on every block, twice over, as ``_moved_points`` reads it."""
+        return int.from_bytes(b"".join(identity for _, identity in self.chunks) * 2, "little")
+
+    def evaluate(self, word: Word) -> tuple[bytes, bytes]:
+        """``word`` at every power, chunk after chunk, and the points each block moves.
+
+        The counts come per block for sigma, then per block for sigma^2.
+        """
+        perm = square = b""
+        for tables, identity in self.chunks:
+            chunk = _perm_of_word(word, tables, identity)
+            perm += chunk
+            square += chunk.translate(chunk.ljust(256, b"\0"))
+        return perm, _moved_points(perm + square, self.identities)
+
+    def survivors(self, word: Word, live: list) -> list:
+        """The pairs ``(p, hi, lo)`` of ``live`` whose powers give ``word`` one cycle type."""
+        perm, moved = self.evaluate(word)
+        first, blocks = self.quotient.powers.start, len(perm) // _PERM_DEGREE
+        types: dict[int, tuple[int, ...]] = {}
+        survivors = []
+        for pair in live:
+            _, hi, lo = pair
+            h, l = hi - first, lo - first
+            if moved[h] != moved[l] or moved[blocks + h] != moved[blocks + l]:
+                continue
+            for b in (h, l):
+                if b not in types:
+                    block = perm[_PERM_DEGREE * b : _PERM_DEGREE * (b + 1)]
+                    types[b] = _cycle_type(block.translate(_IN_BLOCK))
+            if types[h] == types[l]:
+                survivors.append(pair)
+        return survivors
+
+
+@dataclass
+class _TraceScreen:
+    """The SL(2) map at every tracked power: a pair survives on equal traces."""
+
+    quotient: _Quotient
+
+    def survivors(self, word: Word, live: list) -> list:
+        """The pairs ``(p, hi, lo)`` of ``live`` whose powers give ``word`` one trace."""
+        tables = self.quotient.tables
+        traces: dict[int, int] = {}
+        survivors = []
+        for pair in live:
+            _, hi, lo = pair
+            for j in (hi, lo):
+                if j not in traces:
+                    traces[j] = _trace(_matrix_of_word(word, tables[j]))
+            if traces[hi] == traces[lo]:
+                survivors.append(pair)
+        return survivors
+
+
 def _within_budget(factors: Sequence[Automorphism], word: Word) -> Optional[Word]:
     """The cyclic reduction of ``factors`` applied to ``word``, or None past the budget.
 
@@ -569,8 +681,11 @@ def empirical_no_periodic_orbit(
 
     A class is periodic exactly when its root is, and exactly when its
     inverse is, so proper powers and the larger of a class and its inverse
-    are counted as pruned and not checked; the walk's Lyndon period tells
-    the proper powers.  A matching pair must agree on every conjugacy
+    are counted as pruned and not checked.  The walk never yields the proper
+    powers, nor a class whose least letter is an inverse letter x^-1: such a
+    class holds no x, so its inverse has the smaller least letter.  Only a
+    class that holds both x and x^-1 has its rotations compared with its
+    inverse's.  A matching pair must agree on every conjugacy
     invariant, and three quotients ``rho`` of F_k give cheap ones: Z^k,
     ``quotient_samples`` random maps to the symmetric group on 16 points,
     and one random map to SL(2, Z/p) for two primes p near 2^61 at once.
@@ -586,9 +701,12 @@ def empirical_no_periodic_orbit(
     letters left, so classes that fail every power are never generated, and
     it yields each class with the indices of its vanishing forms, which are
     its candidate powers.  The other two are filters, run on the candidate
-    powers before any long word is built: filter by filter, each invariant
-    is computed only at the powers of the pairs still in play, equal cycle
-    types in each symmetric-group sample, then equal traces in SL(2).  The
+    powers before any long word is built: filter by filter, each keeps the
+    pairs still in play whose two powers agree, on cycle types in each
+    symmetric-group sample, then on traces in SL(2).  A sample evaluates a
+    class at every tracked power at once, in one packed permutation
+    (``_PermScreen``), and computes cycle types only for pairs whose
+    powers move equally many points under sigma and sigma^2.  The
     trace is a conjugacy invariant and F_k embeds in SL(2, Z) (Sanov
     1947), so random generator matrices tell apart almost every pair that
     is not conjugate.  Every random map is drawn at the start, the SL(2)
@@ -666,10 +784,10 @@ def empirical_no_periodic_orbit(
     abelianization.check_inverse()
     ab = abelianization.values  # ab[j][i] is the image of generator i under phi^j
 
-    # Each filter is a quotient and a conjugacy invariant of its elements:
-    # the symmetric-group samples in order, then SL(2, Z/m).
+    # Each filter screens pairs by a conjugacy invariant in a quotient: the
+    # symmetric-group samples in order, then SL(2, Z/m).
     rng = _random.Random(seed)
-    filters = []
+    filters: list[_PermScreen | _TraceScreen] = []
     for _ in range(quotient_samples):
         base = []
         for _ in range(rank):
@@ -677,15 +795,15 @@ def empirical_no_periodic_orbit(
             rng.shuffle(perm)
             base.append(bytes(perm))
         quotient = tracked("in a permutation quotient", base, _perm_tables, _perm_of_word)
-        filters.append((quotient, _cycle_type))
+        filters.append(_PermScreen(quotient))
     # Generic matrices [[1, s], [0, 1]] [[1, 0], [t, 1]] [[1, u], [0, 1]].
     base = []
     for _ in range(rank):
         s, t, u = (rng.randrange(_TRACE_MODULUS) for _ in range(3))
         entries = (1 + s * t, (1 + s * t) * u + s, t, t * u + 1)
         base.append(tuple(x % _TRACE_MODULUS for x in entries))
-    filters.append((tracked("in SL(2) over Z/m", base, _matrix_table, _matrix_of_word), _trace))
-    filters[0][0].check_inverse()  # before any class is enumerated
+    filters.append(_TraceScreen(tracked("in SL(2) over Z/m", base, _matrix_table, _matrix_of_word)))
+    filters[0].quotient.check_inverse()  # before any class is enumerated
 
     # The images of a vector v under phi^hi and phi^lo agree exactly when
     # D v = 0 for D = ab[hi] - ab[lo].  Packing each column of D into one
@@ -700,26 +818,15 @@ def empirical_no_periodic_orbit(
     filtered_exact = 0
     violation: Optional[dict] = None
     undecided: list[dict] = []
-    for cyc, period, vanishing in enumerate_cyclic_classes_with(rank, max_len, forms):
+    for cyc, vanishing in enumerate_cyclic_classes_with(rank, max_len, forms):
         word = cyc.letters
-        # Classes come as least rotations; prune a proper power, and a class
-        # that some rotation of its inverse precedes.
-        if period < len(word) or _inverse_precedes(word):
+        # The walk yields only primitive classes led by a generator; prune a
+        # class that some rotation of its inverse precedes.
+        if _inverse_precedes(word):
             continue
         live = list(map(pairs.__getitem__, vanishing))
-        for quotient, invariant_of in filters:
-            evaluate, tables = quotient.evaluate, quotient.tables
-            seen: dict = {}
-            survivors = []
-            for pair in live:
-                _, hi, lo = pair
-                if hi not in seen:
-                    seen[hi] = invariant_of(evaluate(word, tables[hi]))
-                if lo not in seen:
-                    seen[lo] = invariant_of(evaluate(word, tables[lo]))
-                if seen[hi] == seen[lo]:
-                    survivors.append(pair)
-            live = survivors
+        for screen in filters:
+            live = screen.survivors(word, live)
             if not live:
                 break
         exact: dict[int, Optional[Word]] = {0: word}

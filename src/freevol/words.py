@@ -380,41 +380,50 @@ _UNCONSTRAINED: Constraint = ((0,) * 52, {0: 0}, {0: ()})
 
 
 def _cyclic_necklaces(
-    rank: int, length: int, constraint: Constraint
-) -> Iterator[tuple[Word, int, tuple[int, ...]]]:
+    rank: int, length: int, constraint: Constraint, lyndon: bool = False
+) -> Iterator[tuple[Word, tuple[int, ...]]]:
     """Cyclically reduced necklaces of the given length, in lexicographic order.
 
     The Fredricksen-Kessler-Maiorana tree (Ruskey, Savage and Wang 1992)
     over the letters' ``letter_rank``: each prenecklace ``a[1..t]`` whose
     longest Lyndon prefix has length ``p`` extends by ``a[t-p]`` (keeping
     ``p``) or by any larger rank (making ``p = t``), and a full-length
-    prenecklace is a necklace exactly when ``p`` divides the length.  Every
+    prenecklace is a necklace exactly when ``p`` divides the length, and a
+    Lyndon word, no proper power, exactly when ``p`` is the length.  Every
     prefix of a freely reduced word is freely reduced, so pruning a prefix
     that ends in ``x x^-1`` loses no necklace; the wrap-around pair is
     checked at the leaves.  Pruning by the ``constraint`` keeps the order of
-    the necklaces it keeps.  Each necklace comes as ``(letters, p,
-    accepted[key])``: it is ``letters[:p]`` repeated, and a proper power
-    exactly when ``p`` is less than the length.
+    the necklaces it keeps.  With ``lyndon``, the tree starts only at
+    generator letters, and only Lyndon words are yielded: the necklaces
+    that are no proper power and whose least letter is a generator.  Each
+    necklace comes as ``(letters, accepted[key])``.
     """
     steps, distance, accepted = constraint
     letter_of = ranked_letters(rank)
     inverse = [letter_rank(-x) for x in letter_of]
+    first = range(0, 2 * rank, 2 if lyndon else 1)  # generators have even ranks
     a = [0] * (length + 1)  # 1-based; a[0] is the FKM sentinel
 
-    def extend(t: int, p: int, prefix: Word, key: int) -> Iterator[tuple[Word, int, tuple[int, ...]]]:
+    def extend(t: int, p: int, prefix: Word, key: int) -> Iterator[tuple[Word, tuple[int, ...]]]:
         # Fills a[t] .. a[length] after the prefix a[1 .. t-1], spelled ``prefix``.
         repeat = a[t - p]
+        choices = range(repeat, 2 * rank) if t > 1 else first
         banned = inverse[a[t - 1]] if t > 1 else -1
         if t == length:
+            # Repeating a[t-p] keeps the period p, which closes a necklace
+            # when it divides the length and a Lyndon word when it is the length.
+            closes = p == length if lyndon else length % p == 0
+            if not closes:
+                choices = range(repeat + 1, 2 * rank)
             wrap = inverse[a[1]] if t > 1 else -1
-            for c in range(repeat, 2 * rank):
-                if c != banned and c != wrap and (c != repeat or length % p == 0):
+            for c in choices:
+                if c != banned and c != wrap:
                     tag = accepted.get(key + steps[c])
                     if tag is not None:
-                        yield prefix + (letter_of[c],), p if c == repeat else length, tag
+                        yield prefix + (letter_of[c],), tag
             return
         left = length - t
-        for c in range(repeat, 2 * rank):
+        for c in choices:
             if c != banned and distance[key + steps[c]] <= left:
                 a[t] = c
                 yield from extend(
@@ -432,7 +441,7 @@ def enumerate_cyclic_classes(rank: int, max_len: int) -> Iterator[CyclicWord]:
     directly as a cyclically reduced necklace, so no rotation is tested.
     """
     for length in range(1, max_len + 1):
-        for letters, _, _ in _cyclic_necklaces(rank, length, _UNCONSTRAINED):
+        for letters, _ in _cyclic_necklaces(rank, length, _UNCONSTRAINED):
             yield CyclicWord(letters)
 
 
@@ -491,12 +500,17 @@ def _form_tables(
 
 def enumerate_cyclic_classes_with(
     rank: int, max_len: int, forms: Sequence[Sequence[int]]
-) -> Iterator[tuple[CyclicWord, int, tuple[int, ...]]]:
-    """The classes of ``enumerate_cyclic_classes`` on whose abelianization some form vanishes.
+) -> Iterator[tuple[CyclicWord, tuple[int, ...]]]:
+    """Primitive classes led by a generator on whose abelianization some form vanishes.
 
-    They come in the same order, as ``(cyclic, period, vanishing)``: the
-    class is its first ``period`` letters repeated, and ``vanishing`` lists,
-    in order, the indices of the ``forms`` that vanish on it.  The
+    They are classes of ``enumerate_cyclic_classes`` and come in the same
+    order, as ``(cyclic, vanishing)``: ``vanishing`` lists, in order, the
+    indices of the ``forms`` that vanish on the class.  A primitive class
+    is no proper power, and its canonical rotation is a Lyndon word.  A
+    class whose least letter is x^-1 holds no x, so its inverse, which holds
+    x, has the smaller least letter; the walk leaves out both the proper
+    powers and these classes by never starting the necklace tree at an
+    inverse letter and yielding only Lyndon words.  The
     abelianization of a class is its vector of exponent sums, one per
     generator, and a form is a sequence of ``rank`` integer coefficients.  A
     prefix's vector is packed into one int key, in balanced base ``2 max_len
@@ -516,8 +530,8 @@ def enumerate_cyclic_classes_with(
         if length > radius:
             radius = min(max(2 * radius, length), max_len)
             constraint = (steps, *_form_tables(units, forms, radius))
-        for letters, period, vanishing in _cyclic_necklaces(rank, length, constraint):
-            yield CyclicWord(letters), period, vanishing
+        for letters, vanishing in _cyclic_necklaces(rank, length, constraint, lyndon=True):
+            yield CyclicWord(letters), vanishing
 
 
 def count_cyclic_classes(rank: int, max_len: int) -> tuple[int, int]:

@@ -18,7 +18,7 @@ from freevol.errors import (
 from freevol import twisting as tw
 from freevol.splittings import MarkedPair, dehn_twist, transform
 from freevol.twisting import TwistConstants
-from freevol.words import Automorphism, Basis, invert, invert_word, power, reduce_word
+from freevol.words import Automorphism, Basis, compose, invert, invert_word, power, reduce_word
 
 B3 = fx.B3
 P = fx.w3
@@ -125,6 +125,14 @@ def test_orbit_check_reports_identity():
     report = pp.empirical_no_periodic_orbit(Automorphism.identity(B3), 3, 2)
     assert not report["ok"]
     assert report["violation"]["power"] == 1
+
+
+@pytest.mark.parametrize("rank", [1, 2, 4])
+def test_orbit_check_reports_identity_at_its_first_class(rank):
+    """The first class, a, is the violation, and the classes are counted up to it."""
+    report = pp.empirical_no_periodic_orbit(Automorphism.identity(Basis.standard(rank)), 3, 2)
+    assert report["violation"] == {"word": "a", "power": 1}
+    assert (report["classes_checked"], report["classes_pruned"]) == (1, 0)
 
 
 @pytest.mark.parametrize(
@@ -250,6 +258,14 @@ REPORT_KEYS = ("classes_checked", "classes_pruned", "violation", "ok")
         # Periodic, first at the class aabc, so the classes up to it are
         # counted by walking them.
         ("1:+1 2:+1 1:-1", 5, 2, 2),
+        # No symmetric-group sample, so SL(2) is the first filter; and one.
+        ("1:+N 2:+N", 5, 2, 0),
+        ("1:-N 2:+N", 4, 2, 0),
+        ("1:+1 2:+1 1:-1", 5, 2, 0),
+        ("1:-N 2:+N", 6, 2, 1),
+        ("1:+1 2:+1 1:-1", 5, 2, 1),
+        # 41 tracked powers, more than one packed permutation holds.
+        ("1:+N 2:+N", 3, 40, 2),
     ],
 )
 def test_orbit_check_agrees_with_oracle(config, text, max_len, max_power, samples):
@@ -377,6 +393,63 @@ def factor_lists(draw):
         images[x - 1] = twisted + (x,) if draw(st.booleans()) else (x,) + twisted
         factors.append(Automorphism(Basis.standard(rank), tuple(images)))
     return factors
+
+
+@st.composite
+def packed_samples(draw):
+    """A sample in S16 tracked at up to 41 powers of a product of Nielsen moves, and a word."""
+    rank = draw(st.integers(1, 4))
+    basis = Basis.standard(rank)
+    phi = Automorphism.identity(basis)
+    for _ in range(draw(st.integers(0, 3))):
+        images = [(x,) for x in range(1, rank + 1)]
+        x = draw(st.integers(1, rank))
+        if rank == 1 or draw(st.booleans()):
+            images[x - 1] = (-x,)
+        else:
+            y = draw(st.sampled_from([y for i in range(1, rank + 1) if i != x for y in (i, -i)]))
+            images[x - 1] = (x, y) if draw(st.booleans()) else (y, x)
+        phi = compose(phi, Automorphism(basis, tuple(images)))
+    base = [bytes(draw(st.permutations(range(16)))) for _ in range(rank)]
+    powers = range(draw(st.integers(-20, 0)), draw(st.integers(0, 20)) + 1)
+    quotient = pp._Quotient("", base, pp._perm_tables, pp._perm_of_word, [phi], [invert(phi)], powers)
+    letters = [y for x in range(1, rank + 1) for y in (x, -x)]
+    return quotient, reduce_word(draw(st.lists(st.sampled_from(letters), max_size=8)))
+
+
+def _moved(perm):
+    return sum(x != i for i, x in enumerate(perm))
+
+
+@settings(deadline=None)
+@given(packed_samples())
+def test_packed_permutation_is_every_power_and_its_screen_keeps_equal_cycle_types(sample):
+    """Each block of the packed product is the word at its power.
+
+    The screen by points moved under sigma and sigma^2 never separates two
+    blocks of one cycle type, and the pairs it keeps are those whose blocks
+    have one cycle type.
+    """
+    quotient, word = sample
+    screen = pp._PermScreen(quotient)
+    perm, moved = screen.evaluate(word)
+    powers = list(quotient.powers)
+    blocks = len(powers)
+    assert (len(perm), len(moved)) == (16 * blocks, 2 * blocks)
+    types = {}
+    for b, j in enumerate(powers):
+        sigma = pp._perm_of_word(word, quotient.tables[j])
+        # Points 16 b' .. 16 b' + 15 of a chunk hold its b'-th block.
+        assert perm[16 * b : 16 * b + 16] == bytes(16 * (b % 16) + x for x in sigma)
+        assert moved[b] == _moved(sigma)
+        assert moved[blocks + b] == _moved(sigma.translate(sigma.ljust(256, b"\0")))
+        types[j] = pp._cycle_type(sigma)
+    pairs = [(0, hi, lo) for hi in powers for lo in powers]
+    for _, hi, lo in pairs:
+        if types[hi] == types[lo]:
+            h, l = hi - powers[0], lo - powers[0]
+            assert (moved[h], moved[blocks + h]) == (moved[l], moved[blocks + l])
+    assert screen.survivors(word, pairs) == [p for p in pairs if types[p[1]] == types[p[2]]]
 
 
 @settings(max_examples=50, deadline=None)

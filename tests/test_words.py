@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import oracles
 from freevol.errors import BudgetExceeded, NotAnAutomorphism
-from freevol.pingpong import empirical_no_periodic_orbit
+from freevol.pingpong import _inverse_precedes, empirical_no_periodic_orbit
 from freevol.words import (
     Automorphism,
     Basis,
@@ -212,21 +212,36 @@ def ranked_forms(draw):
 @settings(deadline=None)
 @given(ranked_forms(), st.data())
 def test_classes_steered_by_abelianization_are_the_filtered_classes(rank_forms, data):
+    """The walk yields the primitive classes led by a generator on which some form vanishes."""
     rank, forms = rank_forms
     max_len = data.draw(st.integers(1, 7 - rank))
-    got = [
-        (c.letters, period, vanishing)
-        for c, period, vanishing in enumerate_cyclic_classes_with(rank, max_len, forms)
-    ]
+    got = [(c.letters, tag) for c, tag in enumerate_cyclic_classes_with(rank, max_len, forms)]
     expected = []
     for c in enumerate_cyclic_classes(rank, max_len):
+        if is_proper_power(c)[0] or c.letters[0] < 0:
+            continue
         vector = _abelianization(c.letters, rank)
         vanishing = tuple(
             i for i, form in enumerate(forms) if sum(a * v for a, v in zip(form, vector)) == 0
         )
         if vanishing:
-            expected.append((c.letters, len(is_proper_power(c)[1]), vanishing))
+            expected.append((c.letters, vanishing))
     assert got == expected
+
+
+@pytest.mark.parametrize("rank, max_len", [(1, 8), (2, 8), (3, 6), (4, 5)])
+def test_walk_keeps_one_of_each_primitive_class_and_its_inverse(rank, max_len):
+    """Under the zero form, the classes the orbit check keeps are half the primitive ones.
+
+    No nontrivial class of a free group is conjugate to its inverse, and of
+    each such pair the orbit check keeps the one whose least rotation
+    precedes the other's.
+    """
+    kept = 0
+    for c, vanishing in enumerate_cyclic_classes_with(rank, max_len, [[0] * rank]):
+        assert vanishing == (0,)
+        kept += not _inverse_precedes(c.letters)
+    assert 2 * kept == count_cyclic_classes(rank, max_len)[1]
 
 
 def _divisors(n):
