@@ -2,19 +2,20 @@
 
 ``configure`` prepares a pair of cyclic splittings, with Dehn twists T1
 and T2: the cross translation lengths l12 = l2(c1) and l21 = l1(c2) of
-the edge words must be positive (else NotFillingEvidence), the pair's
-filling certificate comes from ``check_filling``, the constants B, M and C
-from ``twisting.constants``, and the threshold N is the least N >= 1 with
-N l - C >= 2(M + 1) for both l12 and l21.  ``certify`` decides a twist
-word from its factors alone, never building it: the filling verdict must
-be ``fills``, the word nonempty, and every exponent at least N in absolute
-value, or the hypotheses are not met.  A word of one factor is conjugate
-to a twist power.  A word of both twists is certified fully irreducible
-and hyperbolic when its first and last factors use different twists, and
-only nontrivial otherwise (the endpoint rule).  ``realize`` spells the
-automorphism out on request, within ``LETTER_BUDGET``, and
-``empirical_no_periodic_orbit`` samples short conjugacy classes for a
-periodic orbit, as evidence that no verdict rests on.
+the edge words must be positive (else NotFillingEvidence), the constants
+B, M and C come from ``twisting.constants``, within ``BCC_BUDGET``, the
+pair's filling certificate from ``check_filling``, and the threshold N is
+the least N >= 1 with N l - C >= 2(M + 1) for both l12 and l21.
+``certify`` decides a twist word from its factors alone, never building
+it: the filling verdict must be ``fills``, the word nonempty, and every
+exponent at least N in absolute value, or the hypotheses are not met.  A
+word of one factor is conjugate to a twist power.  A word of both twists
+is certified fully irreducible and hyperbolic when its first and last
+factors use different twists, and only nontrivial otherwise (the endpoint
+rule).  ``realize`` spells the automorphism out on request, within
+``LETTER_BUDGET``, and ``empirical_no_periodic_orbit`` samples short
+conjugacy classes for a periodic orbit, as evidence that no verdict rests
+on.
 
 ``volumes``, ``size`` and ``classify`` compare a subgroup's two free
 volumes, the last against the exact rational ``SLACK`` with an exact tie
@@ -125,13 +126,17 @@ def configure(pair: MarkedPair) -> PingPongConfig:
 
     The edge words' cross translation lengths are tested first, so a pair
     with an elliptic edge word raises NotFillingEvidence without checking
-    filling or computing the bounded cancellation constants.
+    filling or computing the bounded cancellation constants.  The constants
+    come next, before ``check_filling``, so a pair over ``BCC_BUDGET``
+    raises BudgetExceeded before any filling work.  Each direction of
+    bounded cancellation is computed once per ordered pair of splittings
+    and process (``twisting.bcc_between``); the filling check is not cached.
     """
     require_valid(pair.first)
     require_valid(pair.second)
     ell12, ell21 = _edge_lengths(pair)
-    filling = check_filling(pair)
     consts = twist_constants(pair.ambient_basis.rank - 1, pair.first, pair.second)
+    filling = check_filling(pair)
     return PingPongConfig(
         pair=pair,
         constants=consts,

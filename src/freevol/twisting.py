@@ -42,6 +42,44 @@ from .words import (
 # ---------------------------------------------------------------------------
 # Bounded cancellation
 
+#: No bounded cancellation constant is computed whose saturated ε-closure
+#: holds more than this many entries: pairs (p, r) with r reached from p.
+#: One direction of ``bcc`` took 3.7 s and 0.4 GB at 2.2 million entries,
+#: and 14-19 s and 0.8-0.9 GB at 5.1-5.2 million (Python 3.11, 2 cores).
+BCC_BUDGET = 4_000_000
+
+
+def _require_bcc_budget(entries: int) -> None:
+    if entries > BCC_BUDGET:
+        raise BudgetExceeded(
+            f"bounded cancellation needs at least {entries} closure entries, over BCC_BUDGET, "
+            f"the budget of {BCC_BUDGET} entries"
+        )
+
+
+def _common_prefix(u: Word, v: Word) -> int:
+    i, m = 0, min(len(u), len(v))
+    while i < m and u[i] == v[i]:
+        i += 1
+    return i
+
+
+def _least_closure_entries(nu: Automorphism) -> int:
+    """A lower bound on the entries of the saturated ε-closure, read off the images.
+
+    Each of the n states reaches itself.  Where the images of two letters
+    x != y share a prefix of c letters, nu(x^-1) nu(y) cancels c letters:
+    the state j letters before the end of nu(x^-1) (the root of x^-1 for
+    j = |nu(x)|) reaches the state after the first j letters of nu(y), for
+    j = 1, ..., c, by induction on j, an ε-move over the j-th cancelled
+    letter.  The first state fixes x and j, the second y and j, so these
+    entries are distinct, and none is a state reaching itself.
+    """
+    k = nu.basis.rank
+    images = [nu.image_of(x) for x in range(-k, k + 1) if x]
+    shared = sum(_common_prefix(u, v) for i, u in enumerate(images) for v in images[i + 1 :])
+    return sum(map(len, images)) + 2 * k + 2 * shared
+
 
 def _saturated_hull_automaton(nu: Automorphism) -> tuple[int, list[int], list[dict]]:
     """The Benois-saturated automaton of the image hulls of the first-letter cones.
@@ -49,7 +87,9 @@ def _saturated_hull_automaton(nu: Automorphism) -> tuple[int, list[int], list[di
     Returns ``(roots, label, moves)``: states ``0 .. roots - 1`` start the
     cones of the letters -k, ..., -1, 1, ..., k; ``label[p]`` is the letter
     read on every edge into ``p``; ``moves[p][z]`` holds the states reached
-    from ``p`` by ε-moves and then one edge reading ``z``.
+    from ``p`` by ε-moves and then one edge reading ``z``.  The closure's
+    entries are counted as saturation adds them, and past ``BCC_BUDGET``
+    BudgetExceeded is raised.
     """
     k = nu.basis.rank
     letters = [x for x in range(-k, k + 1) if x]
@@ -76,6 +116,7 @@ def _saturated_hull_automaton(nu: Automorphism) -> tuple[int, list[int], list[di
     reach = [{p} for p in range(n)]
     back = [{p} for p in range(n)]
     pending = [(p, p) for p in range(n)]
+    entries = n
     while pending:
         q, q_end = pending.pop()
         for r in out[q_end].get(-label[q], ()):
@@ -83,11 +124,15 @@ def _saturated_hull_automaton(nu: Automorphism) -> tuple[int, list[int], list[di
                 if r in reach[p]:
                     continue
                 for s in list(back[p]):
-                    for t in list(reach[r]):
-                        if t not in reach[s]:
-                            reach[s].add(t)
-                            back[t].add(s)
-                            pending.append((s, t))
+                    added = reach[r] - reach[s]
+                    if not added:
+                        continue
+                    entries += len(added)
+                    _require_bcc_budget(entries)
+                    reach[s] |= added
+                    for t in added:
+                        back[t].add(s)
+                        pending.append((s, t))
 
     moves: list[dict[int, set[int]]] = [{} for _ in range(n)]
     for p in range(n):
@@ -122,7 +167,17 @@ def bcc(nu: Automorphism) -> int:
     n.  For an automorphism the hulls of distinct cones meet in a finite
     subtree (bounded cancellation; Cooper 1987), so a reachable cycle
     raises NotAnAutomorphism.
+
+    ``BCC_BUDGET`` bounds the entries of the saturated ε-closure, the pairs
+    (p, r) with r reached from p.  Every state reaches itself, so the n
+    states are entries, and so is every letter that two consecutive images
+    cancel (``_least_closure_entries``).  That count is checked before
+    anything is built, and the closure's entries as saturation adds them.
+    Past the budget BudgetExceeded is raised, naming it and the entries
+    needed.  Nothing here is cached; ``bcc_between`` caches per ordered
+    pair of splittings.
     """
+    _require_bcc_budget(_least_closure_entries(nu))
     roots, label, moves = _saturated_hull_automaton(nu)
 
     def successors(node: tuple[int, int]):
@@ -165,7 +220,14 @@ def basis_change(splitting1: CyclicSplitting, splitting2: CyclicSplitting) -> Au
     return compose(relative_inverse(splitting2), splitting1.relative_automorphism())
 
 
+@lru_cache(maxsize=256)
 def bcc_between(splitting1: CyclicSplitting, splitting2: CyclicSplitting) -> int:
+    """``bcc`` of ``basis_change(splitting1, splitting2)``; cached per ordered pair.
+
+    ``constants``, ``pingpong.configure`` and ``_kept_periods`` share one
+    computation per direction.  A refusal by ``BCC_BUDGET`` is an exception
+    and is not cached, so the pair is checked again on its next call.
+    """
     return bcc(basis_change(splitting1, splitting2))
 
 
@@ -196,7 +258,11 @@ def piece_bound(rank_bound: int, B: int) -> int:
 def constants(
     rank_bound: int, splitting1: CyclicSplitting, splitting2: CyclicSplitting
 ) -> TwistConstants:
-    """The cancellation constant B, piece bound M, and growth constant C."""
+    """The cancellation constant B, piece bound M, and growth constant C.
+
+    B is the larger of ``bcc_between`` in the two directions, each computed
+    once per ordered pair of splittings and within ``BCC_BUDGET``.
+    """
     forward = bcc_between(splitting1, splitting2)
     backward = bcc_between(splitting2, splitting1)
     B = max(forward, backward)
@@ -449,9 +515,8 @@ def _slides(splitting: CyclicSplitting, links: Links) -> tuple[int, int]:
     return plus, minus
 
 
-@lru_cache(maxsize=256)
 def _kept_periods(splitting1: CyclicSplitting, splitting2: CyclicSplitting) -> int:
-    """Step 2 of ``_TwistedCore``: the least a >= 0 with |q| + a|u| >= D; cached per pair."""
+    """Step 2 of ``_TwistedCore``: the least a >= 0 with |q| + a|u| >= D, from values cached per pair."""
     _, u, q, _, nu = _edge_word_image(splitting1, splitting2)
     reach = max(len(nu.image_of(x)) for x in range(1, splitting1.rank + 1)) // 2
     depth = bcc_between(splitting1, splitting2) + max(reach, len(q) + len(u) // 2)

@@ -1,3 +1,6 @@
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
@@ -6,10 +9,12 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fixtures as fx
 import freevol
-from freevol import cli, pingpong
+from freevol import cli, pingpong, twisting
 from freevol.splittings import MarkedPair, to_json, transform
 from freevol.words import power, render_word
 
@@ -396,6 +401,21 @@ def test_one_huge_twist_exponent_still_certifies(capsys, tmp_path):
     assert json.loads(out)["verdict"] == pingpong.VERDICT_IWIP
 
 
+def test_pair_over_the_bcc_budget_exits_with_the_budget_code_and_is_not_cached(capsys, tmp_path, monkeypatch):
+    path = write_pair(tmp_path, fx.certified_filling_pair(), "fills.json")
+    argv = ["pingpong", "--pair", path, "1:+N 2:-N", "--json"]
+    twisting.bcc_between.cache_clear()
+    monkeypatch.setattr(twisting, "BCC_BUDGET", 10)
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (cli.EXIT_BUDGET, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "closure entries, over BCC_BUDGET, the budget of 10 entries" in err
+    monkeypatch.undo()
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["constants"] == {"B": 1, "M": 6, "C": 15}
+
+
 def test_realize_names_the_budget_and_the_letters_needed(monkeypatch):
     config = pingpong.configure(fx.certified_filling_pair())
     word = pingpong.parse_twist_word("1:+N 2:-N", config.threshold)
@@ -410,7 +430,8 @@ def test_repeated_calls_in_one_process_match_fresh_processes(capsys, tmp_path, m
     monkeypatch.setenv("COLUMNS", "80")
     path = write_pair(tmp_path, fx.certified_filling_pair(), "fills.json")
     usage_error = ["fold", "-k", "2", "zz"]
-    argvs = [usage_error, ["pingpong", "--help"], ["fill", "--pair", path, "--json"], usage_error]
+    certify = ["pingpong", "--pair", path, "1:+N 2:-N", "--json"]
+    argvs = [usage_error, ["pingpong", "--help"], ["fill", "--pair", path, "--json"], usage_error, certify, certify]
     build_parser, built = cli.build_parser, []
 
     def counting_build_parser():
@@ -424,7 +445,7 @@ def test_repeated_calls_in_one_process_match_fresh_processes(capsys, tmp_path, m
     finally:
         cli._parser.cache_clear()
     assert len(built) == 1
-    assert [code for code, _, _ in in_process] == [64, 0, 0, 64]
+    assert [code for code, _, _ in in_process] == [64, 0, 0, 64, 0, 0]
     env = subprocess_env()
     for argv, result in zip(argvs, in_process):
         fresh = subprocess.run(
@@ -435,3 +456,68 @@ def test_repeated_calls_in_one_process_match_fresh_processes(capsys, tmp_path, m
             timeout=60,
         )
         assert (fresh.returncode, fresh.stdout, fresh.stderr) == result, argv
+
+
+FUZZ_PAIRS = [
+    cli.pair_to_json(make())
+    for make in (fx.certified_filling_pair, fx.mirror_filling_pair, fx.pair_with_sixth_power, fx.pair_with_single_step)
+]
+ODD_VALUES = (None, True, 0, -1, 2, 4, 1.5, "", "ab", "x", [], [1, 2], [3], {}, {"kind": "hnn"})
+WORD_LETTERS = "abcABCdz1 "
+
+
+@st.composite
+def mutated_pair_files(draw):
+    """A fixture pair's JSON with fields dropped, retyped or mutated, sometimes cut short."""
+    payload = copy.deepcopy(draw(st.sampled_from(FUZZ_PAIRS)))
+    for _ in range(draw(st.integers(0, 3))):
+        owners = [payload] + [payload[key] for key in ("first", "second") if isinstance(payload.get(key), dict)]
+        owner = draw(st.sampled_from(owners))
+        key = draw(st.sampled_from(sorted(owner) + ["b0_part", "stable_index"]))
+        action = draw(st.sampled_from(("drop", "retype", "mutate")))
+        value = owner.get(key)
+        if action == "drop":
+            owner.pop(key, None)
+        elif isinstance(value, str) and action == "mutate":
+            i = draw(st.integers(0, len(value)))
+            j = draw(st.integers(i, len(value)))
+            owner[key] = value[:i] + draw(st.text(WORD_LETTERS, max_size=3)) + value[j:]
+        elif type(value) is int and action == "mutate":
+            owner[key] = value + draw(st.integers(-3, 3))
+        elif not isinstance(value, list) or action == "retype":
+            owner[key] = copy.deepcopy(draw(st.sampled_from(ODD_VALUES)))
+        else:
+            i = draw(st.integers(0, len(value)))
+            items = draw(st.lists(st.integers(-1, 4) | st.sampled_from(WORD_LETTERS), max_size=2))
+            owner[key] = value[:i] + items + value[i + 1 :]
+    text = json.dumps(payload)
+    if draw(st.integers(0, 9)) == 0:
+        text = text[: draw(st.integers(0, len(text)))]
+    return text
+
+
+twist_words = st.one_of(
+    st.lists(
+        st.builds(
+            "{}:{}{}".format,
+            st.sampled_from("0123"),
+            st.sampled_from(["+", "-", ""]),
+            st.sampled_from(["N", "0", "1", "15", "300000000", "x"]) | st.integers(0, 99).map(str),
+        ),
+        max_size=5,
+    ).map(" ".join),
+    st.text("12:+-N0 x", max_size=12),
+)
+
+
+@given(mutated_pair_files(), twist_words, st.sampled_from(("pingpong", "fill")))
+@settings(deadline=None)
+def test_mutated_pair_files_and_twist_words_exit_with_a_documented_code(tmp_path_factory, text, word, command):
+    path = tmp_path_factory.mktemp("fuzz") / "pair.json"
+    path.write_text(text)
+    argv = [command, "--pair", str(path)] + ([word, "--json"] if command == "pingpong" else ["--json"])
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2, 3, 4, 64)
+    assert "Traceback" not in err.getvalue()

@@ -48,6 +48,30 @@ def test_configure_rejects_elliptic_edge_word_before_bcc(monkeypatch):
         pp.configure(fx.pair_with_single_step())
 
 
+def test_bcc_is_computed_once_per_ordered_pair(monkeypatch):
+    calls = []
+    bcc = tw.bcc
+    monkeypatch.setattr(tw, "bcc", lambda nu: calls.append(nu) or bcc(nu))
+    tw.bcc_between.cache_clear()
+    pair = fx.certified_filling_pair()
+    first = pp.configure(pair)
+    assert pp.configure(pair) == first
+    report = tw.check_volume_growth_bounds(pair.first, pair.second, [P("BABCA"), P("abAbc")], 64, first.constants)
+    assert report["all_ok"] and report["certificate"] is not None
+    assert calls == [tw.basis_change(pair.first, pair.second), tw.basis_change(pair.second, pair.first)]
+
+
+def test_configure_refuses_past_the_bcc_budget_before_filling(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("filling checked for a pair over the bcc budget")
+
+    monkeypatch.setattr(pp, "check_filling", refuse)
+    monkeypatch.setattr(tw, "BCC_BUDGET", 10)
+    tw.bcc_between.cache_clear()
+    with pytest.raises(BudgetExceeded, match="over BCC_BUDGET, the budget of 10 entries"):
+        pp.configure(fx.certified_filling_pair())
+
+
 def test_configure_anchor(config):
     assert config.constants == TwistConstants(B=1, M=6, C=15)
     assert config.threshold == 15

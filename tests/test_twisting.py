@@ -1,4 +1,5 @@
 import random
+import re
 import time
 
 import pytest
@@ -125,6 +126,69 @@ def test_bcc_attained_on_pair_with_sixth_power(forward, u, v):
 def test_bcc_rejects_a_collapsing_endomorphism():
     with pytest.raises(NotAnAutomorphism):
         tw.bcc(Automorphism(B2, (fx.w2("a"), fx.w2("a"))))
+
+
+def _sixth_power_states() -> tuple[Automorphism, int]:
+    """The forward basis change of ``pair_with_sixth_power`` and its automaton's states."""
+    pair = fx.pair_with_sixth_power()
+    nu = tw.basis_change(pair.first, pair.second)
+    states = sum(len(nu.image_of(x)) for x in range(-3, 4) if x) + 6
+    roots, label, _ = tw._saturated_hull_automaton(nu)
+    assert (roots, len(label)) == (6, states)
+    return nu, states
+
+
+def _counted_entries(monkeypatch, nu: Automorphism) -> list[int]:
+    """Every entry count ``bcc(nu)`` checks against the budget: first the bound, last the closure's."""
+    counted: list[int] = []
+    require = tw._require_bcc_budget
+    monkeypatch.setattr(tw, "_require_bcc_budget", lambda entries: counted.append(entries) or require(entries))
+    tw.bcc(nu)
+    monkeypatch.setattr(tw, "_require_bcc_budget", require)
+    return counted
+
+
+def test_bcc_budget_refuses_before_any_state_is_built(monkeypatch):
+    nu, states = _sixth_power_states()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the automaton was built")
+
+    monkeypatch.setattr(tw, "_saturated_hull_automaton", refuse)
+    monkeypatch.setattr(tw, "BCC_BUDGET", states - 1)
+    with pytest.raises(BudgetExceeded, match=f"over BCC_BUDGET, the budget of {states - 1} entries") as refused:
+        tw.bcc(nu)
+    needed = int(re.search(r"needs at least (\d+) closure entries", str(refused.value)).group(1))
+    assert needed >= states
+
+
+def test_bcc_budget_counts_the_entries_saturation_adds(monkeypatch):
+    nu, states = _sixth_power_states()
+    counted = _counted_entries(monkeypatch, nu)
+    entries = counted[-1]
+    # The bound: 62 states, and 19 letters of prefixes shared by two images, once per order.
+    assert (states, counted[0]) == (62, 100)
+    assert counted[0] < entries and counted[1:] == sorted(counted[1:])
+    monkeypatch.setattr(tw, "BCC_BUDGET", entries)
+    assert tw.bcc(nu) == 12
+    monkeypatch.setattr(tw, "BCC_BUDGET", entries - 1)
+    built = []
+    saturate = tw._saturated_hull_automaton
+    monkeypatch.setattr(tw, "_saturated_hull_automaton", lambda nu: built.append(nu) or saturate(nu))
+    with pytest.raises(BudgetExceeded, match=f"at least {entries} closure entries, over BCC_BUDGET"):
+        tw.bcc(nu)
+    assert built == [nu]
+
+
+def test_bcc_budget_bound_lies_between_the_states_and_the_closure(monkeypatch):
+    changes = []
+    for make in (fx.certified_filling_pair, fx.pair_with_sixth_power, fx.pair_with_single_step):
+        pair = make()
+        changes += [tw.basis_change(pair.first, pair.second), tw.basis_change(pair.second, pair.first)]
+    for nu in NIELSEN_SAMPLES + changes:
+        states = 2 * (sum(map(len, nu.images)) + nu.basis.rank)
+        counted = _counted_entries(monkeypatch, nu)
+        assert states <= counted[0] <= counted[-1], nu.render()
 
 
 def test_constants_anchor():
