@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import stallings
 from . import volume as volume_mod
@@ -183,7 +183,7 @@ def _cut_below(cap: dict[int, dict[int, int]], sources: set[int], sinks: set[int
     return False
 
 
-def _least_improving_move(cap: dict[int, dict[int, int]]) -> Optional[tuple[int, list[int]]]:
+def _least_improving_move(cap: dict[int, dict[int, int]]) -> Optional[tuple[int, tuple[int, ...]]]:
     """The least strictly shortening move ``(a, sorted A)``, if there is one.
 
     Only the positive multipliers ``a`` are tried, in letter order.  Each
@@ -213,7 +213,7 @@ def _least_improving_move(cap: dict[int, dict[int, int]]) -> Optional[tuple[int,
                 side.add(v)
             else:
                 out.add(v)
-        return a, sorted(side, key=letter_rank)
+        return a, tuple(sorted(side, key=letter_rank))
     return None
 
 
@@ -231,9 +231,20 @@ def _total_length(classes: Sequence[CyclicWord]) -> int:
     return sum(len(c.letters) for c in classes)
 
 
+class WhiteheadMove(NamedTuple):
+    """One step of a Whitehead descent: the move and the total length after it."""
+
+    multiplier: int
+    side: tuple[int, ...]
+    total_length: int
+
+    def to_json(self) -> dict:
+        return {"multiplier": self.multiplier, "side": list(self.side), "total_length": self.total_length}
+
+
 def whitehead_minimize(
     classes: Sequence[CyclicWord], rank: int
-) -> tuple[tuple[CyclicWord, ...], int, list[dict]]:
+) -> tuple[tuple[CyclicWord, ...], int, tuple[WhiteheadMove, ...]]:
     """Greedy descent to a simultaneous local length minimum.
 
     A Whitehead move ``(a, A)`` has a multiplier letter ``a`` and a side
@@ -253,21 +264,49 @@ def whitehead_minimize(
     """
     current = tuple(classes)
     total = _total_length(current)
-    log: list[dict] = []
+    log: list[WhiteheadMove] = []
     while True:
         move = _least_improving_move(_cut_graph(current, rank))
         if move is None:
-            return current, total, log
+            return current, total, tuple(log)
         a, side = move
         phi = _whitehead_automorphism(rank, a, side)
         current = tuple(apply_cyclic(phi, c) for c in current)
         total = _total_length(current)
-        log.append({"multiplier": a, "side": side, "total_length": total})
+        log.append(WhiteheadMove(a, side, total))
+
+
+class WhiteheadEvidence(NamedTuple):
+    """The free-factor check's replayable evidence, words in the standard basis.
+
+    ``graph_edges`` are the minimized classes' Whitehead graph edges as
+    pairs of letters, and ``cut_vertex`` is its least cut vertex, if any.
+    """
+
+    criterion = WHITEHEAD_CRITERION  # one criterion for every check, so a class attribute
+
+    minimized_classes: tuple[str, ...]
+    total_length: int
+    move_log: tuple[WhiteheadMove, ...]
+    graph_edges: tuple[tuple[str, str], ...]
+    connected: bool
+    cut_vertex: Optional[str]
+
+    def to_json(self) -> dict:
+        return {
+            "criterion": self.criterion,
+            "minimized_classes": list(self.minimized_classes),
+            "total_length": self.total_length,
+            "move_log": [move.to_json() for move in self.move_log],
+            "graph_edges": list(map(list, self.graph_edges)),
+            "connected": self.connected,
+            "cut_vertex": self.cut_vertex,
+        }
 
 
 def cut_vertex_check(
     classes: Sequence[CyclicWord], rank: int
-) -> tuple[bool, dict]:
+) -> tuple[bool, WhiteheadEvidence]:
     """Minimize the classes and test the Whitehead graph for fillingness.
 
     Returns ``True`` when the minimized graph is connected and has no cut
@@ -280,22 +319,46 @@ def cut_vertex_check(
     connected = graph.is_connected()
     cut = graph.cut_vertex()
     ok = connected and cut is None
-    evidence = {
-        "criterion": WHITEHEAD_CRITERION,
-        "minimized_classes": [render_word(c.letters, basis) for c in minimized],
-        "total_length": total,
-        "move_log": log,
-        "graph_edges": [
-            [render_word((x,), basis), render_word((y,), basis)]
-            for x, y in graph.edges
-        ],
-        "connected": connected,
-        "cut_vertex": render_word((cut,), basis) if cut is not None else None,
-    }
+    evidence = WhiteheadEvidence(
+        minimized_classes=tuple(render_word(c.letters, basis) for c in minimized),
+        total_length=total,
+        move_log=log,
+        graph_edges=tuple((render_word((x,), basis), render_word((y,), basis)) for x, y in graph.edges),
+        connected=connected,
+        cut_vertex=render_word((cut,), basis) if cut is not None else None,
+    )
     return ok, evidence
 
 
-def check_f2(pair: MarkedPair) -> tuple[bool, dict]:
+class Pullback(NamedTuple):
+    """One pullback of two vertex groups' cores and the ranks of its components.
+
+    The cores are of vertex group ``vertex_group_1`` of the first splitting
+    and ``vertex_group_2`` of the second, numbered as ``vertex_groups`` lists them.
+    """
+
+    vertex_group_1: int
+    vertex_group_2: int
+    component_ranks: tuple[int, ...]
+
+    def to_json(self) -> dict:
+        return {
+            "vertex_group_1": self.vertex_group_1,
+            "vertex_group_2": self.vertex_group_2,
+            "component_ranks": list(self.component_ranks),
+        }
+
+
+class PullbackEvidence(NamedTuple):
+    """The free-action check's evidence: every pullback, first splitting's group outermost."""
+
+    pullbacks: tuple[Pullback, ...]
+
+    def to_json(self) -> dict:
+        return {"pullbacks": [pullback.to_json() for pullback in self.pullbacks]}
+
+
+def check_f2(pair: MarkedPair) -> tuple[bool, PullbackEvidence]:
     """True when no nontrivial element is elliptic in both splittings.
 
     Every conjugate of a vertex group of the first splitting must meet
@@ -310,24 +373,18 @@ def check_f2(pair: MarkedPair) -> tuple[bool, dict]:
         [stallings.subgroup_graph(basis, gens, keep_basepoint=False) for gens in vertex_groups(splitting)]
         for splitting in (pair.first, pair.second)
     )
-    entries: list[dict] = []
+    entries: list[Pullback] = []
     ok = True
     for i, core1 in enumerate(cores1):
         for j, core2 in enumerate(cores2):
-            ranks = stallings.pullback_ranks(core1, core2)
+            ranks = tuple(stallings.pullback_ranks(core1, core2))
             if any(r > 0 for r in ranks):
                 ok = False
-            entries.append(
-                {
-                    "vertex_group_1": i,
-                    "vertex_group_2": j,
-                    "component_ranks": ranks,
-                }
-            )
-    return ok, {"pullbacks": entries}
+            entries.append(Pullback(i, j, ranks))
+    return ok, PullbackEvidence(tuple(entries))
 
 
-def check_f3(pair: MarkedPair) -> tuple[bool, dict]:
+def check_f3(pair: MarkedPair) -> tuple[bool, WhiteheadEvidence]:
     """True when the two edge words cannot share a proper free factor."""
     require_valid(pair.first)
     require_valid(pair.second)
@@ -343,13 +400,14 @@ class FillingCertificate:
     ``fills`` is ``True`` when both checks pass, ``False`` when the
     free-action check fails (a definite obstruction), and ``None`` when
     only the free-factor check fails: the pair may still fill, but this
-    tool cannot decide it.
+    tool cannot decide it.  Every field is immutable, so one certificate
+    may be shared; ``to_json`` builds new dicts and lists on every call.
     """
 
     f2: bool
-    f2_evidence: dict
+    f2_evidence: PullbackEvidence
     f3: bool
-    f3_evidence: dict
+    f3_evidence: WhiteheadEvidence
     fills: Optional[bool]
     verdict: str
     witness: Optional[tuple[str, ...]]
@@ -358,9 +416,9 @@ class FillingCertificate:
         return {
             "schema": "freevol/1",
             "f2": self.f2,
-            "f2_evidence": self.f2_evidence,
+            "f2_evidence": self.f2_evidence.to_json(),
             "f3": self.f3,
-            "f3_evidence": self.f3_evidence,
+            "f3_evidence": self.f3_evidence.to_json(),
             "fills": self.fills,
             "verdict": self.verdict,
             "witness": list(self.witness) if self.witness is not None else None,
@@ -381,7 +439,7 @@ def check_filling(pair: MarkedPair) -> FillingCertificate:
     else:
         fills = None
         verdict = "unknown"
-        witness = tuple(f3_evidence["minimized_classes"])
+        witness = f3_evidence.minimized_classes
     return FillingCertificate(
         f2=f2_ok,
         f2_evidence=f2_evidence,

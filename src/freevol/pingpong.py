@@ -5,7 +5,12 @@ and T2: the cross translation lengths l12 = l2(c1) and l21 = l1(c2) of
 the edge words must be positive (else NotFillingEvidence), the constants
 B, M and C come from ``twisting.constants``, within ``BCC_BUDGET``, the
 pair's filling certificate from ``check_filling``, and the threshold N is
-the least N >= 1 with N l - C >= 2(M + 1) for both l12 and l21.
+the least N >= 1 with N l - C >= 2(M + 1) for both l12 and l21.  Each
+pair is configured once per process: ``configure`` is cached on the pair,
+and its config holds only immutable values.  A refusal is an exception
+and is never cached; ``check_filling`` and ``twisting.bcc`` themselves
+are never cached either.
+
 ``certify`` decides a twist word from its factors alone, never building
 it: the filling verdict must be ``fills``, the word nonempty, and every
 exponent at least N in absolute value, or the hypotheses are not met.  A
@@ -27,7 +32,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import mul, sub
 from typing import Callable, Optional, Sequence
 
@@ -121,16 +126,25 @@ def threshold_exponent(consts: TwistConstants, ell12: int, ell21: int) -> int:
     return n
 
 
+@lru_cache(maxsize=256)
 def configure(pair: MarkedPair) -> PingPongConfig:
-    """Filling certificate, constants and threshold of the pair.
+    """Filling certificate, constants and threshold of the pair; cached per pair.
 
     The edge words' cross translation lengths are tested first, so a pair
     with an elliptic edge word raises NotFillingEvidence without checking
     filling or computing the bounded cancellation constants.  The constants
     come next, before ``check_filling``, so a pair over ``BCC_BUDGET``
-    raises BudgetExceeded before any filling work.  Each direction of
-    bounded cancellation is computed once per ordered pair of splittings
-    and process (``twisting.bcc_between``); the filling check is not cached.
+    raises BudgetExceeded before any filling work.
+
+    The config is cached per pair and process (``lru_cache``, 256 pairs),
+    so an equal pair read again, from any file, is configured once: its
+    edge lengths, constants and filling check are not computed again.  The
+    config and its filling certificate are immutable, so every caller may
+    share them.  A refusal (NotFillingEvidence, BudgetExceeded,
+    InvalidSplitting) is an exception and is not cached.  Each direction of
+    bounded cancellation is also cached, per ordered pair of splittings
+    (``twisting.bcc_between``); ``check_filling`` and ``bcc`` themselves
+    are not cached.
     """
     require_valid(pair.first)
     require_valid(pair.second)
@@ -272,6 +286,8 @@ class IwipCertificate:
     hypothesis tested, the pair's filling certificate under ``filling``
     included, and ``failed_check`` points at the first failure.  The
     record holds no images: ``realize`` computes the automorphism.
+    ``to_json`` builds new dicts on every call, so editing its output
+    changes neither this record nor the shared filling certificate.
     """
 
     word: TwistWord
@@ -292,7 +308,7 @@ class IwipCertificate:
                 "M": self.constants.M,
                 "C": self.constants.C,
             },
-            "checks": self.checks,
+            "checks": {**self.checks, "filling": self.checks["filling"].to_json()},
             "failed_check": self.failed_check,
         }
 
@@ -310,7 +326,7 @@ def certify(config: PingPongConfig, word: TwistWord) -> IwipCertificate:
     word is never realized: the verdict depends on its factors alone.
     """
     n = config.threshold
-    checks: dict = {"threshold": n, "filling": config.filling.to_json()}
+    checks: dict = {"threshold": n, "filling": config.filling}
 
     def result(verdict: str, failed: Optional[str] = None) -> IwipCertificate:
         return IwipCertificate(word, verdict, n, config.constants, checks, failed)

@@ -89,6 +89,7 @@ from itertools import groupby
 from typing import Iterator, Optional, Sequence
 
 from freevol.errors import HypothesisViolated, NotAnAutomorphism, UsageError
+from freevol.filling import WhiteheadMove
 from freevol.pingpong import _PERM_DEGREE, _cycle_type
 from freevol.splittings import AMALGAM, HNN, CyclicSplitting, require_valid, to_relative
 from freevol.stallings import Edge, LabeledGraph, spell_path
@@ -1170,7 +1171,7 @@ def whitehead_moves(rank: int) -> tuple[tuple[int, tuple[int, ...], Automorphism
 
 def exhaustive_whitehead_minimize(
     classes: Sequence[CyclicWord], rank: int
-) -> tuple[tuple[CyclicWord, ...], int, list[dict]]:
+) -> tuple[tuple[CyclicWord, ...], int, tuple[WhiteheadMove, ...]]:
     """The library's original Whitehead descent, by trial of every move.
 
     At each step every move of ``whitehead_moves`` is applied to all
@@ -1179,7 +1180,7 @@ def exhaustive_whitehead_minimize(
     """
     current = tuple(classes)
     total = sum(len(c.letters) for c in current)
-    log: list[dict] = []
+    log: list[WhiteheadMove] = []
     moves = whitehead_moves(rank)
     while True:
         best = None
@@ -1192,9 +1193,9 @@ def exhaustive_whitehead_minimize(
                     best = (a, side, candidate, length)
                     best_key = key
         if best is None:
-            return current, total, log
+            return current, total, tuple(log)
         a, side, current, total = best
-        log.append({"multiplier": a, "side": list(side), "total_length": total})
+        log.append(WhiteheadMove(a, side, total))
 
 
 def enumerate_reduced_words(rank: int, length: int) -> Iterator[Word]:

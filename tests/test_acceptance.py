@@ -62,7 +62,7 @@ def test_criterion_1_pulled_back_pair_regression():
         "c",
         "cababbc",
     }
-    assert evidence["minimized_classes"] == ["c", "b"]
+    assert evidence.minimized_classes == ("c", "b")
 
 
 # 2. Single-step pair: twist growth is exactly linear with the computed constants.

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import fixtures as fx
 import freevol
-from freevol import cli, pingpong, twisting
+from freevol import cli, filling, pingpong, twisting, volume
 from freevol.splittings import MarkedPair, to_json, transform
 from freevol.words import power, render_word
 
@@ -401,10 +401,11 @@ def test_one_huge_twist_exponent_still_certifies(capsys, tmp_path):
     assert json.loads(out)["verdict"] == pingpong.VERDICT_IWIP
 
 
-def test_pair_over_the_bcc_budget_exits_with_the_budget_code_and_is_not_cached(capsys, tmp_path, monkeypatch):
+def test_pair_over_the_bcc_budget_exits_with_the_budget_code_and_is_not_cached(
+    capsys, tmp_path, monkeypatch, cold_configure
+):
     path = write_pair(tmp_path, fx.certified_filling_pair(), "fills.json")
     argv = ["pingpong", "--pair", path, "1:+N 2:-N", "--json"]
-    twisting.bcc_between.cache_clear()
     monkeypatch.setattr(twisting, "BCC_BUDGET", 10)
     code, out, err = run(capsys, argv)
     assert (code, out) == (cli.EXIT_BUDGET, "")
@@ -414,6 +415,54 @@ def test_pair_over_the_bcc_budget_exits_with_the_budget_code_and_is_not_cached(c
     code, out, err = run(capsys, argv)
     assert (code, err) == (0, "")
     assert json.loads(out)["constants"] == {"B": 1, "M": 6, "C": 15}
+
+
+def test_an_equal_pair_from_a_fresh_file_is_configured_once(tmp_path, monkeypatch, cold_configure):
+    calls = []
+
+    def count(module, name):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, **kwargs: calls.append(name) or original(*args, **kwargs))
+
+    count(filling, "check_f2")
+    count(filling, "check_f3")
+    count(volume, "translation_length")
+    count(twisting, "bcc")
+    pair = fx.certified_filling_pair()
+    first = pingpong.configure(cli.load_pair(write_pair(tmp_path, pair, "first.json")))
+    assert sorted(set(calls)) == ["bcc", "check_f2", "check_f3", "translation_length"]
+    calls.clear()
+    again = pingpong.configure(cli.load_pair(write_pair(tmp_path, pair, "again.json")))
+    assert calls == []
+    assert again is first
+
+
+def scribble(node):
+    """Change every list and dict nested in ``node``, innermost first."""
+    items = node.values() if isinstance(node, dict) else node if isinstance(node, list) else ()
+    for item in list(items):
+        scribble(item)
+    if isinstance(node, dict):
+        node["scribbled"] = True
+    elif isinstance(node, list):
+        node.append("scribbled")
+
+
+@pytest.mark.parametrize("make", [fx.certified_filling_pair, fx.pair_with_sixth_power])
+def test_editing_returned_certificates_changes_no_later_output(capsys, tmp_path, make):
+    path = write_pair(tmp_path, make(), "pair.json")
+    argv = ["pingpong", "--pair", path, "1:+N 2:-N", "--json"]
+    before = run(capsys, argv)
+    config = pingpong.configure(cli.load_pair(path))
+    certificate = pingpong.certify(config, pingpong.parse_twist_word("1:+N 2:-N", config.threshold))
+    as_json = certificate.to_json()
+    filling_json = config.filling.to_json()
+    for payload in (filling_json, as_json, certificate.to_json()["checks"]["filling"]):
+        scribble(payload)
+    assert "scribbled" in filling_json["f3_evidence"]["move_log"]
+    assert "scribbled" in as_json["checks"]["filling"]["f2_evidence"]["pullbacks"][0]["component_ranks"]
+    assert json.dumps(certificate.to_json(), indent=2, sort_keys=True) + "\n" == before[1]
+    assert run(capsys, argv) == before
 
 
 def test_realize_names_the_budget_and_the_letters_needed(monkeypatch):

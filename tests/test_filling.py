@@ -41,7 +41,7 @@ def test_whitehead_graph_edges():
 def test_minimize_single_letter_is_stable():
     minimized, total, log = fl.whitehead_minimize(classes(B3, ["a"]), 3)
     assert total == 1
-    assert log == []
+    assert log == ()
     assert [render_word(c.letters, B3) for c in minimized] == ["a"]
 
 
@@ -53,15 +53,15 @@ def test_minimize_commutator_rank2():
 def test_commutator_fills_rank2():
     ok, evidence = fl.cut_vertex_check(classes(B2, ["abAB"]), 2)
     assert ok
-    assert evidence["criterion"] == fl.WHITEHEAD_CRITERION
-    assert evidence["connected"] is True
-    assert evidence["cut_vertex"] is None
+    assert evidence.criterion == fl.WHITEHEAD_CRITERION
+    assert evidence.connected is True
+    assert evidence.cut_vertex is None
 
 
 def test_two_letters_in_rank3_do_not_fill():
     ok, evidence = fl.cut_vertex_check(classes(B3, ["a", "b"]), 3)
     assert not ok
-    assert evidence["connected"] is False
+    assert evidence.connected is False
 
 
 @pytest.mark.parametrize(
@@ -107,7 +107,7 @@ def test_check_f2_equals_oracle_pullbacks():
             for j, core2 in enumerate(cores2)
         ]
         ok, evidence = fl.check_f2(pair)
-        assert evidence == {"pullbacks": expected}
+        assert evidence.to_json() == {"pullbacks": expected}
         assert ok == all(r == 0 for item in expected for r in item["component_ranks"])
 
 
@@ -116,8 +116,8 @@ def test_check_f2_on_pulled_back_pair():
     ok, evidence = fl.check_f2(pair)
     assert ok
     assert all(
-        all(rank == 0 for rank in item["component_ranks"])
-        for item in evidence["pullbacks"]
+        all(rank == 0 for rank in item.component_ranks)
+        for item in evidence.pullbacks
     )
 
 
@@ -133,7 +133,7 @@ def test_check_f3_witness_on_pulled_back_pair():
     pair = fx.pair_with_sixth_power()
     ok, evidence = fl.check_f3(pair)
     assert not ok
-    assert evidence["minimized_classes"] == ["c", "b"]
+    assert evidence.minimized_classes == ("c", "b")
 
 
 def test_unknown_verdict_when_only_f3_fails():

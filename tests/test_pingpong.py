@@ -1,5 +1,6 @@
 import re
 import time
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 import fixtures as fx
 import oracles
+from freevol import filling as fl
 from freevol import pingpong as pp
 from freevol.errors import (
     BasisMismatch,
@@ -48,11 +50,10 @@ def test_configure_rejects_elliptic_edge_word_before_bcc(monkeypatch):
         pp.configure(fx.pair_with_single_step())
 
 
-def test_bcc_is_computed_once_per_ordered_pair(monkeypatch):
+def test_bcc_is_computed_once_per_ordered_pair(monkeypatch, cold_configure):
     calls = []
     bcc = tw.bcc
     monkeypatch.setattr(tw, "bcc", lambda nu: calls.append(nu) or bcc(nu))
-    tw.bcc_between.cache_clear()
     pair = fx.certified_filling_pair()
     first = pp.configure(pair)
     assert pp.configure(pair) == first
@@ -61,15 +62,28 @@ def test_bcc_is_computed_once_per_ordered_pair(monkeypatch):
     assert calls == [tw.basis_change(pair.first, pair.second), tw.basis_change(pair.second, pair.first)]
 
 
-def test_configure_refuses_past_the_bcc_budget_before_filling(monkeypatch):
+def test_configure_refuses_past_the_bcc_budget_before_filling(monkeypatch, cold_configure):
     def refuse(*args, **kwargs):
         raise AssertionError("filling checked for a pair over the bcc budget")
 
     monkeypatch.setattr(pp, "check_filling", refuse)
     monkeypatch.setattr(tw, "BCC_BUDGET", 10)
-    tw.bcc_between.cache_clear()
     with pytest.raises(BudgetExceeded, match="over BCC_BUDGET, the budget of 10 entries"):
         pp.configure(fx.certified_filling_pair())
+
+
+def test_configured_filling_evidence_cannot_be_changed():
+    pair = fx.pair_with_sixth_power()
+    certificate = pp.configure(pair).filling
+    with pytest.raises(AttributeError):
+        certificate.f3_evidence.move_log[0].side = ()
+    with pytest.raises(AttributeError):
+        certificate.f2_evidence.pullbacks[0].component_ranks = (1,)
+    with pytest.raises(AttributeError):
+        certificate.f3_evidence.graph_edges.append(("a", "b"))
+    with pytest.raises(FrozenInstanceError):
+        certificate.f3_evidence = certificate.f3_evidence._replace(move_log=())
+    assert pp.configure(pair).filling.to_json() == fl.check_filling(pair).to_json()
 
 
 def test_configure_anchor(config):
@@ -218,7 +232,8 @@ def test_certify_requires_filling():
     certificate = pp.certify(config, word)
     assert certificate.verdict == pp.VERDICT_NOT_MET
     assert certificate.failed_check == "filling"
-    assert certificate.checks["filling"] == config.filling.to_json()
+    assert certificate.checks["filling"] is config.filling
+    assert certificate.to_json()["checks"]["filling"] == config.filling.to_json()
 
 
 @pytest.mark.parametrize(
