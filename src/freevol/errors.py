@@ -29,20 +29,12 @@ class TrivialSubgroup(FreevolError):
     """A subgroup operation received generators of the trivial subgroup."""
 
 
-class NotProperSubgroup(FreevolError):
-    """A classification input is not a proper free factor or cyclic subgroup."""
-
-
 class NotFillingEvidence(FreevolError):
     """A threshold computation needs positive translation lengths."""
 
 
 class HypothesisViolated(FreevolError):
     """A sampled input fails the hypotheses of the bound being checked."""
-
-
-class TieDetected(FreevolError):
-    """An exact volume ratio tie was detected during classification."""
 
 
 class BudgetExceeded(FreevolError):

@@ -39,7 +39,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from . import stallings
 from . import volume as volume_mod
-from .splittings import MarkedPair, require_valid, vertex_groups
+from .splittings import MarkedPair, vertex_groups
 from .words import (
     Automorphism,
     Basis,
@@ -366,8 +366,6 @@ def check_f2(pair: MarkedPair) -> tuple[bool, PullbackEvidence]:
     statement that all pairwise pullbacks of the vertex-group core graphs
     have only rank-zero components.
     """
-    require_valid(pair.first)
-    require_valid(pair.second)
     basis = pair.ambient_basis
     cores1, cores2 = (
         [stallings.subgroup_graph(basis, gens, keep_basepoint=False) for gens in vertex_groups(splitting)]
@@ -386,8 +384,6 @@ def check_f2(pair: MarkedPair) -> tuple[bool, PullbackEvidence]:
 
 def check_f3(pair: MarkedPair) -> tuple[bool, WhiteheadEvidence]:
     """True when the two edge words cannot share a proper free factor."""
-    require_valid(pair.first)
-    require_valid(pair.second)
     c1 = CyclicWord.of(pair.first.edge_word_ambient())
     c2 = CyclicWord.of(pair.second.edge_word_ambient())
     return cut_vertex_check([c1, c2], pair.ambient_basis.rank)

@@ -21,33 +21,21 @@ rule).  ``realize`` spells the automorphism out on request, within
 ``LETTER_BUDGET``, and ``empirical_no_periodic_orbit`` samples short
 conjugacy classes for a periodic orbit, as evidence that no verdict rests
 on.
-
-``volumes``, ``size`` and ``classify`` compare a subgroup's two free
-volumes, the last against the exact rational ``SLACK`` with an exact tie
-raising TieDetected; ``certify`` uses none of them.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import mul, sub
-from typing import Callable, Optional, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, Optional, Sequence
 
-from . import stallings
 from . import volume as volume_mod
-from .errors import (
-    BasisMismatch,
-    BudgetExceeded,
-    NotFillingEvidence,
-    NotProperSubgroup,
-    TieDetected,
-    UsageError,
-)
+from .errors import BasisMismatch, BudgetExceeded, NotFillingEvidence, UsageError
 from .filling import FillingCertificate, check_filling
-from .splittings import MarkedPair, dehn_twist, require_valid
+from .splittings import MarkedPair, dehn_twist
 from .twisting import TwistConstants, constants as twist_constants
 from .words import (
     LETTER_BUDGET,
@@ -65,11 +53,6 @@ from .words import (
     letters_needed,
     render_word,
 )
-
-SIDE_FIRST = "side1"
-SIDE_SECOND = "side2"
-
-SLACK = Fraction(2**40 + 1, 2**40)
 
 # Word powers one orbit sample may check: reduced words times powers.
 ORBIT_BUDGET = 10_000_000
@@ -140,14 +123,12 @@ def configure(pair: MarkedPair) -> PingPongConfig:
     so an equal pair read again, from any file, is configured once: its
     edge lengths, constants and filling check are not computed again.  The
     config and its filling certificate are immutable, so every caller may
-    share them.  A refusal (NotFillingEvidence, BudgetExceeded,
-    InvalidSplitting) is an exception and is not cached.  Each direction of
-    bounded cancellation is also cached, per ordered pair of splittings
+    share them.  A refusal (NotFillingEvidence, BudgetExceeded) is an
+    exception and is not cached.  Each direction of bounded cancellation
+    is also cached, per ordered pair of splittings
     (``twisting.bcc_between``); ``check_filling`` and ``bcc`` themselves
     are not cached.
     """
-    require_valid(pair.first)
-    require_valid(pair.second)
     ell12, ell21 = _edge_lengths(pair)
     consts = twist_constants(pair.ambient_basis.rank - 1, pair.first, pair.second)
     filling = check_filling(pair)
@@ -156,44 +137,6 @@ def configure(pair: MarkedPair) -> PingPongConfig:
         constants=consts,
         threshold=threshold_exponent(consts, ell12, ell21),
         filling=filling,
-    )
-
-
-def volumes(config: PingPongConfig, gens: Sequence[Word]) -> tuple[int, int]:
-    gens = list(gens)
-    return (
-        volume_mod.free_volume(config.pair.first, gens),
-        volume_mod.free_volume(config.pair.second, gens),
-    )
-
-
-def size(config: PingPongConfig, gens: Sequence[Word]) -> int:
-    """The summed free volume used as the ping-pong height function."""
-    v1, v2 = volumes(config, gens)
-    return v1 + v2
-
-
-def classify(config: PingPongConfig, gens: Sequence[Word]) -> str:
-    """Which ping-pong side a proper free factor or cyclic subgroup is on.
-
-    Side one collects subgroups whose first volume is below ``SLACK``
-    times the second; side two the mirror image.  An exact tie raises.
-    """
-    gens = list(gens)
-    core = stallings.subgroup_graph(config.pair.ambient_basis, gens)
-    if stallings.rank(core) >= config.pair.ambient_basis.rank:
-        raise NotProperSubgroup(
-            "classification requires a proper free factor or cyclic subgroup"
-        )
-    v1, v2 = volumes(config, gens)
-    lhs = Fraction(v1)
-    rhs = SLACK * v2
-    if lhs < rhs:
-        return SIDE_FIRST
-    if lhs > rhs:
-        return SIDE_SECOND
-    raise TieDetected(
-        f"volumes ({v1}, {v2}) tie exactly at slack {SLACK}"
     )
 
 
@@ -282,10 +225,11 @@ class IwipCertificate:
     passed on an alternating word with both ends compliant),
     ``nontrivial`` (exponent checks passed but the endpoint rule only
     yields nontriviality), ``conjugate_to_twist_power`` (single factor),
-    or ``hypotheses_not_met``.  The checks dictionary names every
-    hypothesis tested, the pair's filling certificate under ``filling``
-    included, and ``failed_check`` points at the first failure.  The
-    record holds no images: ``realize`` computes the automorphism.
+    or ``hypotheses_not_met``.  The read-only ``checks`` mapping names
+    every hypothesis tested, the pair's filling certificate under
+    ``filling`` included, and ``failed_check`` points at the first
+    failure.  The record holds no images: ``realize`` computes the
+    automorphism.
     ``to_json`` builds new dicts on every call, so editing its output
     changes neither this record nor the shared filling certificate.
     """
@@ -294,7 +238,7 @@ class IwipCertificate:
     verdict: str
     threshold: int
     constants: TwistConstants
-    checks: dict
+    checks: Mapping[str, object]
     failed_check: Optional[str]
 
     def to_json(self) -> dict:
@@ -329,7 +273,7 @@ def certify(config: PingPongConfig, word: TwistWord) -> IwipCertificate:
     checks: dict = {"threshold": n, "filling": config.filling}
 
     def result(verdict: str, failed: Optional[str] = None) -> IwipCertificate:
-        return IwipCertificate(word, verdict, n, config.constants, checks, failed)
+        return IwipCertificate(word, verdict, n, config.constants, MappingProxyType(dict(checks)), failed)
 
     if config.filling.verdict != "fills":
         return result(VERDICT_NOT_MET, "filling")

@@ -4,6 +4,8 @@ A splitting is stored through a *relative basis*: an ambient basis of the
 free group whose letters split into an A-part and either a B0-part
 (amalgam over a cyclic group) or a single stable letter (HNN extension
 over a cyclic group).  The edge word lives in relative A-part letters.
+A ``CyclicSplitting`` that violates this normal form cannot be built, so
+no function that takes one checks it again.
 """
 
 from __future__ import annotations
@@ -45,7 +47,9 @@ class CyclicSplitting:
     ``a_part``/``b0_part`` are 1-based indices into ``relative_basis``; for
     an HNN splitting ``stable_index`` points at the stable letter and the
     remaining indices form the A-part.  ``edge_word`` is written in relative
-    coordinates and uses only A-part letters.
+    coordinates and uses only A-part letters.  Building one that violates
+    the normal form, by the constructor, ``dataclasses.replace`` or
+    ``from_json``, raises InvalidSplitting listing every violation.
     """
 
     kind: str
@@ -55,6 +59,11 @@ class CyclicSplitting:
     edge_word: Word
     b0_part: tuple[int, ...] = ()
     stable_index: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        problems = _diagnostics(self)
+        if problems:
+            raise InvalidSplitting(problems)
 
     @property
     def rank(self) -> int:
@@ -93,13 +102,9 @@ def relative_inverse(splitting: CyclicSplitting) -> Automorphism:
     return invert(splitting.relative_automorphism())
 
 
-def diagnostics(splitting: CyclicSplitting) -> list[str]:
-    """All normal-form violations, empty iff the splitting is valid."""
-    return list(_diagnostics(splitting))
-
-
 @lru_cache(maxsize=256)
 def _diagnostics(splitting: CyclicSplitting) -> tuple[str, ...]:
+    """All normal-form violations, empty iff the splitting is valid."""
     problems: list[str] = []
     k = splitting.rank
     if splitting.kind not in (AMALGAM, HNN):
@@ -146,16 +151,6 @@ def _diagnostics(splitting: CyclicSplitting) -> tuple[str, ...]:
     return tuple(problems)
 
 
-def validate(splitting: CyclicSplitting) -> bool:
-    return not diagnostics(splitting)
-
-
-def require_valid(splitting: CyclicSplitting) -> None:
-    problems = diagnostics(splitting)
-    if problems:
-        raise InvalidSplitting(problems)
-
-
 def relative_twist(splitting: CyclicSplitting, exponent: int = 1) -> Automorphism:
     """The ``exponent``-th power of the twist, in relative coordinates.
 
@@ -189,7 +184,6 @@ def dehn_twist(splitting: CyclicSplitting, exponent: int = 1) -> Automorphism:
     every word built on the way, ``c^n`` included; past ``LETTER_BUDGET``
     BudgetExceeded is raised before anything is built.
     """
-    require_valid(splitting)
     sigma = splitting.relative_automorphism()
     c_letters = abs(exponent) * letters_needed(sigma, [splitting.edge_word])
     spelled = [len(image) for image in sigma.images]
@@ -215,7 +209,6 @@ def transform(splitting: CyclicSplitting, phi: Automorphism) -> CyclicSplitting:
     ``length(result, g) == length(s, apply(phi, g))``; concretely the new
     relative basis is the inverse of ``phi`` applied to the old one.
     """
-    require_valid(splitting)
     phi_inverse = invert(phi)
     new_basis = tuple(apply(phi_inverse, word) for word in splitting.relative_basis)
     return CyclicSplitting(
@@ -246,7 +239,6 @@ def vertex_groups(splitting: CyclicSplitting) -> list[list[Word]]:
     letters).  HNN: the single vertex group, free product of the A-part
     with the edge word conjugated through the stable letter.
     """
-    require_valid(splitting)
     sigma = splitting.relative_automorphism()
     if splitting.kind == AMALGAM:
         a_gens = [apply(sigma, (index,)) for index in sorted(splitting.a_part)]
@@ -310,15 +302,10 @@ def from_json(payload: dict) -> CyclicSplitting:
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidSplitting([f"malformed splitting payload: {exc}"]) from exc
     if kind == AMALGAM:
-        splitting = CyclicSplitting(kind, basis, relative_basis, a_part, edge_word, b0_part=b0_part)
-    elif kind == HNN:
-        splitting = CyclicSplitting(
-            kind, basis, relative_basis, a_part, edge_word, stable_index=stable_index
-        )
-    else:
-        raise InvalidSplitting([f"unknown kind {kind!r}"])
-    require_valid(splitting)
-    return splitting
+        return CyclicSplitting(kind, basis, relative_basis, a_part, edge_word, b0_part=b0_part)
+    if kind == HNN:
+        return CyclicSplitting(kind, basis, relative_basis, a_part, edge_word, stable_index=stable_index)
+    raise InvalidSplitting([f"unknown kind {kind!r}"])
 
 
 def dumps(splitting: CyclicSplitting) -> str:

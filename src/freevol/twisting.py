@@ -16,13 +16,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from .errors import BudgetExceeded, HypothesisViolated, NotAnAutomorphism, TrivialSubgroup, UsageError
-from .splittings import (
-    AMALGAM,
-    CyclicSplitting,
-    relative_inverse,
-    require_valid,
-    to_relative,
-)
+from .splittings import AMALGAM, CyclicSplitting, relative_inverse, to_relative
 from .stallings import Links, cycle_word, fold_generators, is_malnormal, rank, subgroup_graph
 from .volume import chains, cyclic_length, relative_length, relative_volume
 from .words import (
@@ -278,9 +272,7 @@ def constants(
 def _edge_word_image(
     splitting1: CyclicSplitting, splitting2: CyclicSplitting
 ) -> tuple[int, Word, Word, Word, Automorphism]:
-    """``(l2(c1), u, q, q^-1, nu = basis_change)``, nu(c1) = q u q^-1; checks splitting 2, then 1."""
-    require_valid(splitting2)
-    require_valid(splitting1)
+    """``(l2(c1), u, q, q^-1, nu = basis_change)``, nu(c1) = q u q^-1."""
     nu = basis_change(splitting1, splitting2)
     u, q = cyclically_reduce(apply(nu, splitting1.edge_word))
     return cyclic_length(splitting2, u), u, q, invert_word(q), nu

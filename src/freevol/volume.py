@@ -9,8 +9,8 @@ H = <g> with g hyperbolic, T_H is the axis of g, so the free volume is the
 translation length of g.  ``translation_length`` counts it in one pass over
 the relative word, with no graph; ``free_volume`` below is the general
 algorithm, and on cyclic subgroups it cross-checks that count.  Each has
-an entry for words in the splitting's relative letters that skips the
-check of the splitting, ``relative_length`` and ``relative_volume``.
+an entry for words in the splitting's relative letters, ``relative_length``
+and ``relative_volume``.
 
 The quotient is read off Gamma, the folded core graph of H over the
 relative rose (Bestvina-Feighn 1991; Kapovich-Weidmann-Miasnikov 2005),
@@ -96,7 +96,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .splittings import HNN, CyclicSplitting, require_valid, to_relative
+from .splittings import HNN, CyclicSplitting, to_relative
 from .stallings import Forest, LabeledGraph, Links, as_graph, fold_generators
 from .words import Word, cyclically_reduce, is_power_of, render_word
 
@@ -144,7 +144,6 @@ class VolumeReport:
 
 def lambda_graph(splitting: CyclicSplitting, gens: Sequence[Word]) -> LabeledGraph:
     """Folded core graph of the subgroup, drawn over the relative rose."""
-    require_valid(splitting)
     return as_graph(fold_generators([to_relative(splitting, g) for g in gens], keep_basepoint=False))
 
 
@@ -233,7 +232,6 @@ def _quotient(
 
 
 def analyze(splitting: CyclicSplitting, gens: Sequence[Word]) -> VolumeReport:
-    require_valid(splitting)
     links = fold_generators([to_relative(splitting, g) for g in gens], keep_basepoint=False)
     orbits, cyclic, essential = _quotient(splitting, links)
     chains = tuple(
@@ -246,11 +244,7 @@ def analyze(splitting: CyclicSplitting, gens: Sequence[Word]) -> VolumeReport:
 
 
 def free_volume(splitting: CyclicSplitting, gens: Sequence[Word]) -> int:
-    """Free volume of the subgroup generated by the ambient words ``gens``.
-
-    The splitting is checked first; an invalid one raises InvalidSplitting.
-    """
-    require_valid(splitting)
+    """Free volume of the subgroup generated by the ambient words ``gens``."""
     return relative_volume(splitting, [to_relative(splitting, g) for g in gens])
 
 
@@ -260,8 +254,7 @@ def relative_volume(splitting: CyclicSplitting, gens: Sequence[Word]) -> int:
     The quotient is counted on Gamma shortened by ``_shorten``, plus the
     free edges that shortening cut: each arc's middle becomes one gap, so a
     twist's long c^n arcs cost what a short word costs.  The module
-    docstring proves the two counts equal.  The splitting is not checked;
-    it must be valid.
+    docstring proves the two counts equal.
     """
     links = fold_generators(gens, keep_basepoint=False)
     cut = _shorten(splitting, links)
@@ -366,18 +359,12 @@ def translation_length(splitting: CyclicSplitting, word: Word) -> int:
       e = 1 the gap u_0 too lies between t and t^-1.  So what is left has
       no pinch, even cyclically, and the length is #t - 2 (number of gaps
       t^-1 c^j t).
-
-    The splitting is checked first; an invalid one raises InvalidSplitting.
     """
-    require_valid(splitting)
     return relative_length(splitting, to_relative(splitting, word))
 
 
 def relative_length(splitting: CyclicSplitting, word: Word) -> int:
-    """``translation_length`` of a word given in the splitting's relative letters.
-
-    The splitting is not checked; it must be valid.
-    """
+    """``translation_length`` of a word given in the splitting's relative letters."""
     return cyclic_length(splitting, cyclically_reduce(word)[0])
 
 

@@ -91,7 +91,7 @@ from typing import Iterator, Optional, Sequence
 from freevol.errors import HypothesisViolated, NotAnAutomorphism, UsageError
 from freevol.filling import WhiteheadMove
 from freevol.pingpong import _PERM_DEGREE, _cycle_type
-from freevol.splittings import AMALGAM, HNN, CyclicSplitting, require_valid, to_relative
+from freevol.splittings import AMALGAM, HNN, CyclicSplitting, to_relative
 from freevol.stallings import Edge, LabeledGraph, spell_path
 from freevol.volume import lambda_graph, translation_length as library_translation_length
 from freevol.words import (
@@ -844,7 +844,6 @@ def graph_surgery(graph: LabeledGraph, splitting: CyclicSplitting, n: int) -> Su
     of the positive stable-letter edge moves.  Folding and pruning the
     result yields the core graph of the n-th twist image of the subgroup.
     """
-    require_valid(splitting)
     if n == 0:
         return SurgeredGraph(graph, (), 0)
     chains = find_chains(graph, splitting)

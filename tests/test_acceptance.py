@@ -176,27 +176,30 @@ def test_criterion_7_bounded_cancellation():
 
 
 # 8. High twist powers throw sampled subgroups across the partition and grow them.
+#    With free volumes (v1, v2), side two is v1 > v2 and side one is
+#    v1 <= v2 with v2 > 0; v1 = v2 = 0 is on neither side.
 def test_criterion_8_side_swap_sampling():
     pair = fx.certified_filling_pair()
     config = pp.configure(pair)
     twist = sp.dehn_twist(pair.first)
+
+    def volumes(word):
+        return vol.free_volume(pair.first, [word]), vol.free_volume(pair.second, [word])
+
     rng = random.Random(3)
     samples = 0
     while samples < 50:
         w = random_reduced(rng, 8)
         if not CyclicWord.of(w).letters:
             continue
-        try:
-            side = pp.classify(config, [w])
-        except Exception:
-            continue
-        if side != pp.SIDE_SECOND:
+        v1, v2 = volumes(w)
+        if not v1 > v2:
             continue
         samples += 1
         for sign in (1, -1):
-            image = apply(power(twist, sign * config.threshold), w)
-            assert pp.classify(config, [image]) == pp.SIDE_FIRST
-            assert pp.size(config, [image]) > pp.size(config, [w])
+            u1, u2 = volumes(apply(power(twist, sign * config.threshold), w))
+            assert u1 <= u2 and u2 > 0
+            assert u1 + u2 > v1 + v2
 
 
 # 9. A certified word has no short periodic classes; a bare twist does.

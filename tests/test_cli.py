@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import fixtures as fx
 import freevol
+import golden
 from freevol import cli, filling, pingpong, twisting, volume
 from freevol.splittings import MarkedPair, to_json, transform
 from freevol.words import power, render_word
@@ -95,6 +96,13 @@ def test_volume_refuses_a_relative_basis_that_is_not_a_basis(capsys, tmp_path, r
     path.write_text(json.dumps(payload))
     code, out, err = run(capsys, ["volume", "--splitting", str(path), "a"])
     assert (code, out, err) == (1, "", "error: relative basis is not a basis\n")
+
+
+@pytest.mark.parametrize("name", sorted(golden.INVALID))
+def test_fill_refuses_each_invalid_pair_file_with_its_error(capsys, name):
+    message = golden.INVALID[name][-1]
+    path = str(golden.pair_path(f"invalid.{name}"))
+    assert run(capsys, ["fill", "--pair", path]) == (1, "", f"error: {message}\n")
 
 
 def test_volume_of_edge_word_is_zero(capsys, tmp_path):
@@ -463,6 +471,21 @@ def test_editing_returned_certificates_changes_no_later_output(capsys, tmp_path,
     assert "scribbled" in as_json["checks"]["filling"]["f2_evidence"]["pullbacks"][0]["component_ranks"]
     assert json.dumps(certificate.to_json(), indent=2, sort_keys=True) + "\n" == before[1]
     assert run(capsys, argv) == before
+
+
+@pytest.mark.parametrize("pair", ["certified_filling_pair", "mirror_filling_pair", "pair_with_sixth_power"])
+def test_certificate_checks_refuse_edits_and_the_golden_output_holds(capsys, pair):
+    name = f"{pair}.pingpong.alternating.json"
+    argv = golden.requests()[name]
+    config = pingpong.configure(cli.load_pair(argv[2]))
+    certificate = pingpong.certify(config, pingpong.parse_twist_word(argv[3], config.threshold))
+    for key in ("filling", "added"):
+        with pytest.raises(TypeError):
+            certificate.checks[key] = True
+    with pytest.raises(TypeError):
+        del certificate.checks["threshold"]
+    assert json.dumps(certificate.to_json(), indent=2, sort_keys=True) + "\n" == golden.expected(name)[1]
+    assert run(capsys, argv)[:2] == golden.expected(name)
 
 
 def test_realize_names_the_budget_and_the_letters_needed(monkeypatch):

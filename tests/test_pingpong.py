@@ -10,13 +10,7 @@ import fixtures as fx
 import oracles
 from freevol import filling as fl
 from freevol import pingpong as pp
-from freevol.errors import (
-    BasisMismatch,
-    BudgetExceeded,
-    NotFillingEvidence,
-    NotProperSubgroup,
-    UsageError,
-)
+from freevol.errors import BasisMismatch, BudgetExceeded, NotFillingEvidence, UsageError
 from freevol import twisting as tw
 from freevol.splittings import MarkedPair, dehn_twist, transform
 from freevol.twisting import TwistConstants
@@ -89,17 +83,6 @@ def test_configured_filling_evidence_cannot_be_changed():
 def test_configure_anchor(config):
     assert config.constants == TwistConstants(B=1, M=6, C=15)
     assert config.threshold == 15
-
-
-def test_classify_edge_words(config):
-    pair = config.pair
-    assert pp.classify(config, [pair.first.edge_word_ambient()]) == pp.SIDE_FIRST
-    assert pp.classify(config, [pair.second.edge_word_ambient()]) == pp.SIDE_SECOND
-
-
-def test_classify_rejects_full_rank_subgroup(config):
-    with pytest.raises(NotProperSubgroup):
-        pp.classify(config, [P("a"), P("b"), P("c")])
 
 
 def test_twist_word_validation():

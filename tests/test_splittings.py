@@ -1,12 +1,19 @@
+from dataclasses import fields, replace
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import fixtures as fx
 from freevol import splittings as sp
 from freevol.errors import BudgetExceeded, InvalidSplitting
 from freevol.words import (
+    Automorphism,
+    Basis,
     compose,
     invert,
     power,
+    reduce_word,
     render_word,
 )
 
@@ -25,47 +32,41 @@ def test_validate_fixtures():
         fx.hnn_over_commutator(),
         fx.certified_filling_pair().second,
     ):
-        assert sp.validate(splitting)
-        assert sp.diagnostics(splitting) == []
+        # Building a copy checks the normal form again, and finds nothing.
+        assert replace(splitting) == splitting
 
 
 def test_validate_rejects_divisible_edge_word():
-    bad = sp.CyclicSplitting(
-        kind=sp.AMALGAM,
-        ambient_basis=B3,
-        relative_basis=(P("a"), P("c"), P("b")),
-        a_part=(1, 2),
-        edge_word=(2, 2),
-        b0_part=(3,),
-    )
-    assert not sp.validate(bad)
-    with pytest.raises(InvalidSplitting):
-        sp.require_valid(bad)
+    with pytest.raises(InvalidSplitting) as refused:
+        sp.CyclicSplitting(
+            kind=sp.AMALGAM,
+            ambient_basis=B3,
+            relative_basis=(P("a"), P("c"), P("b")),
+            a_part=(1, 2),
+            edge_word=(2, 2),
+            b0_part=(3,),
+        )
+    assert refused.value.diagnostics == ["edge word is a proper power"]
 
 
 def test_validate_rejects_non_basis():
-    bad = sp.CyclicSplitting(
-        kind=sp.AMALGAM,
-        ambient_basis=B3,
-        relative_basis=(P("a"), P("a"), P("b")),
-        a_part=(1, 2),
-        edge_word=(2,),
-        b0_part=(3,),
-    )
-    assert not sp.validate(bad)
+    with pytest.raises(InvalidSplitting) as refused:
+        sp.CyclicSplitting(
+            kind=sp.AMALGAM,
+            ambient_basis=B3,
+            relative_basis=(P("a"), P("a"), P("b")),
+            a_part=(1, 2),
+            edge_word=(2,),
+            b0_part=(3,),
+        )
+    assert refused.value.diagnostics == ["relative basis is not a basis"]
 
 
 @pytest.mark.parametrize("relative_basis", [("ab", "ab", "c"), ("1", "ab", "c")])
 def test_diagnostics_name_a_relative_basis_that_is_not_a_basis(relative_basis):
-    bad = sp.CyclicSplitting(
-        kind=sp.AMALGAM,
-        ambient_basis=B3,
-        relative_basis=tuple(P(w) for w in relative_basis),
-        a_part=(1, 2),
-        edge_word=(1, 2),
-        b0_part=(3,),
-    )
-    assert sp.diagnostics(bad) == ["relative basis is not a basis"]
+    with pytest.raises(InvalidSplitting) as refused:
+        replace(fx.amalgam_over_ab(), relative_basis=tuple(P(w) for w in relative_basis))
+    assert refused.value.diagnostics == ["relative basis is not a basis"]
 
 
 def test_amalgam_twist_conjugates_one_side():
@@ -177,15 +178,123 @@ def test_json_roundtrip():
 
 
 def test_marked_pair_requires_same_basis():
-    with pytest.raises(InvalidSplitting):
-        sp.MarkedPair(
-            fx.amalgam_over_c(),
-            sp.CyclicSplitting(
-                kind=sp.AMALGAM,
-                ambient_basis=fx.B2,
-                relative_basis=(fx.w2("a"), fx.w2("b")),
-                a_part=(1,),
-                edge_word=(1,),
-                b0_part=(2,),
-            ),
-        )
+    # A valid rank-2 splitting, so that the pair's own basis check refuses it.
+    rank_two = sp.CyclicSplitting(
+        kind=sp.HNN,
+        ambient_basis=fx.B2,
+        relative_basis=(fx.w2("a"), fx.w2("b")),
+        a_part=(1,),
+        edge_word=(1,),
+        stable_index=2,
+    )
+    with pytest.raises(InvalidSplitting) as refused:
+        sp.MarkedPair(fx.amalgam_over_c(), rank_two)
+    assert refused.value.diagnostics == ["paired splittings must share the same ambient basis"]
+
+
+def _standard_splittings():
+    """An HNN splitting at each rank 2-5 and an amalgam at each rank 3-5, in standard letters."""
+    for rank in range(2, 6):
+        basis = Basis.standard(rank)
+        letters = tuple((i,) for i in range(1, rank + 1))
+        vertex = tuple(range(1, rank))
+        yield sp.CyclicSplitting(sp.HNN, basis, letters, vertex, vertex, stable_index=rank)
+        if rank > 2:
+            yield sp.CyclicSplitting(sp.AMALGAM, basis, letters, vertex, vertex, b0_part=(rank,))
+
+
+BASE_SPLITTINGS = [*fx.fixture_splittings().values(), *_standard_splittings()]
+
+
+@st.composite
+def nielsen_products(draw, rank):
+    """Products of 1-6 elementary Nielsen moves x_i -> x_i x_j^(+-1) or x_j^(+-1) x_i at ``rank``."""
+    basis = Basis.standard(rank)
+    nu = Automorphism.identity(basis)
+    for _ in range(draw(st.integers(1, 6))):
+        i, j = draw(st.lists(st.integers(1, rank), min_size=2, max_size=2, unique=True))
+        moved = draw(st.sampled_from((j, -j)))
+        images = [(g,) for g in range(1, rank + 1)]
+        images[i - 1] = (i, moved) if draw(st.booleans()) else (moved, i)
+        nu = compose(nu, Automorphism(basis, tuple(images)))
+    return nu
+
+
+def field_changes(splitting):
+    """Replacements for any of the fields of ``splitting`` that ``from_json`` reads."""
+    k = splitting.rank
+    letter = st.integers(1, k).flatmap(lambda i: st.sampled_from((i, -i)))
+    word = st.lists(letter, max_size=6).map(tuple)
+    indices = st.lists(st.integers(0, k + 1), max_size=k + 1).map(tuple)
+    relative_basis = st.one_of(
+        st.just(splitting.relative_basis[:-1]),
+        st.just(splitting.relative_basis[:1] * k),
+        st.tuples(st.integers(0, k - 1), word.map(reduce_word)).map(
+            lambda change: tuple(
+                change[1] if i == change[0] else image for i, image in enumerate(splitting.relative_basis)
+            )
+        ),
+    )
+    optional = {
+        "kind": st.sampled_from((sp.AMALGAM, sp.HNN, "graph")),
+        "relative_basis": relative_basis,
+        "a_part": indices,
+        "b0_part": indices,
+        "stable_index": st.one_of(st.none(), st.integers(0, k + 1)),
+        "edge_word": st.tuples(word, st.integers(1, 3)).map(lambda power: power[0] * power[1]),
+    }
+    return st.fixed_dictionaries({}, optional=optional)
+
+
+def _unchecked(values):
+    """A CyclicSplitting holding ``values``, built without the constructor's check."""
+    splitting = object.__new__(sp.CyclicSplitting)
+    for field in fields(sp.CyclicSplitting):
+        object.__setattr__(splitting, field.name, values.get(field.name, field.default))
+    return splitting
+
+
+def _normal_form_problems(values):
+    """What ``_diagnostics`` finds in ``values``: the list that ``diagnostics`` returned when it was public."""
+    return list(sp._diagnostics.__wrapped__(_unchecked(values)))
+
+
+def _refusal(build):
+    """The diagnostics of the InvalidSplitting that ``build()`` raises, or [] when it builds."""
+    try:
+        build()
+    except InvalidSplitting as refused:
+        return refused.diagnostics
+    return []
+
+
+@given(data=st.data())
+def test_construction_refuses_exactly_what_the_normal_form_check_refuses(data):
+    """``transform`` never raises, and each way to build a splitting refuses only what ``_diagnostics`` finds."""
+    base = data.draw(st.sampled_from(BASE_SPLITTINGS))
+    moved = sp.transform(base, data.draw(nielsen_products(base.rank)))
+    changes = data.draw(field_changes(moved))
+    values = {field.name: getattr(moved, field.name) for field in fields(moved)} | changes
+    expected = _normal_form_problems(values)
+    assert _refusal(lambda: sp.CyclicSplitting(**values)) == expected
+    assert _refusal(lambda: replace(moved, **changes)) == expected
+
+    basis = moved.ambient_basis
+    payload = {
+        "schema": "freevol/1",
+        "kind": values["kind"],
+        "ambient_rank": basis.rank,
+        "relative_basis": [render_word(image, basis) for image in values["relative_basis"]],
+        "a_part": list(values["a_part"]),
+        "edge_word": render_word(values["edge_word"], basis),
+        "b0_part": list(values["b0_part"]),
+        "stable_index": values["stable_index"],
+    }
+    # from_json reduces the words it parses, and reads b0_part only for an amalgam, stable_index only for HNN.
+    parsed = values | {
+        "relative_basis": tuple(map(reduce_word, values["relative_basis"])),
+        "edge_word": reduce_word(values["edge_word"]),
+        "b0_part": values["b0_part"] if values["kind"] == sp.AMALGAM else (),
+        "stable_index": values["stable_index"] if values["kind"] == sp.HNN else None,
+    }
+    assert _refusal(lambda: sp.from_json(payload)) == _normal_form_problems(parsed)

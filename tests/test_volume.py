@@ -199,14 +199,21 @@ def test_elliptic_words_have_translation_length_zero(name, data):
 
 
 @pytest.mark.parametrize(
-    "changes",
-    [{"edge_word": (2, 2)}, {"relative_basis": (P("a"), P("a"), P("b"))}, {"b0_part": ()}],
+    "changes, diagnostics",
+    [
+        ({"edge_word": (2, 2)}, ["edge word is a proper power"]),
+        ({"relative_basis": (P("a"), P("a"), P("b"))}, ["relative basis is not a basis"]),
+        (
+            {"b0_part": ()},
+            ["A-part and B0-part must partition the relative letters", "A-part and B0-part must both be nonempty"],
+        ),
+    ],
 )
-@pytest.mark.parametrize("text", ["ab", ""])
-def test_translation_length_refuses_an_invalid_splitting(changes, text):
-    splitting = replace(fx.amalgam_over_c(), **changes)
-    with pytest.raises(InvalidSplitting):
-        vol.translation_length(splitting, P(text))
+def test_translation_length_refuses_an_invalid_splitting(changes, diagnostics):
+    """No length is measured on an invalid splitting: it cannot be built."""
+    with pytest.raises(InvalidSplitting) as refused:
+        replace(fx.amalgam_over_c(), **changes)
+    assert refused.value.diagnostics == diagnostics
 
 
 @pytest.mark.parametrize("name", SPLITTINGS)
