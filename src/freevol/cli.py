@@ -3,10 +3,11 @@
 Exit codes: 0 success / definitely true, 1 definitely false, 2 unknown,
 3 hypotheses violated, 4 over budget (``pingpong --images`` when the images,
 and ``--trials`` too when one twist factor, could exceed ``LETTER_BUDGET``
-letters, and ``--trials`` when the orbit sample would check more than
-``ORBIT_BUDGET`` word powers; nothing is printed on standard output), 64
-usage error.  A reader
-that closes standard output early (``freevol ... | head``) changes
+letters, ``--trials`` when the orbit sample would check more than
+``ORBIT_BUDGET`` word powers, and every ``pingpong`` request on a pair
+whose bounded cancellation constants would need more than ``BCC_BUDGET``
+closure entries; nothing is printed on standard output), 64 usage error.
+A reader that closes standard output early (``freevol ... | head``) changes
 neither: the rest of the output is dropped, nothing is printed on standard
 error, and the exit code is still the verdict's.  All JSON output carries
 a top-level ``"schema": "freevol/1"`` field, and identical invocations

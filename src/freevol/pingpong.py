@@ -2,14 +2,15 @@
 
 ``configure`` prepares a pair of cyclic splittings, with Dehn twists T1
 and T2: the cross translation lengths l12 = l2(c1) and l21 = l1(c2) of
-the edge words must be positive (else NotFillingEvidence), the constants
-B, M and C come from ``twisting.constants``, within ``BCC_BUDGET``, the
-pair's filling certificate from ``check_filling``, and the threshold N is
-the least N >= 1 with N l - C >= 2(M + 1) for both l12 and l21.  Each
-pair is configured once per process: ``configure`` is cached on the pair,
-and its config holds only immutable values.  A refusal is an exception
-and is never cached; ``check_filling`` and ``twisting.bcc`` themselves
-are never cached either.
+the edge words, read off the two ``twisting.crossing`` records, must be
+positive (else NotFillingEvidence), the constants B, M and C come from
+``twisting.constants``, within ``BCC_BUDGET``, the pair's filling
+certificate from ``check_filling``, and the threshold N is the least
+N >= 1 with N l - C >= 2(M + 1) for both l12 and l21.  Each pair is
+configured once per process: ``configure`` is cached on the pair, and its
+config holds only immutable values.  A refusal is an exception and is
+never cached; ``check_filling`` and ``twisting.bcc`` themselves are never
+cached either.
 
 ``certify`` decides a twist word from its factors alone, never building
 it: the filling verdict must be ``fills``, the word nonempty, and every
@@ -32,11 +33,10 @@ from operator import mul, sub
 from types import MappingProxyType
 from typing import Callable, Mapping, Optional, Sequence
 
-from . import volume as volume_mod
 from .errors import BasisMismatch, BudgetExceeded, NotFillingEvidence, UsageError
 from .filling import FillingCertificate, check_filling
 from .splittings import MarkedPair, dehn_twist
-from .twisting import TwistConstants, constants as twist_constants
+from .twisting import TwistConstants, constants as twist_constants, crossing
 from .words import (
     LETTER_BUDGET,
     Automorphism,
@@ -84,26 +84,10 @@ class PingPongConfig:
             raise UsageError("threshold exponent must be at least 1")
 
 
-def _edge_lengths(pair: MarkedPair) -> tuple[int, int]:
-    """Translation length of each edge word in the *other* splitting."""
-    c1 = pair.first.edge_word_ambient()
-    c2 = pair.second.edge_word_ambient()
-    ell12 = volume_mod.translation_length(pair.second, c1)
-    ell21 = volume_mod.translation_length(pair.first, c2)
-    _require_hyperbolic(ell12, ell21)
-    return ell12, ell21
-
-
-def _require_hyperbolic(ell12: int, ell21: int) -> None:
-    if ell12 <= 0 or ell21 <= 0:
-        raise NotFillingEvidence(
-            "an edge word is elliptic in the other splitting; the pair cannot fill"
-        )
-
-
 def threshold_exponent(consts: TwistConstants, ell12: int, ell21: int) -> int:
-    """Minimal N with N*ell - C >= 2(M+1) for both cross translation lengths."""
-    _require_hyperbolic(ell12, ell21)
+    """Minimal N with N*ell - C >= 2(M+1) for both cross translation lengths, both positive."""
+    if ell12 <= 0 or ell21 <= 0:
+        raise NotFillingEvidence(f"no threshold for the cross translation lengths {ell12} and {ell21}")
     need = consts.C + 2 * (consts.M + 1)
     n = max(-(-need // ell12), -(-need // ell21), 1)
     return n
@@ -113,30 +97,32 @@ def threshold_exponent(consts: TwistConstants, ell12: int, ell21: int) -> int:
 def configure(pair: MarkedPair) -> PingPongConfig:
     """Filling certificate, constants and threshold of the pair; cached per pair.
 
-    The edge words' cross translation lengths are tested first, so a pair
+    The edge words' cross translation lengths, the ``length`` of the
+    pair's two ``twisting.crossing`` records, are tested first, so a pair
     with an elliptic edge word raises NotFillingEvidence without checking
-    filling or computing the bounded cancellation constants.  The constants
-    come next, before ``check_filling``, so a pair over ``BCC_BUDGET``
-    raises BudgetExceeded before any filling work.
+    filling or computing the bounded cancellation constants.  The
+    constants come next, before ``check_filling``, so a pair over
+    ``BCC_BUDGET`` raises BudgetExceeded before any filling work.
 
     The config is cached per pair and process (``lru_cache``, 256 pairs),
     so an equal pair read again, from any file, is configured once: its
     edge lengths, constants and filling check are not computed again.  The
     config and its filling certificate are immutable, so every caller may
     share them.  A refusal (NotFillingEvidence, BudgetExceeded) is an
-    exception and is not cached.  Each direction of bounded cancellation
-    is also cached, per ordered pair of splittings
-    (``twisting.bcc_between``); ``check_filling`` and ``bcc`` themselves
-    are not cached.
+    exception and is not cached.  Each ``crossing`` record is also cached,
+    per ordered pair of splittings, and keeps its ``bcc`` once computed;
+    ``check_filling`` and ``bcc`` themselves are not cached.
     """
-    ell12, ell21 = _edge_lengths(pair)
+    ell12 = crossing(pair.first, pair.second).length
+    ell21 = crossing(pair.second, pair.first).length
+    if not (ell12 and ell21):
+        raise NotFillingEvidence("an edge word is elliptic in the other splitting; the pair cannot fill")
     consts = twist_constants(pair.ambient_basis.rank - 1, pair.first, pair.second)
-    filling = check_filling(pair)
     return PingPongConfig(
         pair=pair,
         constants=consts,
         threshold=threshold_exponent(consts, ell12, ell21),
-        filling=filling,
+        filling=check_filling(pair),
     )
 
 

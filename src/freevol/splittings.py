@@ -69,6 +69,11 @@ class CyclicSplitting:
     def rank(self) -> int:
         return self.ambient_basis.rank
 
+    @property
+    def separators(self) -> set[int]:
+        """The relative indices that separate gaps: the B0 letters (amalgam) or the stable letter (HNN)."""
+        return set(self.b0_part) if self.kind == AMALGAM else {self.stable_index}
+
     def relative_automorphism(self) -> Automorphism:
         """Automorphism sending standard letters to the relative basis."""
         return Automorphism(self.ambient_basis, self.relative_basis)

@@ -108,35 +108,6 @@ class Forest:
         return {node: self._cycles.get(node, 0) for node, up in self._parent.items() if node == up}
 
 
-def spell_path(
-    edges: set[Edge], word: Word, source: int, target: Optional[int], fresh: int
-) -> list[int]:
-    """Add to ``edges`` a path from ``source`` to ``target`` reading ``word``.
-
-    The interior vertices get the ids ``fresh``, ``fresh + 1``, ...; a
-    ``target`` of None is one more fresh vertex.  Returns the vertices
-    along the path, ``source`` first.
-    """
-    end = fresh + len(word) - 1 if target is None else target
-    stops = [source, *range(fresh, fresh + len(word) - 1), end]
-    for tail, head, letter in zip(stops, stops[1:], word):
-        edges.add((tail, head, letter) if letter > 0 else (head, tail, -letter))
-    return stops
-
-
-def from_generators(basis: Basis, gens: Sequence[Word]) -> LabeledGraph:
-    """Wedge of subdivided loops at basepoint 0, one loop per generator word."""
-    if not gens or any(len(g) == 0 for g in gens):
-        raise TrivialSubgroup("need nonempty generator words")
-    vertices = {0}
-    edges: set[Edge] = set()
-    fresh = 1
-    for gen in gens:
-        vertices.update(spell_path(edges, gen, 0, 0, fresh))
-        fresh += len(gen) - 1
-    return LabeledGraph(frozenset(vertices), frozenset(edges), basepoint=0)
-
-
 def _prune(links: Links, keep: Optional[int]) -> None:
     """Remove valence-<=1 vertices other than ``keep`` in rounds, never the last one.
 
@@ -229,20 +200,22 @@ def fold_and_core(graph: LabeledGraph, keep_basepoint: bool) -> tuple[LabeledGra
 
 
 def fold_generators(gens: Sequence[Word], keep_basepoint: bool) -> Links:
-    """The table of ``fold_and_core(from_generators(basis, gens), keep_basepoint)[0]``.
+    """The table of the folded core of the wedge of the generators' loops.
 
-    Vertex ids, basepoint 0 included, are those of that core.  Each
-    generator is added to the graph folded so far along its path in
-    ``from_generators``, whose vertices at positions 0 .. L are 0, f, f + 1,
-    ..., f + L - 2, 0.  The path is read forward from 0 and backward from 0
-    as far as the graph allows: the positions read lie in the class of the
-    vertex reached, whose least id is older, so none of them is added.
-    While both reads stop at one vertex and leave it by the same missing
-    label, both next positions lie in one class, whose least id is the
-    forward one's: one vertex of that id is added, and both reads step
-    onto it.  Only the middle is then spelled, each vertex with its id in
-    ``from_generators``.  A clash left, from an unreduced word or from
-    the two reads meeting, goes to ``_fold``.
+    The wedge has a subdivided loop at basepoint 0 per nonempty generator,
+    in order: one of length L has the vertices 0, f, f + 1, ..., f + L - 2,
+    0 at positions 0 .. L, f being 1 plus L' - 1 per generator before it.
+    Vertex ids, basepoint 0 included, are those of ``fold_and_core`` of the
+    wedge.  Each generator is added to the graph folded so far along its
+    loop, read forward from 0 and backward from 0 as far as the graph
+    allows: the positions read lie in the class of the vertex reached,
+    whose least id is older, so none of them is added.  While both reads
+    stop at one vertex and leave it by the same missing label, both next
+    positions lie in one class, whose least id is the forward one's: one
+    vertex of that id is added, and both reads step onto it.  Only the
+    middle is then spelled, each vertex with its id in the wedge.  A clash
+    left, from an unreduced word or from the two reads meeting, goes to
+    ``_fold``.
 
     The classes are those of folding the whole wedge at once, since folds
     commute and every identification above is one that folding makes; so
@@ -284,9 +257,9 @@ def fold_generators(gens: Sequence[Word], keep_basepoint: bool) -> Links:
 def subgroup_graph(basis: Basis, gens: Sequence[Word], keep_basepoint: bool = True) -> LabeledGraph:
     """Folded (core) graph of the subgroup generated by ``gens``, empty words dropped.
 
-    Built by ``fold_generators``; it equals the core of
-    ``fold_and_core(from_generators(basis, gens), keep_basepoint)``, vertex
-    ids and basepoint included.
+    Built by ``fold_generators``; it equals ``fold_and_core`` of the wedge
+    of the generators' loops that ``fold_generators`` names, vertex ids and
+    basepoint included.
     """
     return as_graph(fold_generators(gens, keep_basepoint), 0 if keep_basepoint else None)
 

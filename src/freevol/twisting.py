@@ -6,19 +6,21 @@ the relative bases of two splittings, the constants they give, the
 resulting two-sided linear growth bounds, and the exact lines that twisted
 volume follows from a proven power on, for cyclic subgroups
 (``growth_certificate``) and for malnormal ones of rank 2 or more
-(``_TwistedCore``).
+(``_TwistedCore``).  Each ordered pair of splittings has one cached record,
+``crossing``, from which all of these read the basis change, the image of
+the edge word, the cross length and the bounded cancellation constant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 from .errors import BudgetExceeded, HypothesisViolated, NotAnAutomorphism, TrivialSubgroup, UsageError
 from .splittings import AMALGAM, CyclicSplitting, relative_inverse, to_relative
 from .stallings import Links, cycle_word, fold_generators, is_malnormal, rank, subgroup_graph
-from .volume import chains, cyclic_length, relative_length, relative_volume
+from .volume import chains, cyclic_length, relative_length, relative_volume, uncounted_gaps
 from .words import (
     LETTER_BUDGET,
     Automorphism,
@@ -28,7 +30,6 @@ from .words import (
     concat,
     cyclically_reduce,
     invert_word,
-    is_power_of,
     letters_needed,
 )
 
@@ -168,8 +169,8 @@ def bcc(nu: Automorphism) -> int:
     cancel (``_least_closure_entries``).  That count is checked before
     anything is built, and the closure's entries as saturation adds them.
     Past the budget BudgetExceeded is raised, naming it and the entries
-    needed.  Nothing here is cached; ``bcc_between`` caches per ordered
-    pair of splittings.
+    needed.  Nothing here is cached; the ``bcc`` of ``crossing`` caches
+    per ordered pair of splittings.
     """
     _require_bcc_budget(_least_closure_entries(nu))
     roots, label, moves = _saturated_hull_automaton(nu)
@@ -208,21 +209,30 @@ def bcc(nu: Automorphism) -> int:
     return max((depth[start] for start in starts), default=0)
 
 
-@lru_cache(maxsize=256)
-def basis_change(splitting1: CyclicSplitting, splitting2: CyclicSplitting) -> Automorphism:
-    """Automorphism rewriting splitting-1 relative coordinates in splitting-2's; cached."""
-    return compose(relative_inverse(splitting2), splitting1.relative_automorphism())
+class Crossing:
+    """What splitting 2 reads of splitting 1: the facts about one ordered pair.
 
-
-@lru_cache(maxsize=256)
-def bcc_between(splitting1: CyclicSplitting, splitting2: CyclicSplitting) -> int:
-    """``bcc`` of ``basis_change(splitting1, splitting2)``; cached per ordered pair.
-
-    ``constants``, ``pingpong.configure`` and ``_kept_periods`` share one
-    computation per direction.  A refusal by ``BCC_BUDGET`` is an exception
-    and is not cached, so the pair is checked again on its next call.
+    ``nu`` is the basis change, rewriting splitting-1 relative letters in
+    splitting-2's; nu(c1) = q u q^-1 with u cyclically reduced, and
+    ``length`` is l2(c1).  ``bcc`` is bcc(nu), kept once computed; a
+    refusal by ``BCC_BUDGET`` keeps nothing and is met again on the next
+    read.  Every caller shares one record, so none may assign to it.
     """
-    return bcc(basis_change(splitting1, splitting2))
+
+    def __init__(self, splitting1: CyclicSplitting, splitting2: CyclicSplitting) -> None:
+        self.nu = compose(relative_inverse(splitting2), splitting1.relative_automorphism())
+        self.u, self.q = cyclically_reduce(apply(self.nu, splitting1.edge_word))
+        self.q_inverse = invert_word(self.q)
+        self.length = cyclic_length(splitting2, self.u)
+
+    @cached_property
+    def bcc(self) -> int:
+        return bcc(self.nu)
+
+
+# The one record per ordered pair and process: ``constants``,
+# ``pingpong.configure`` and the growth check all read it.
+crossing = lru_cache(maxsize=256)(Crossing)
 
 
 # ---------------------------------------------------------------------------
@@ -254,12 +264,10 @@ def constants(
 ) -> TwistConstants:
     """The cancellation constant B, piece bound M, and growth constant C.
 
-    B is the larger of ``bcc_between`` in the two directions, each computed
+    B is the larger ``bcc`` of the two ``crossing`` records, each computed
     once per ordered pair of splittings and within ``BCC_BUDGET``.
     """
-    forward = bcc_between(splitting1, splitting2)
-    backward = bcc_between(splitting2, splitting1)
-    B = max(forward, backward)
+    B = max(crossing(splitting1, splitting2).bcc, crossing(splitting2, splitting1).bcc)
     M = piece_bound(rank_bound, B)
     return TwistConstants(B=B, M=M, C=4 * B + M + 5)
 
@@ -268,31 +276,21 @@ def constants(
 # Growth certificates for cyclic subgroups
 
 
-@lru_cache(maxsize=256)
-def _edge_word_image(
-    splitting1: CyclicSplitting, splitting2: CyclicSplitting
-) -> tuple[int, Word, Word, Word, Automorphism]:
-    """``(l2(c1), u, q, q^-1, nu = basis_change)``, nu(c1) = q u q^-1."""
-    nu = basis_change(splitting1, splitting2)
-    u, q = cyclically_reduce(apply(nu, splitting1.edge_word))
-    return cyclic_length(splitting2, u), u, q, invert_word(q), nu
-
-
 def _twist_blocks(splitting: CyclicSplitting, x: Word) -> list[tuple[int, Word]]:
     """Step 1 of ``growth_certificate``: the pairs (k_i, w_i) for a cyclically reduced relative x."""
-    amalgam = splitting.kind == AMALGAM
-    separators = set(splitting.b0_part) if amalgam else {splitting.stable_index}
+    separators = splitting.separators
     cuts = [i for i, letter in enumerate(x) if abs(letter) in separators]
     if not cuts:
         return []
     x = x[cuts[0] :] + x[: cuts[0]]
     cuts = [i - cuts[0] for i in cuts]
     doubled = x + x
+    amalgam = splitting.kind == AMALGAM
+    ends = list(zip(cuts, [*cuts[1:], len(x)]))
     marks = []  # (where a block goes, its k), in order along x
-    for i, j in zip(cuts, [*cuts[1:], len(x)]):
-        after, before = amalgam or x[i] < 0, amalgam or doubled[j] > 0
-        if not (after and before and is_power_of(doubled[i + 1 : j], splitting.edge_word)):
-            marks += [(i + 1, -1)] * after + [(j, 1)] * before
+    for (i, j), merged in zip(ends, uncounted_gaps(splitting, doubled, ends)):  # the gaps step 3 skips
+        if not merged:
+            marks += [(i + 1, -1)] * (amalgam or x[i] < 0) + [(j, 1)] * (amalgam or doubled[j] > 0)
     ends = [p for p, _ in marks[1:]] + [marks[0][0] + len(x)] if marks else []
     return [(k, doubled[p:end]) for (p, k), end in zip(marks, ends)]
 
@@ -336,18 +334,19 @@ class _Twisted:
 
 
 class _TwistedCycle(_Twisted):
-    """T1^n(g) for every n, as the cyclic block word of step 1 in splitting-2 letters."""
+    """T1^n(g) for every n: the cyclic block word of step 1 in splitting-2 letters, for ``_line``."""
 
     def __init__(self, splitting1: CyclicSplitting, splitting2: CyclicSplitting, g: Word) -> None:
-        self.splitting2 = splitting2
-        self.length_c1, self.u, q, q_inverse, nu = _edge_word_image(splitting1, splitting2)
-        x, _ = cyclically_reduce(to_relative(splitting1, g))
-        if not x:
+        self.splitting1, self.splitting2 = splitting1, splitting2
+        pair = crossing(splitting1, splitting2)
+        self.length_c1, self.u = pair.length, pair.u
+        self.x, _ = cyclically_reduce(to_relative(splitting1, g))
+        if not self.x:
             raise TrivialSubgroup("the generator is trivial")
-        self.vol2 = relative_length(splitting2, apply(nu, x))
-        blocks = _twist_blocks(splitting1, x)
+        self.vol2 = relative_length(splitting2, apply(pair.nu, self.x))
+        blocks = _twist_blocks(splitting1, self.x)
         self.vol1 = len(blocks)
-        self.zs = [concat(q_inverse, apply(nu, w), q) for _, w in blocks]
+        self.zs = [concat(pair.q_inverse, apply(pair.nu, w), pair.q) for _, w in blocks]
         u, u_inverse = self.u, invert_word(self.u)
         self.periods = {sign: [u if k == sign else u_inverse for k, _ in blocks] for sign in (1, -1)}
         self.certificate = {"plus": self._line(1), "minus": self._line(-1)} if self.length_c1 else None
@@ -367,12 +366,8 @@ class _TwistedCycle(_Twisted):
         return {"slope": slope, "intercept": cyclic_length(self.splitting2, tuple(word)) - slope * n0, "n0": n0}
 
     def count(self, n: int) -> int:
-        """l2(T1^n g), n != 0, counted on the block word at n."""
-        needed = sum(abs(n) * len(self.u) + len(z) for z in self.zs)
-        if needed > LETTER_BUDGET:
-            raise BudgetExceeded(f"the twisted word needs {needed} letters, over the budget of {LETTER_BUDGET}")
-        word = concat(*(p * abs(n) + z for p, z in zip(self.periods[1 if n > 0 else -1], self.zs)))
-        return relative_length(self.splitting2, word) if self.zs else self.vol2
+        """l2(T1^n g), n != 0, counted on ``_twisted_words`` at n."""
+        return relative_length(self.splitting2, _twisted_words(self.splitting1, self.splitting2, [self.x], n)[0])
 
 
 def growth_certificate(
@@ -405,8 +400,8 @@ def growth_certificate(
        w_m, k_i = +-1, no w_i a power of c (``_twist_blocks``).  The
        merges fall exactly on the gaps that step 3 does not count, so
        m = l1(g).
-    2. Free pumping.  With nu = ``basis_change(splitting1, splitting2)``
-       and nu(c) = q u q^-1, u cyclically reduced, the splitting-2
+    2. Free pumping.  With nu the basis change of ``crossing`` and
+       nu(c) = q u q^-1, u cyclically reduced, the splitting-2
        relative word is the cyclic product of u^(k_i n) z_i,
        z_i = q^-1 nu(w_i) q.  As c is not a proper power and w_i no power
        of c, u is not a proper power and z_i no power of u.  Reduce z_i
@@ -451,17 +446,17 @@ def _twisted_words(
     Step 1 of ``growth_certificate`` on based words: the relative twist
     puts c^n before each B0 letter and c^-n after it (amalgam), or c^n
     before t and c^-n after t^-1 (HNN).  Each letter then goes through
-    nu = ``basis_change(splitting1, splitting2)``, and nu(c^n) is
-    q u^n q^-1, so no automorphism is twisted or composed and no long word
-    is rewritten.  Reduced words are unique, so the result is
+    the basis change nu of ``crossing(splitting1, splitting2)``, and
+    nu(c^n) is q u^n q^-1, so no automorphism is twisted or composed and
+    no long word is rewritten.  Reduced words are unique, so the result is
     ``to_relative(splitting2, apply(dehn_twist(splitting1, n), g))`` for
     the ambient g of each x.  Its letters are bounded before anything is
-    built, as in ``_TwistedCycle.count``; past ``LETTER_BUDGET``
-    BudgetExceeded is raised.
+    built; past ``LETTER_BUDGET`` BudgetExceeded is raised.
     """
-    _, u, q, q_inverse, nu = _edge_word_image(splitting1, splitting2)
+    pair = crossing(splitting1, splitting2)
+    u, q, q_inverse, nu = pair.u, pair.q, pair.q_inverse, pair.nu
     amalgam = splitting1.kind == AMALGAM
-    separators = set(splitting1.b0_part) if amalgam else {splitting1.stable_index}
+    separators = splitting1.separators
     blocks = sum(abs(letter) in separators for x in xs for letter in x) * (2 if amalgam else 1)
     needed = letters_needed(nu, xs) + blocks * (abs(n) * len(u) + 2 * len(q))
     if needed > LETTER_BUDGET:
@@ -494,11 +489,9 @@ def _slides(splitting: CyclicSplitting, links: Links) -> tuple[int, int]:
     is not cyclic, e- the same for c^-1; each is 0 when there is no such
     end.
     """
-    if splitting.kind == AMALGAM:
-        separators = {x for b in splitting.b0_part for x in (b, -b)}
-        ends = {vertex for vertex, row in links.items() if not separators.isdisjoint(row)}
-    else:
-        ends = {vertex for vertex, row in links.items() if splitting.stable_index in row}
+    separators = splitting.separators
+    hnn = splitting.kind != AMALGAM  # only the tail of a t-edge is an end
+    ends = {vertex for vertex, row in links.items() if not separators.isdisjoint(row if hnn else map(abs, row))}
     plus = minus = 0
     for orbit in chains(links, splitting.edge_word):
         marks = [i for i, vertex in enumerate(orbit) if vertex in ends]
@@ -507,12 +500,11 @@ def _slides(splitting: CyclicSplitting, links: Links) -> tuple[int, int]:
     return plus, minus
 
 
-def _kept_periods(splitting1: CyclicSplitting, splitting2: CyclicSplitting) -> int:
-    """Step 2 of ``_TwistedCore``: the least a >= 0 with |q| + a|u| >= D, from values cached per pair."""
-    _, u, q, _, nu = _edge_word_image(splitting1, splitting2)
-    reach = max(len(nu.image_of(x)) for x in range(1, splitting1.rank + 1)) // 2
-    depth = bcc_between(splitting1, splitting2) + max(reach, len(q) + len(u) // 2)
-    return max(0, -(-(depth - len(q)) // len(u)))
+def _kept_periods(pair: Crossing) -> int:
+    """Step 2 of ``_TwistedCore``: the least a >= 0 with |q| + a|u| >= D, read off the pair's record."""
+    q, u = len(pair.q), len(pair.u)
+    depth = pair.bcc + max(max(map(len, pair.nu.images)) // 2, q + u // 2)
+    return max(0, -(-(depth - q) // u))
 
 
 class _TwistedCore(_Twisted):
@@ -552,7 +544,7 @@ class _TwistedCore(_Twisted):
        whole or not at all.
     2. Junctions.  Let T1, T2 be the Cayley trees of the two relative
        bases, and f: T1 -> T2 the identity on F that sends each edge to
-       the geodesic reading its nu-image, nu = ``basis_change``.  With
+       the geodesic reading its nu-image, nu the basis change.  With
        K = T1^n H and Min_i the minimal K-subtree of T_i, Min_1/K is the
        core of step 1, spelling it in nu-images and folding gives
        f(Min_1)/K, and the core of that is Min_2/K.  bcc(nu) = C says: if
@@ -610,12 +602,13 @@ class _TwistedCore(_Twisted):
 
     def __init__(self, splitting1: CyclicSplitting, splitting2: CyclicSplitting, xs: Sequence[Word]) -> None:
         self.splitting1, self.splitting2, self.xs = splitting1, splitting2, xs
-        self.length_c1, _, _, _, nu = _edge_word_image(splitting1, splitting2)
+        pair = crossing(splitting1, splitting2)
+        self.length_c1 = pair.length
         self.vol1 = relative_volume(splitting1, xs)
-        self.vol2 = relative_volume(splitting2, [apply(nu, x) for x in xs])
+        self.vol2 = relative_volume(splitting2, [apply(pair.nu, x) for x in xs])
         self.certificate = None
         if self.length_c1:
-            kept = 2 * _kept_periods(splitting1, splitting2) + 2
+            kept = 2 * _kept_periods(pair) + 2
             slides = _slides(splitting1, fold_generators(xs, keep_basepoint=False))
             n0s = [e + kept if e else 1 for e in slides]
             self.certificate = {"plus": self._line(1, n0s[0]), "minus": self._line(-1, n0s[1])}
@@ -652,11 +645,12 @@ def check_volume_growth_bounds(
     ``"certificate"``, with ``all_n_ok``: the two-sided bound for every
     |n| >= n0 at once.  However many generators it is given by, its folded
     core is one cycle, and the certificate is for the word read around it,
-    which generates a conjugate of the subgroup.  Nothing of it is twisted
-    or folded: vol1 is its number of blocks (step 1), vol2 its length in
-    splitting 2, and the observed volume is read off the certificate for
-    |n| >= n0 and counted on the block word at n otherwise, also when
-    l2(c1) = 0 and there is no certificate.  Both bounds have slope
+    which generates a conjugate of the subgroup.  Nothing of it is folded:
+    vol1 is its number of blocks (step 1), vol2 its length in splitting 2,
+    and the observed volume is read off the certificate for |n| >= n0 and
+    otherwise counted on ``_twisted_words`` of it at n, written straight
+    in splitting-2 letters, also when l2(c1) = 0 and there is no
+    certificate.  Both bounds have slope
     vol1 * l2(c1), so ``all_n_ok`` holds exactly when the certified slope
     equals it and |intercept| <= vol1 * C + M * vol2.
 

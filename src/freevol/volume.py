@@ -94,7 +94,7 @@ stand-in, and none of them is cyclic, as a chain inside a gap is a path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .splittings import HNN, CyclicSplitting, to_relative
 from .stallings import Forest, LabeledGraph, Links, as_graph, fold_generators
@@ -276,8 +276,7 @@ def _shorten(splitting: CyclicSplitting, links: Links) -> int:
     if x is None or not branches:
         return 0
     hnn = splitting.kind == HNN
-    separators = {splitting.stable_index} if hnn else set(splitting.b0_part)
-    starts = (c[0], -c[-1])  # a nonempty gap that starts otherwise is no power of c
+    separators = splitting.separators
     fresh = max(links) + 1
     walked: set[tuple[int, int]] = set()  # (branch vertex, signed label) of an arc walked from its other end
     cut = 0
@@ -299,17 +298,13 @@ def _shorten(splitting: CyclicSplitting, links: Links) -> int:
             cuts = [i for i, letter in enumerate(word) if abs(letter) in separators]
             if len(cuts) < 2:
                 continue
-            ends = list(zip(cuts, cuts[1:]))
+            uncounted = sum(uncounted_gaps(splitting, word, zip(cuts, cuts[1:])))
             i, j = cuts[0], cuts[-1]
             if hnn:
-                pinches = sum(word[p] < 0 < word[q] and is_power_of(word[p + 1 : q], c) for p, q in ends)
-                d = len(cuts) - 2 * pinches
+                d = len(cuts) - 2 * uncounted
                 stand_in, gain = ((x,), d - 2) if d else (c, 0)
             else:
-                r = sum(
-                    q > p + 1 and (word[p + 1] not in starts or not is_power_of(word[p + 1 : q], c))
-                    for p, q in ends
-                )
+                r = len(cuts) - 1 - uncounted
                 stand_in, gain = ((x,), 2 * r - 2) if r else (c if word[i] == -word[j] else (), 0)
             if len(stand_in) >= j - i - 1:
                 continue
@@ -370,18 +365,30 @@ def relative_length(splitting: CyclicSplitting, word: Word) -> int:
 
 def cyclic_length(splitting: CyclicSplitting, x: Word) -> int:
     """``relative_length`` of a relative word ``x`` that is already cyclically reduced."""
-    hnn = splitting.kind == HNN
-    separators = {splitting.stable_index} if hnn else set(splitting.b0_part)
+    separators = splitting.separators
     cuts = [i for i, letter in enumerate(x) if abs(letter) in separators]
     if not cuts:
         return 0
-    doubled = x + x
-    ends = zip(cuts, [*cuts[1:], cuts[0] + len(x)])
+    uncounted = sum(uncounted_gaps(splitting, x + x, zip(cuts, [*cuts[1:], cuts[0] + len(x)])))
+    if splitting.kind == HNN:
+        return len(cuts) - 2 * uncounted
+    return 2 * (len(cuts) - uncounted)
+
+
+def uncounted_gaps(splitting: CyclicSplitting, word: Word, ends: Iterable[tuple[int, int]]) -> Iterator[bool]:
+    """Per separator positions ``(i, j)`` in ``word``, whether ``translation_length`` skips their gap.
+
+    It does when the gap is a power of c, the empty one included (amalgam),
+    or a pinch t^-1 c^j t (HNN).  A gap starting with neither c[0] nor
+    c[-1]^-1 is no nonempty power of c, so it is not compared.
+    """
     c = splitting.edge_word
-    if hnn:
-        pinches = [x[i] < 0 < doubled[j] and is_power_of(doubled[i + 1 : j], c) for i, j in ends]
-        return len(cuts) - 2 * sum(pinches)
-    return 2 * sum(not is_power_of(doubled[i + 1 : j], c) for i, j in ends)
+    starts = (c[0], -c[-1])
+    amalgam = splitting.kind != HNN
+    for i, j in ends:
+        yield (amalgam or word[i] < 0 < word[j]) and (
+            j == i + 1 or word[i + 1] in starts and is_power_of(word[i + 1 : j], c)
+        )
 
 
 def to_dot(report: VolumeReport, splitting: CyclicSplitting) -> str:

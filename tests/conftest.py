@@ -6,8 +6,9 @@ not fix its own count, and still keeps no database.
 
 The ``no_realize`` fixture makes any call of ``pingpong.realize`` fail.
 The ``cold_configure`` fixture empties the caches of ``pingpong.configure``
-and ``twisting.bcc_between``, before the test and after it, for a test that
-changes what ``configure`` reads or counts what it calls.
+and ``twisting.crossing``, the one record per ordered pair of splittings,
+before the test and after it, for a test that changes what ``configure``
+reads or counts what it calls.
 """
 
 import pytest
@@ -30,7 +31,7 @@ def no_realize(monkeypatch):
 
 @pytest.fixture
 def cold_configure():
-    caches = (pingpong.configure, twisting.bcc_between)
+    caches = (pingpong.configure, twisting.crossing)
     for cached in caches:
         cached.cache_clear()
     yield

@@ -4,6 +4,8 @@ import json
 import random
 from pathlib import Path
 
+from hypothesis import strategies as st
+
 from freevol.splittings import (
     AMALGAM,
     HNN,
@@ -134,6 +136,20 @@ def nielsen_products(seed: int = 5, count: int = 60) -> list[Automorphism]:
             nu = compose(nu, Automorphism(basis, tuple(images)))
         samples.append(nu)
     return samples
+
+
+@st.composite
+def nielsen_automorphisms(draw, rank):
+    """Products of 1-6 elementary Nielsen moves x_i -> x_i x_j^(+-1) or x_j^(+-1) x_i at ``rank``."""
+    basis = Basis.standard(rank)
+    nu = Automorphism.identity(basis)
+    for _ in range(draw(st.integers(1, 6))):
+        i, j = draw(st.lists(st.integers(1, rank), min_size=2, max_size=2, unique=True))
+        moved = draw(st.sampled_from((j, -j)))
+        images = [(g,) for g in range(1, rank + 1)]
+        images[i - 1] = (i, moved) if draw(st.booleans()) else (moved, i)
+        nu = compose(nu, Automorphism(basis, tuple(images)))
+    return nu
 
 
 # perfbench's rank-2 families, keyed by the index of their pair in its

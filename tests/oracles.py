@@ -15,7 +15,10 @@ folding schedule: it always merges at the least conflicting (vertex, label)
 and prunes in full sweeps.  A heap of those conflicts finds the next one,
 so nothing is rebuilt after a merge, but the schedule stays simple enough
 to trust.  The library's worklist fold must return an equal graph, vertex
-ids included.
+ids included.  ``from_generators`` spells the wedge of subdivided loops,
+one per generator, that the library's ``fold_generators`` folds without
+spelling it whole; the reference fold of that wedge must equal the
+library's table, vertex ids included.
 
 ``pullback``, ``pullback_ranks`` and ``is_malnormal`` are the library's
 original pullbacks: they split the fiber product into component graphs and
@@ -88,11 +91,11 @@ from functools import lru_cache
 from itertools import groupby
 from typing import Iterator, Optional, Sequence
 
-from freevol.errors import HypothesisViolated, NotAnAutomorphism, UsageError
+from freevol.errors import HypothesisViolated, NotAnAutomorphism, TrivialSubgroup, UsageError
 from freevol.filling import WhiteheadMove
 from freevol.pingpong import _PERM_DEGREE, _cycle_type
 from freevol.splittings import AMALGAM, HNN, CyclicSplitting, to_relative
-from freevol.stallings import Edge, LabeledGraph, spell_path
+from freevol.stallings import Edge, LabeledGraph
 from freevol.volume import lambda_graph, translation_length as library_translation_length
 from freevol.words import (
     Automorphism,
@@ -350,6 +353,35 @@ def max_cancellation(nu, max_len: int) -> int:
                 m += 1
             best = max(best, m)
     return best
+
+
+def spell_path(
+    edges: set[Edge], word: Word, source: int, target: Optional[int], fresh: int
+) -> list[int]:
+    """Add to ``edges`` a path from ``source`` to ``target`` reading ``word``.
+
+    The interior vertices get the ids ``fresh``, ``fresh + 1``, ...; a
+    ``target`` of None is one more fresh vertex.  Returns the vertices
+    along the path, ``source`` first.
+    """
+    end = fresh + len(word) - 1 if target is None else target
+    stops = [source, *range(fresh, fresh + len(word) - 1), end]
+    for tail, head, letter in zip(stops, stops[1:], word):
+        edges.add((tail, head, letter) if letter > 0 else (head, tail, -letter))
+    return stops
+
+
+def from_generators(basis: Basis, gens: Sequence[Word]) -> LabeledGraph:
+    """Wedge of subdivided loops at basepoint 0, one loop per generator word."""
+    if not gens or any(len(g) == 0 for g in gens):
+        raise TrivialSubgroup("need nonempty generator words")
+    vertices = {0}
+    edges: set[Edge] = set()
+    fresh = 1
+    for gen in gens:
+        vertices.update(spell_path(edges, gen, 0, 0, fresh))
+        fresh += len(gen) - 1
+    return LabeledGraph(frozenset(vertices), frozenset(edges), basepoint=0)
 
 
 @dataclass

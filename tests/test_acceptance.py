@@ -156,9 +156,9 @@ def test_criterion_7_bounded_cancellation():
     single = fx.pair_with_single_step()
     filling = fx.certified_filling_pair()
     changes = [
-        tw.basis_change(single.first, single.second),
-        tw.basis_change(filling.first, filling.second),
-        tw.basis_change(filling.second, filling.first),
+        tw.crossing(single.first, single.second).nu,
+        tw.crossing(filling.first, filling.second).nu,
+        tw.crossing(filling.second, filling.first).nu,
     ]
     for nu in changes:
         bound = tw.bcc(nu)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import fixtures as fx
 import freevol
 import golden
-from freevol import cli, filling, pingpong, twisting, volume
+from freevol import cli, filling, pingpong, twisting
 from freevol.splittings import MarkedPair, to_json, transform
 from freevol.words import power, render_word
 
@@ -434,14 +434,14 @@ def test_an_equal_pair_from_a_fresh_file_is_configured_once(tmp_path, monkeypatc
 
     count(filling, "check_f2")
     count(filling, "check_f3")
-    count(volume, "translation_length")
     count(twisting, "bcc")
     pair = fx.certified_filling_pair()
     first = pingpong.configure(cli.load_pair(write_pair(tmp_path, pair, "first.json")))
-    assert sorted(set(calls)) == ["bcc", "check_f2", "check_f3", "translation_length"]
+    assert sorted(set(calls)) == ["bcc", "check_f2", "check_f3"]
+    assert twisting.crossing.cache_info().misses == 2  # the records built
     calls.clear()
     again = pingpong.configure(cli.load_pair(write_pair(tmp_path, pair, "again.json")))
-    assert calls == []
+    assert calls == [] and twisting.crossing.cache_info().misses == 2
     assert again is first
 
 

@@ -53,7 +53,8 @@ def test_bcc_is_computed_once_per_ordered_pair(monkeypatch, cold_configure):
     assert pp.configure(pair) == first
     report = tw.check_volume_growth_bounds(pair.first, pair.second, [P("BABCA"), P("abAbc")], 64, first.constants)
     assert report["all_ok"] and report["certificate"] is not None
-    assert calls == [tw.basis_change(pair.first, pair.second), tw.basis_change(pair.second, pair.first)]
+    assert calls == [tw.crossing(pair.first, pair.second).nu, tw.crossing(pair.second, pair.first).nu]
+    assert tw.crossing.cache_info().misses == 2
 
 
 def test_configure_refuses_past_the_bcc_budget_before_filling(monkeypatch, cold_configure):

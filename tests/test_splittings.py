@@ -8,7 +8,6 @@ import fixtures as fx
 from freevol import splittings as sp
 from freevol.errors import BudgetExceeded, InvalidSplitting
 from freevol.words import (
-    Automorphism,
     Basis,
     compose,
     invert,
@@ -206,20 +205,6 @@ def _standard_splittings():
 BASE_SPLITTINGS = [*fx.fixture_splittings().values(), *_standard_splittings()]
 
 
-@st.composite
-def nielsen_products(draw, rank):
-    """Products of 1-6 elementary Nielsen moves x_i -> x_i x_j^(+-1) or x_j^(+-1) x_i at ``rank``."""
-    basis = Basis.standard(rank)
-    nu = Automorphism.identity(basis)
-    for _ in range(draw(st.integers(1, 6))):
-        i, j = draw(st.lists(st.integers(1, rank), min_size=2, max_size=2, unique=True))
-        moved = draw(st.sampled_from((j, -j)))
-        images = [(g,) for g in range(1, rank + 1)]
-        images[i - 1] = (i, moved) if draw(st.booleans()) else (moved, i)
-        nu = compose(nu, Automorphism(basis, tuple(images)))
-    return nu
-
-
 def field_changes(splitting):
     """Replacements for any of the fields of ``splitting`` that ``from_json`` reads."""
     k = splitting.rank
@@ -272,7 +257,7 @@ def _refusal(build):
 def test_construction_refuses_exactly_what_the_normal_form_check_refuses(data):
     """``transform`` never raises, and each way to build a splitting refuses only what ``_diagnostics`` finds."""
     base = data.draw(st.sampled_from(BASE_SPLITTINGS))
-    moved = sp.transform(base, data.draw(nielsen_products(base.rank)))
+    moved = sp.transform(base, data.draw(fx.nielsen_automorphisms(base.rank)))
     changes = data.draw(field_changes(moved))
     values = {field.name: getattr(moved, field.name) for field in fields(moved)} | changes
     expected = _normal_form_problems(values)

@@ -216,7 +216,7 @@ def assert_subgroup_graph_folds_the_wedge(rank, gens):
     """``subgroup_graph`` builds the oracle's fold of ``from_generators``, vertex ids included."""
     basis = Basis.standard(rank)
     for keep_basepoint in (True, False):
-        expected, _ = oracles.fold_and_core(st_mod.from_generators(basis, gens), keep_basepoint)
+        expected, _ = oracles.fold_and_core(oracles.from_generators(basis, gens), keep_basepoint)
         assert st_mod.subgroup_graph(basis, gens, keep_basepoint) == expected
 
 
@@ -224,7 +224,7 @@ def assert_subgroup_graph_folds_the_wedge(rank, gens):
 @settings(max_examples=100, deadline=None)
 def test_fold_equals_oracle_on_generator_sets(case):
     rank, gens = case
-    assert_folds_like_oracle(st_mod.from_generators(Basis.standard(rank), gens))
+    assert_folds_like_oracle(oracles.from_generators(Basis.standard(rank), gens))
     assert_subgroup_graph_folds_the_wedge(rank, gens)
 
 
@@ -255,9 +255,9 @@ def test_fold_keeps_tree_center():
 
 def test_spell_path():
     edges = set()
-    assert st_mod.spell_path(edges, parse_word("aBa", B2), 0, 0, 5) == [0, 5, 6, 0]
+    assert oracles.spell_path(edges, parse_word("aBa", B2), 0, 0, 5) == [0, 5, 6, 0]
     assert edges == {(0, 5, 1), (6, 5, 2), (6, 0, 1)}
-    assert st_mod.spell_path(set(), parse_word("ab", B2), 3, None, 7) == [3, 7, 8]
+    assert oracles.spell_path(set(), parse_word("ab", B2), 3, None, 7) == [3, 7, 8]
 
 
 @given(

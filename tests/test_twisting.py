@@ -18,6 +18,7 @@ from freevol.words import (
     Automorphism,
     CyclicWord,
     apply,
+    concat,
     cyclically_reduce,
     invert,
     invert_word,
@@ -113,7 +114,7 @@ def test_bcc_matches_brute_force_rank2_property(images):
 )
 def test_bcc_attained_on_pair_with_sixth_power(forward, u, v):
     pair = fx.pair_with_sixth_power()
-    nu = tw.basis_change(*((pair.first, pair.second) if forward else (pair.second, pair.first)))
+    nu = tw.crossing(*((pair.first, pair.second) if forward else (pair.second, pair.first))).nu
     u, v = P(u), P(v)
     assert u[0] != v[0]
     image_u, image_v = apply(nu, u), apply(nu, v)
@@ -131,7 +132,7 @@ def test_bcc_rejects_a_collapsing_endomorphism():
 def _sixth_power_states() -> tuple[Automorphism, int]:
     """The forward basis change of ``pair_with_sixth_power`` and its automaton's states."""
     pair = fx.pair_with_sixth_power()
-    nu = tw.basis_change(pair.first, pair.second)
+    nu = tw.crossing(pair.first, pair.second).nu
     states = sum(len(nu.image_of(x)) for x in range(-3, 4) if x) + 6
     roots, label, _ = tw._saturated_hull_automaton(nu)
     assert (roots, len(label)) == (6, states)
@@ -184,7 +185,7 @@ def test_bcc_budget_bound_lies_between_the_states_and_the_closure(monkeypatch):
     changes = []
     for make in (fx.certified_filling_pair, fx.pair_with_sixth_power, fx.pair_with_single_step):
         pair = make()
-        changes += [tw.basis_change(pair.first, pair.second), tw.basis_change(pair.second, pair.first)]
+        changes += [tw.crossing(pair.first, pair.second).nu, tw.crossing(pair.second, pair.first).nu]
     for nu in NIELSEN_SAMPLES + changes:
         states = 2 * (sum(map(len, nu.images)) + nu.basis.rank)
         counted = _counted_entries(monkeypatch, nu)
@@ -206,7 +207,7 @@ def test_piece_bound():
 
 def test_basis_change_anchor():
     pair = fx.pair_with_single_step()
-    nu = tw.basis_change(pair.first, pair.second)
+    nu = tw.crossing(pair.first, pair.second).nu
     assert [render_word(w, B3) for w in nu.images] == ["c", "ac", "b"]
     assert tw.bcc(nu) == 1
 
@@ -215,7 +216,7 @@ def test_graph_composition_matches_recomputation():
     pair = fx.pair_with_single_step()
     word = P("aCCbc")
     circle = vol.lambda_graph(pair.first, [word])
-    composed = oracles.graph_composition(circle, tw.basis_change(pair.first, pair.second))
+    composed = oracles.graph_composition(circle, tw.crossing(pair.first, pair.second).nu)
     direct = vol.lambda_graph(pair.second, [word])
     assert st_mod.isomorphic(composed, direct)
 
@@ -439,6 +440,32 @@ def test_block_word_count_equals_the_fold_and_the_oracle(name, swapped, g, n, si
     expected = vol.free_volume(second, [twisted])
     assert cycle.count(sign * n) == cycle.length(sign * n) == expected
     assert expected == oracles.translation_length(second, twisted)
+
+
+@pytest.mark.parametrize("name, swapped", DIRECTIONS)
+@settings(max_examples=settings.default.max_examples // 4, deadline=None)
+@given(
+    phis=st.tuples(fx.nielsen_automorphisms(3), fx.nielsen_automorphisms(3)),
+    gs=st.lists(short_words3.filter(bool), min_size=1, max_size=3),
+)
+def test_crossing_record_equals_the_oracles(name, swapped, phis, gs):
+    """The one record per ordered pair: both directions of every fixture pair, each side moved by a Nielsen product.
+
+    Moving both sides by one product would leave the basis change as it
+    is, so each side gets its own.  The record's cross length is the
+    oracle's, its ``q u q^-1`` spells nu(c1), and the blocks of a short
+    word, which the shared gap rule merges, number its oracle translation
+    length in splitting 1.
+    """
+    pair = getattr(fx, name)()
+    sides = (pair.second, pair.first) if swapped else (pair.first, pair.second)
+    first, second = (sp.transform(side, phi) for side, phi in zip(sides, phis))
+    record = tw.crossing(first, second)
+    assert record.length == oracles.translation_length(second, first.edge_word_ambient())
+    assert cyclically_reduce(record.u) == (record.u, ())
+    assert concat(record.q, record.u, record.q_inverse) == apply(record.nu, first.edge_word)
+    for g in gs:
+        assert tw._TwistedCycle(first, second, g).vol1 == oracles.translation_length(first, g)
 
 
 def test_growth_report_reads_large_powers_off_the_certificate():
